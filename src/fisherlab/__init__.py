@@ -31,13 +31,12 @@ from .measurement import (
     sld_measurement,
 )
 from .metrology import QfiReport, SldData, optimal_input_state, qfi, qfi_report, seminorm_bound, sld
-from .numerics import EigenDecomposition, hermitian_eig, inner, seminorm, unitary_exp
+from .numerics import EigenDecomposition, hermitian_eig, seminorm, unitary_exp
 from .state_family import (
     StateAndDerivative,
     StateFamily,
     derivative,
     evaluate,
-    family_generator_h,
     finite_difference_derivative,
 )
 
@@ -68,10 +67,8 @@ __all__ = [
     "crb_experiment",
     "derivative",
     "evaluate",
-    "family_generator_h",
     "finite_difference_derivative",
     "hermitian_eig",
-    "inner",
     "mle_estimate",
     "optimal_input_state",
     "outcome_distribution",

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +52,6 @@ TOL_AUDIT = 1e-9
 # |fisher - qfi| at or below this marks the measurement as optimal.
 OPTIMALITY_TOL = 1e-8
 
-THREADS_ENV_VAR = "FISHERLAB_THREADS"
-
 SWEEP_CSV_COLUMNS = (
     "sweep_param",
     "entropy_nats",
@@ -86,26 +82,6 @@ class AuditReport:
     measurement_optimal: bool
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    count = int(raw)
-    if count < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
-    return count
-
-
-def _map_ordered(fn, items):
-    """Apply ``fn`` over ``items``, preserving order regardless of scheduling."""
-    items = list(items)
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def audit(family: StateFamily, lam: float, povm: Povm) -> AuditReport:
     """Evaluate the inequality for one family, parameter value and POVM."""
     seminorm_sq = seminorm_bound(family)
@@ -130,27 +106,18 @@ def audit(family: StateFamily, lam: float, povm: Povm) -> AuditReport:
 def sweep_q(family: StateFamily, lam: float, q_grid) -> list:
     """Audit the tunable-bias measurement family over a grid of q values.
 
-    Grid points are independent and may be evaluated concurrently (capped
-    by ``FISHERLAB_THREADS``); reports come back in grid order.
+    Reports come back in grid order.
     """
     sd = derivative(family, lam)
     sldd = sld(sd)
-
-    def run(q: float) -> AuditReport:
-        return audit(family, lam, q_family_measurement(sldd, sd.state, q))
-
-    return _map_ordered(run, q_grid)
+    return [audit(family, lam, q_family_measurement(sldd, sd.state, q)) for q in q_grid]
 
 
 def sweep_phi(family: StateFamily, lam: float, phi_grid) -> list:
     """Audit the equatorial qubit measurement over a grid of angles."""
     if family.dim != 2:
         raise DimMismatchError(f"angle sweep needs a qubit family, got dim {family.dim}")
-
-    def run(phi: float) -> AuditReport:
-        return audit(family, lam, rotated_qubit_measurement(phi))
-
-    return _map_ordered(run, phi_grid)
+    return [audit(family, lam, rotated_qubit_measurement(phi)) for phi in phi_grid]
 
 
 def reproduce_counterexample(lam: float = 0.7) -> AuditReport:

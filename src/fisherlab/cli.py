@@ -285,7 +285,7 @@ def build_povm(config: ExperimentConfig, family: StateFamily) -> Povm:
     if measurement is None:
         raise ConfigError("missing required field 'measurement'")
     if not isinstance(measurement, str):
-        return Povm(effects=measurement)
+        return Povm.from_effects(measurement)
 
     name, _, arg_text = measurement.partition(":")
     args = _parse_spec_args(arg_text, measurement) if arg_text else {}

@@ -83,14 +83,8 @@ def sample_outcomes(
 
 
 def _log_likelihood(family: StateFamily, povm: Povm, counts: np.ndarray, lam: float) -> float:
-    state = evaluate(family, lam)
-    total = 0.0
-    for count, eff in zip(counts, povm.effects):
-        if count == 0:
-            continue
-        prob = np.vdot(state, eff @ state).real
-        total += count * math.log(max(prob, _LOG_FLOOR))
-    return total
+    amps = (povm.rows @ evaluate(family, lam)).view(float)
+    return float(counts @ np.log(np.maximum((amps * amps).sum(1), _LOG_FLOOR)))
 
 
 def mle_estimate(family: StateFamily, povm: Povm, record: SampleRecord, search_interval) -> float:

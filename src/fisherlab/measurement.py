@@ -8,6 +8,12 @@ tends to ``4 <dpsi|E|dpsi>``. Dropping such terms would report zero
 information for measurements that are in fact optimal; the limit rule
 below is what keeps those cases correct.
 
+Every measurement is stored as amplitude rows ``M_a`` with
+``E_a = M_a^H M_a``, and statistics come from the amplitudes ``M_a psi``
+and ``M_a dpsi``: ``p_a = |M_a psi|^2`` keeps full relative precision
+where ``<psi|E_a|psi>`` on a dense effect would lose it to cancellation,
+and the limit term is ``4 |M_a dpsi|^2``.
+
 Shannon entropies are in nats throughout (natural log).
 """
 
@@ -38,51 +44,71 @@ __all__ = [
 # limit in the Fisher sum.
 EPS_PROB = 1e-10
 
+# Both checks are written as ``not value <= tol`` (or ``>=``) so that a
+# NaN from non-finite input fails them instead of slipping through.
 _PSD_TOL = -1e-10
 _COMPLETENESS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class Povm:
-    """A finite positive-operator-valued measure.
+    """A finite positive-operator-valued measure stored as amplitude rows.
 
-    Effects must be Hermitian, positive semidefinite to rounding
-    (smallest eigenvalue >= -1e-10) and sum to the identity to 1e-9 in
-    max-entry deviation. Labels identify outcomes and survive every
-    transformation the package applies.
+    ``rows`` has shape ``(K, r, d)``: outcome ``a`` has the effect
+    ``E_a = rows[a]^H rows[a]``, positive semidefinite by construction,
+    and all-zero rows pad outcomes of rank below ``r``. The effects must
+    sum to the identity to 1e-9 in max-entry deviation. Labels identify
+    outcomes and survive every transformation the package applies.
     """
 
-    effects: tuple
+    rows: np.ndarray
     labels: tuple = ()
 
     def __post_init__(self):
-        effects = tuple(require_hermitian(e) for e in self.effects)
-        if not effects:
-            raise DimMismatchError("a POVM needs at least one effect")
-        dim = effects[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for eff in effects:
-            if eff.shape[0] != dim:
-                raise DimMismatchError("POVM effects have mixed dimensions")
-            lowest = np.linalg.eigvalsh(eff)[0]
-            if lowest < _PSD_TOL:
-                raise ValueError(f"effect has negative eigenvalue {lowest:.3e}")
-            total += eff
-        deviation = np.max(np.abs(total - np.eye(dim)))
-        if deviation > _COMPLETENESS_TOL:
+        rows = np.asarray(self.rows, dtype=complex)
+        if rows.ndim != 3 or rows.shape[0] < 1 or rows.shape[2] < 1:
+            raise DimMismatchError(f"POVM rows must have shape (K, r, d), got {rows.shape}")
+        flat = rows.reshape(-1, rows.shape[2])
+        deviation = np.max(np.abs(flat.conj().T @ flat - np.eye(rows.shape[2])))
+        if not deviation <= _COMPLETENESS_TOL:
             raise ValueError(f"effects sum to identity only within {deviation:.3e}")
-        labels = tuple(self.labels) if self.labels else tuple(f"E{i}" for i in range(len(effects)))
-        if len(labels) != len(effects):
+        labels = tuple(self.labels) if self.labels else tuple(f"E{i}" for i in range(len(rows)))
+        if len(labels) != len(rows):
             raise ValueError("label count does not match effect count")
-        object.__setattr__(self, "effects", effects)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def from_effects(cls, effects, labels=()) -> "Povm":
+        """POVM from explicit effect matrices, each factored into amplitude rows.
+
+        Effects must be Hermitian and positive semidefinite to rounding
+        (smallest eigenvalue >= -1e-10). One batched ``eigh`` gives both
+        the PSD check and the rows ``sqrt(w) v^H``.
+        """
+        mats = [require_hermitian(e) for e in effects]
+        if not mats:
+            raise DimMismatchError("a POVM needs at least one effect")
+        if len({m.shape for m in mats}) != 1:
+            raise DimMismatchError("POVM effects have mixed dimensions")
+        weights, vecs = np.linalg.eigh(np.stack(mats))
+        lowest = np.min(weights)
+        if not lowest >= _PSD_TOL:
+            raise ValueError(f"effect has negative eigenvalue {lowest:.3e}")
+        rows = np.sqrt(np.maximum(weights, 0.0))[..., None] * vecs.conj().swapaxes(1, 2)
+        return cls(rows=rows, labels=labels)
+
+    @property
+    def effects(self) -> np.ndarray:
+        """Effect matrices ``E_a = rows[a]^H rows[a]``, shape ``(K, d, d)``."""
+        return self.rows.conj().swapaxes(1, 2) @ self.rows
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.rows.shape[2]
 
     def __len__(self) -> int:
-        return len(self.effects)
+        return self.rows.shape[0]
 
 
 @dataclass(frozen=True)
@@ -107,38 +133,39 @@ class OutcomeDistribution:
         object.__setattr__(self, "dprobs", dprobs)
 
 
-def _check_dims(povm: Povm, sd: StateAndDerivative) -> None:
+def _born_terms(povm: Povm, sd: StateAndDerivative):
+    """Per-outcome ``p``, ``dp`` and vanishing-probability limit ``4 |M_a dpsi|^2``.
+
+    With amplitudes ``A = M_a psi`` and ``dA = M_a dpsi``, ``p = |A|^2``
+    and ``dp = 2 Re(conj(dA) A)``, each summed over the outcome's rows.
+    Working on amplitudes keeps ``p`` accurate to relative rounding even
+    when the state is nearly orthogonal to the outcome.
+    """
     if povm.dim != sd.dim:
         raise DimMismatchError(f"POVM dim {povm.dim} does not match state dim {sd.dim}")
+    # Real views interleave (Re, Im), so row sums of products give
+    # sum_r |A|^2, sum_r Re(conj(dA) A) and sum_r |dA|^2.
+    amps = (povm.rows @ sd.state).view(float)
+    damps = (povm.rows @ sd.dstate).view(float)
+    return (amps * amps).sum(1), 2.0 * (damps * amps).sum(1), 4.0 * (damps * damps).sum(1)
 
 
 def outcome_distribution(povm: Povm, sd: StateAndDerivative) -> OutcomeDistribution:
     """Born-rule probabilities ``<psi|E|psi>`` and derivatives ``2 Re<dpsi|E|psi>``."""
-    _check_dims(povm, sd)
-    probs = np.empty(len(povm))
-    dprobs = np.empty(len(povm))
-    for i, eff in enumerate(povm.effects):
-        probs[i] = min(max(np.vdot(sd.state, eff @ sd.state).real, 0.0), 1.0)
-        dprobs[i] = 2.0 * np.vdot(sd.dstate, eff @ sd.state).real
-    return OutcomeDistribution(probs=probs, dprobs=dprobs)
+    probs, dprobs, _ = _born_terms(povm, sd)
+    return OutcomeDistribution(probs=np.minimum(probs, 1.0), dprobs=dprobs)
 
 
 def classical_fisher(povm: Povm, sd: StateAndDerivative) -> float:
     """Fisher information of the POVM's outcome distribution.
 
     Sums ``(dp_a)^2 / p_a``, replacing each vanishing-probability term
-    (``p_a <= EPS_PROB``) with its limit ``4 <dpsi|E_a|dpsi>``.
+    (``p_a <= EPS_PROB``) with its limit ``4 |M_a dpsi|^2``, which equals
+    ``4 <dpsi|E_a|dpsi>``.
     """
-    _check_dims(povm, sd)
-    total = 0.0
-    for eff in povm.effects:
-        prob = np.vdot(sd.state, eff @ sd.state).real
-        if prob > EPS_PROB:
-            dprob = 2.0 * np.vdot(sd.dstate, eff @ sd.state).real
-            total += dprob * dprob / prob
-        else:
-            total += max(4.0 * np.vdot(sd.dstate, eff @ sd.dstate).real, 0.0)
-    return float(total)
+    probs, dprobs, limits = _born_terms(povm, sd)
+    regular = probs > EPS_PROB
+    return float(np.where(regular, dprobs**2 / np.maximum(probs, EPS_PROB), limits).sum())
 
 
 def shannon_entropy(dist) -> float:
@@ -151,15 +178,21 @@ def shannon_entropy(dist) -> float:
     return float(-np.sum(positive * np.log(positive)))
 
 
-def _complete(effects: list, labels: list, dim: int) -> Povm:
-    """Append the lumped complement effect when the span leaves room for it."""
-    if dim > 2:
-        rest = np.eye(dim, dtype=complex)
-        for eff in effects:
-            rest -= eff
-        effects.append(rest)
-        labels.append("rest")
-    return Povm(effects=tuple(effects), labels=tuple(labels))
+def _complete(kets: np.ndarray, labels: tuple) -> Povm:
+    """Projective POVM onto orthonormal ``kets``, one bra row per outcome.
+
+    When the kets leave part of the space uncovered (dimension > 2), a
+    lumped "rest" outcome is appended whose rows are the complement
+    projector itself, since ``P^H P = P``.
+    """
+    bras = kets.conj()
+    count, dim = bras.shape
+    if dim <= 2:
+        return Povm(rows=bras[:, None, :], labels=labels)
+    rows = np.zeros((count + 1, dim, dim), dtype=complex)
+    rows[:count, 0] = bras
+    rows[count] = np.eye(dim) - kets.T @ bras
+    return Povm(rows=rows, labels=labels + ("rest",))
 
 
 def sld_measurement(sldd: SldData) -> Povm:
@@ -170,9 +203,7 @@ def sld_measurement(sldd: SldData) -> Povm:
     complement annihilates both the state and its derivative, so its
     probability and its Fisher contribution are zero.
     """
-    p_plus = np.outer(sldd.plus_state, sldd.plus_state.conj())
-    p_minus = np.outer(sldd.minus_state, sldd.minus_state.conj())
-    return _complete([p_plus, p_minus], ["+", "-"], sldd.plus_state.size)
+    return _complete(np.stack([sldd.plus_state, sldd.minus_state]), ("+", "-"))
 
 
 def q_family_measurement(sldd: SldData, state, q: float) -> Povm:
@@ -190,9 +221,7 @@ def q_family_measurement(sldd: SldData, state, q: float) -> Povm:
         raise DimMismatchError("state dim does not match SLD data dim")
     ket_q = np.sqrt(q) * psi + np.sqrt(1.0 - q) * sldd.tangent
     ket_qbar = np.sqrt(1.0 - q) * psi - np.sqrt(q) * sldd.tangent
-    proj_q = np.outer(ket_q, ket_q.conj())
-    proj_qbar = np.outer(ket_qbar, ket_qbar.conj())
-    return _complete([proj_q, proj_qbar], ["q", "qbar"], psi.size)
+    return _complete(np.stack([ket_q, ket_qbar]), ("q", "qbar"))
 
 
 def rotated_qubit_measurement(phi: float) -> Povm:
@@ -202,9 +231,5 @@ def rotated_qubit_measurement(phi: float) -> Povm:
     ``cos(phi) sigma_x + sin(phi) sigma_y``.
     """
     phase = np.exp(1j * phi)
-    plus = np.array([1.0, phase], dtype=complex) / np.sqrt(2.0)
-    minus = np.array([1.0, -phase], dtype=complex) / np.sqrt(2.0)
-    return Povm(
-        effects=(np.outer(plus, plus.conj()), np.outer(minus, minus.conj())),
-        labels=("+", "-"),
-    )
+    kets = np.array([[1.0, phase], [1.0, -phase]], dtype=complex) / np.sqrt(2.0)
+    return _complete(kets, ("+", "-"))

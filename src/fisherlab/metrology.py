@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeneratorError, StationaryStateError
-from .numerics import hermitian_eig, seminorm
-from .state_family import StateAndDerivative, StateFamily, family_generator_h
+from .numerics import hermitian_eig
+from .state_family import StateAndDerivative, StateFamily
 
 __all__ = [
     "EPS_QFI",
@@ -119,9 +119,10 @@ def seminorm_bound(family: StateFamily) -> float:
     """Squared seminorm of the family generator.
 
     This is the largest QFI attainable over input states for the given
-    unitary encoding, so it upper-bounds ``qfi`` for every input.
+    unitary encoding, so it upper-bounds ``qfi`` for every input. Reads
+    the generator spectrum the family cached at construction.
     """
-    return seminorm(family_generator_h(family)) ** 2
+    return float(family._eigvals[-1] - family._eigvals[0]) ** 2
 
 
 def optimal_input_state(family: StateFamily) -> np.ndarray:

@@ -22,7 +22,6 @@ __all__ = [
     "hermitian_eig",
     "unitary_exp",
     "seminorm",
-    "inner",
 ]
 
 # Relative tolerance for the Hermiticity check. Matrices entered by hand or
@@ -56,7 +55,8 @@ def require_hermitian(matrix) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise NonHermitianError(f"operator must be a square matrix, got shape {mat.shape}")
     deviation = np.max(np.abs(mat - mat.conj().T))
-    if deviation > HERMITICITY_RTOL * np.max(np.abs(mat)):
+    # Written so that a NaN deviation (any non-finite entry) fails too.
+    if not deviation <= HERMITICITY_RTOL * np.max(np.abs(mat)):
         raise NonHermitianError(
             f"matrix is not Hermitian: max|M - M^H| = {deviation:.3e} exceeds "
             f"{HERMITICITY_RTOL:g} * max|M|"
@@ -123,12 +123,3 @@ def seminorm(op) -> float:
     mat = require_hermitian(op)
     eigenvalues = np.linalg.eigvalsh(mat)
     return float(eigenvalues[-1] - eigenvalues[0])
-
-
-def inner(a, b) -> complex:
-    """Inner product ``<a|b>``, conjugate-linear in the first argument."""
-    va = as_state_vector(a)
-    vb = as_state_vector(b)
-    if va.size != vb.size:
-        raise DimMismatchError(f"inner product of dims {va.size} and {vb.size}")
-    return complex(np.vdot(va, vb))

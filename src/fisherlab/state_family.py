@@ -23,7 +23,6 @@ __all__ = [
     "evaluate",
     "derivative",
     "finite_difference_derivative",
-    "family_generator_h",
 ]
 
 # Central-difference default: balances O(step^2) truncation against
@@ -126,12 +125,3 @@ def finite_difference_derivative(
     fwd = evaluate(family, lam + step)
     bwd = evaluate(family, lam - step)
     return (fwd - bwd) / (2.0 * step)
-
-
-def family_generator_h(family: StateFamily) -> np.ndarray:
-    """Local generator ``h = i U^dag dU/dlam`` of the family.
-
-    For exponential families this equals the defining generator at every
-    parameter value.
-    """
-    return family.generator.copy()

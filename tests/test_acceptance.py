@@ -177,7 +177,7 @@ def test_criterion_8_brute_force_measurement_search():
         best = 0.0
         for _ in range(10**4):
             basis = haar_qubit_basis(rng)
-            povm = Povm(effects=tuple(np.outer(col, col.conj()) for col in basis.T))
+            povm = Povm.from_effects(tuple(np.outer(col, col.conj()) for col in basis.T))
             best = max(best, classical_fisher(povm, sd))
         elapsed = time.perf_counter() - start
         assert best <= target + 1e-8

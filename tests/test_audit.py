@@ -126,13 +126,11 @@ class TestSweepQ:
             expect = LN2 * report.qfi / report.seminorm_sq > report.entropy + TOL_AUDIT
             assert report.violated == expect
 
-    def test_thread_cap_preserves_order(self, monkeypatch):
+    def test_grid_sweep_matches_per_point_calls_in_order(self):
         family = paper_qubit_family()
         grid = np.linspace(0.0, 1.0, 9)
-        sequential = sweep_q(family, 0.7, grid)
-        monkeypatch.setenv("FISHERLAB_THREADS", "4")
-        pooled = sweep_q(family, 0.7, grid)
-        assert pooled == sequential
+        per_point = [sweep_q(family, 0.7, [q])[0] for q in grid]
+        assert sweep_q(family, 0.7, grid) == per_point
 
 
 class TestSweepPhi:

@@ -276,3 +276,23 @@ class TestExitCodes:
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["qfi", "--config", "/nonexistent/config.json"]) == 2
+
+    @pytest.mark.parametrize(
+        "measurement",
+        [
+            "rotated:phi=inf",
+            "rotated:phi=nan",
+            [
+                [[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+            ],
+        ],
+        ids=["phi-inf", "phi-nan", "nan-effect"],
+    )
+    def test_non_finite_measurement_exits_two_without_verdict(self, tmp_path, capsys, measurement):
+        path = write_config(tmp_path, qubit_config(measurement=measurement))
+        assert main(["audit", "--config", path, "--fail-on-violation"]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert "VIOLATED" not in captured.out
+        assert "OK:" not in captured.out

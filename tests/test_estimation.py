@@ -29,7 +29,7 @@ def balanced_measurement() -> Povm:
 class TestSampleOutcomes:
     def test_identity_povm_is_deterministic(self):
         record = sample_outcomes(
-            Povm(effects=(np.eye(2),)), paper_qubit_family(), TRUE_LAMBDA, 100, seed=5
+            Povm.from_effects((np.eye(2),)), paper_qubit_family(), TRUE_LAMBDA, 100, seed=5
         )
         assert record.counts.tolist() == [100]
         assert record.n == 100
@@ -82,7 +82,7 @@ class TestMleEstimate:
         family = paper_qubit_family()
         record = SampleRecord(counts=np.array([100]), n=100, seed=0)
         with pytest.raises(FlatLikelihoodError):
-            mle_estimate(family, Povm(effects=(np.eye(2),)), record, (0.0, 1.0))
+            mle_estimate(family, Povm.from_effects((np.eye(2),)), record, (0.0, 1.0))
 
     def test_rejects_empty_interval(self):
         family = paper_qubit_family()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -8,6 +8,7 @@ from conftest import haar_qubit_basis, paper_qubit_family, random_family
 from fisherlab import (
     Povm,
     StateFamily,
+    audit,
     classical_fisher,
     derivative,
     outcome_distribution,
@@ -18,6 +19,7 @@ from fisherlab import (
     sld,
     sld_measurement,
 )
+from fisherlab.audit import OPTIMALITY_TOL
 from fisherlab.errors import DimMismatchError, InvalidQError, NonHermitianError
 
 LN2 = np.log(2.0)
@@ -33,7 +35,27 @@ def binary_entropy(q: float) -> float:
 
 def projective_povm(basis: np.ndarray) -> Povm:
     effects = tuple(np.outer(col, col.conj()) for col in basis.T)
-    return Povm(effects=effects)
+    return Povm.from_effects(effects)
+
+
+def dense_statistics(effects, sd):
+    """Reference oracle on dense effects: ``<psi|E|psi>`` and ``2 Re<dpsi|E|psi>``."""
+    probs = np.array([np.vdot(sd.state, e @ sd.state).real for e in effects])
+    dprobs = np.array([2.0 * np.vdot(sd.dstate, e @ sd.state).real for e in effects])
+    return probs, dprobs
+
+
+def random_effects(count: int, dim: int, rng: np.random.Generator) -> list:
+    """Full-rank random POVM: ``E_a = S^-1/2 X_a^H X_a S^-1/2`` with ``S = sum X_a^H X_a``."""
+    raw = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    grams = [x.conj().T @ x for x in raw]
+    values, vectors = np.linalg.eigh(sum(grams))
+    inv_sqrt = (vectors / np.sqrt(values)) @ vectors.conj().T
+    effects = []
+    for gram in grams:
+        effect = inv_sqrt @ gram @ inv_sqrt
+        effects.append((effect + effect.conj().T) / 2.0)
+    return effects
 
 
 class TestPovmValidation:
@@ -46,22 +68,22 @@ class TestPovmValidation:
     def test_rejects_incomplete_effects(self):
         e0 = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(ValueError):
-            Povm(effects=(e0,))
+            Povm.from_effects((e0,))
 
     def test_rejects_negative_effect(self):
         up = np.diag([1.5, 0.0])
         down = np.diag([-0.5, 1.0])
         with pytest.raises(ValueError):
-            Povm(effects=(up, down))
+            Povm.from_effects((up, down))
 
     def test_rejects_non_hermitian_effect(self):
         skew = np.array([[0.5, 0.3], [0.0, 0.5]])
         with pytest.raises(NonHermitianError):
-            Povm(effects=(skew, np.eye(2) - skew))
+            Povm.from_effects((skew, np.eye(2) - skew))
 
     def test_rejects_mixed_dims(self):
         with pytest.raises(DimMismatchError):
-            Povm(effects=(np.eye(2), np.eye(3)))
+            Povm.from_effects((np.eye(2), np.eye(3)))
 
 
 class TestOutcomeDistribution:
@@ -76,7 +98,7 @@ class TestOutcomeDistribution:
 
     def test_identity_povm(self):
         sd = derivative(paper_qubit_family(), 0.3)
-        dist = outcome_distribution(Povm(effects=(np.eye(2),)), sd)
+        dist = outcome_distribution(Povm.from_effects((np.eye(2),)), sd)
         assert_allclose(dist.probs, [1.0], atol=1e-15)
         assert_allclose(dist.dprobs, [0.0], atol=1e-12)
 
@@ -111,7 +133,7 @@ class TestClassicalFisher:
 
     def test_identity_povm_carries_no_information(self):
         sd = derivative(paper_qubit_family(), 0.2)
-        assert classical_fisher(Povm(effects=(np.eye(2),)), sd) == pytest.approx(0.0, abs=1e-12)
+        assert classical_fisher(Povm.from_effects((np.eye(2),)), sd) == pytest.approx(0.0, abs=1e-12)
 
     def test_q_family_attains_qfi(self, rng):
         for dim in (2, 3):
@@ -290,3 +312,59 @@ class TestSldWeightIdentity:
                 for eff, dp in zip(povm.effects, dist.dprobs):
                     trace_weight = 0.25 * np.trace(sldd.sld @ eff).real ** 2
                     assert trace_weight == pytest.approx(dp**2, abs=1e-10)
+
+
+class TestAmplitudeAccuracy:
+    """Fisher information near vanishing outcome probabilities.
+
+    Each measurement below is provably optimal, so ``F = F_Q`` exactly;
+    forming ``p = <psi|E|psi>`` from dense effects loses these digits to
+    cancellation once an outcome is nearly orthogonal to the state.
+    """
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(min_value=2, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        log_q=st.floats(min_value=-10.0, max_value=-2.0),
+    )
+    def test_q_family_optimal_at_extreme_bias(self, dim, seed, log_q):
+        family = random_family(dim, np.random.default_rng(seed))
+        sd = derivative(family, 0.3)
+        sldd = sld(sd)
+        q = 10.0**log_q
+        for bias in (q, 1.0 - q):
+            report = audit(family, 0.3, q_family_measurement(sldd, sd.state, bias))
+            assert abs(report.fisher - report.qfi) <= OPTIMALITY_TOL
+            assert report.measurement_optimal
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        log_delta=st.floats(min_value=-10.0, max_value=-2.0),
+        sign=st.sampled_from((1.0, -1.0)),
+    )
+    def test_rotated_qubit_optimal_near_deterministic_angle(self, log_delta, sign):
+        lam = 0.7
+        povm = rotated_qubit_measurement(lam + sign * 10.0**log_delta)
+        report = audit(paper_qubit_family(), lam, povm)
+        assert abs(report.fisher - report.qfi) <= OPTIMALITY_TOL
+        assert report.measurement_optimal
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(min_value=2, max_value=6),
+        count=st.integers(min_value=2, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_agrees_with_dense_effect_oracle(self, dim, count, seed):
+        rng = np.random.default_rng(seed)
+        effects = random_effects(count, dim, rng)
+        sd = derivative(random_family(dim, rng), 0.4)
+        probs, dprobs = dense_statistics(effects, sd)
+        assume(probs.min() > 1e-3)
+        povm = Povm.from_effects(effects)
+        dist = outcome_distribution(povm, sd)
+        assert_allclose(dist.probs, probs, rtol=0.0, atol=1e-12)
+        assert_allclose(dist.dprobs, dprobs, rtol=0.0, atol=1e-12)
+        dense_fisher = float(np.sum(dprobs**2 / probs))
+        assert abs(classical_fisher(povm, sd) - dense_fisher) <= 1e-10

@@ -7,7 +7,6 @@ from fisherlab import (
     StateFamily,
     derivative,
     evaluate,
-    family_generator_h,
     finite_difference_derivative,
     unitary_exp,
 )
@@ -120,11 +119,11 @@ class TestFiniteDifference:
 class TestGeneratorReadback:
     def test_qubit_generator(self):
         family = paper_qubit_family()
-        assert_allclose(family_generator_h(family), np.diag([0.5, -0.5]), atol=1e-15)
+        assert_allclose(family.generator, np.diag([0.5, -0.5]), atol=1e-15)
 
     def test_zero_generator(self):
         family = StateFamily(generator=np.zeros((3, 3)), input_state=np.array([1.0, 0.0, 0.0]))
-        assert_allclose(family_generator_h(family), np.zeros((3, 3)), atol=1e-15)
+        assert_allclose(family.generator, np.zeros((3, 3)), atol=1e-15)
 
     def test_matches_unitary_finite_difference(self):
         # i U(lam)^dag dU/dlam recovered from a central difference of the unitary
@@ -133,7 +132,7 @@ class TestGeneratorReadback:
         lam, step = 0.6, 1e-5
         du = (unitary_exp(gen, lam + step) - unitary_exp(gen, lam - step)) / (2.0 * step)
         recovered = 1j * unitary_exp(gen, lam).conj().T @ du
-        assert_allclose(recovered, family_generator_h(family), atol=1e-8)
+        assert_allclose(recovered, family.generator, atol=1e-8)
 
 
 class TestGlobalPhaseCovariance:
