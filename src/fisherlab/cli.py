@@ -102,7 +102,10 @@ def _complex_scalar(value, where: str) -> complex:
         or not all(isinstance(part, (int, float)) for part in value)
     ):
         raise ConfigError(f"field '{where}': expected a [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
+    try:
+        return complex(value[0], value[1])
+    except OverflowError:
+        raise ConfigError(f"field '{where}': {value!r} overflows a double")
 
 
 def _complex_vector(value, where: str) -> np.ndarray:
@@ -120,10 +123,19 @@ def _complex_matrix(value, where: str) -> np.ndarray:
     return np.array(rows)
 
 
+def _finite(value: float, where: str) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return value
+
+
 def _real_number(value, where: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"field '{where}': expected a number, got {value!r}")
-    return float(value)
+    try:
+        return _finite(float(value), f"field '{where}'")
+    except OverflowError:
+        raise ConfigError(f"field '{where}': {value!r} overflows a double")
 
 
 def _integer(value, where: str) -> int:
@@ -212,9 +224,18 @@ def parse_config(data: dict) -> ExperimentConfig:
     )
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"non-finite number {name} is not allowed in a config")
+
+
+# Python's json accepts NaN, Infinity and -Infinity literals; this
+# decoder turns them into config errors.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     try:
-        data = json.loads(text)
+        data = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     return parse_config(data)
@@ -273,9 +294,10 @@ def _parse_spec_args(arg_text: str, spec: str) -> dict:
         if not sep or not key:
             raise ConfigError(f"measurement spec {spec!r}: expected name:key=value")
         try:
-            args[key] = float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"measurement spec {spec!r}: {raw!r} is not a number")
+        args[key] = _finite(value, f"measurement spec {spec!r}")
     return args
 
 

@@ -123,11 +123,12 @@ class OutcomeDistribution:
         dprobs = np.asarray(self.dprobs, dtype=float)
         if probs.shape != dprobs.shape or probs.ndim != 1:
             raise DimMismatchError("probs and dprobs must be 1-d arrays of equal length")
-        if np.min(probs) < -1e-12:
+        # Negated comparisons, so that NaN entries fail the checks too.
+        if not np.min(probs) >= -1e-12:
             raise ValueError(f"negative probability {np.min(probs):.3e}")
-        if abs(probs.sum() - 1.0) > 1e-9:
+        if not abs(probs.sum() - 1.0) <= 1e-9:
             raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
-        if abs(dprobs.sum()) > 1e-9:
+        if not abs(dprobs.sum()) <= 1e-9:
             raise ValueError(f"probability derivatives sum to {dprobs.sum():.3e}, not 0")
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "dprobs", dprobs)

@@ -49,7 +49,8 @@ class StateFamily:
                 f"generator dim {gen.shape[0]} does not match state dim {psi.size}"
             )
         norm = np.linalg.norm(psi)
-        if abs(norm - 1.0) > _NORM_TOL:
+        # Negated comparisons here and below, so that NaN and Inf entries fail.
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"input state is not normalized: ||psi|| = {norm!r}")
         dec = hermitian_eig(gen)
         object.__setattr__(self, "generator", gen)
@@ -79,11 +80,11 @@ class StateAndDerivative:
         dstate = as_state_vector(self.dstate)
         if state.size != dstate.size:
             raise DimMismatchError("state and dstate dims differ")
-        if abs(np.linalg.norm(state) - 1.0) > _NORM_TOL:
+        if not abs(np.linalg.norm(state) - 1.0) <= _NORM_TOL:
             raise ValueError("state is not normalized")
         # Norm preservation makes <state|dstate> purely imaginary.
         overlap = np.vdot(state, dstate)
-        if abs(overlap.real) > 1e-9:
+        if not abs(overlap.real) <= 1e-9:
             raise ValueError(f"Re<state|dstate> = {overlap.real:.3e}, expected 0")
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "dstate", dstate)

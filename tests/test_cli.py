@@ -20,6 +20,9 @@ LN2 = math.log(2.0)
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+STATE_FIELD = '"input_state": [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]'
+
+
 def qubit_config(**overrides) -> dict:
     config = {
         "generator": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]],
@@ -56,6 +59,16 @@ class TestConfigParsing:
         config = qubit_config()
         config["generator"][0][1] = [0.0]
         with pytest.raises(ConfigError, match=r"generator\[0\]\[1\]"):
+            parse_config_text(json.dumps(config))
+
+    def test_overflowing_integer_is_a_config_error(self):
+        # json reads a 400-digit integer exactly; it has no double value.
+        config = qubit_config(**{"lambda": 10**400})
+        with pytest.raises(ConfigError, match="lambda"):
+            parse_config_text(json.dumps(config))
+        config = qubit_config()
+        config["input_state"][1][0] = 10**400
+        with pytest.raises(ConfigError, match=r"input_state\[1\]"):
             parse_config_text(json.dumps(config))
 
     def test_json_error_carries_line_number(self):
@@ -210,6 +223,15 @@ class TestCmdSimulate:
         assert main(["simulate", "--config", path]) == 2
         assert "trials" in capsys.readouterr().err
 
+    def test_flat_likelihood_exits_three(self, tmp_path, capsys):
+        identity = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
+        config = qubit_config(measurement=identity, sim={"n": 100, "trials": 4, "seed": 1})
+        path = write_config(tmp_path, config)
+        assert main(["simulate", "--config", path]) == 3
+        captured = capsys.readouterr()
+        assert "FlatLikelihoodError" in captured.err
+        assert captured.out == ""
+
     def test_csv_identical_across_reruns(self, tmp_path, capsys):
         config = qubit_config(
             measurement="rotated:phi=2.2707963267948966",
@@ -296,3 +318,36 @@ class TestExitCodes:
         assert "config error" in captured.err
         assert "VIOLATED" not in captured.out
         assert "OK:" not in captured.out
+
+    @pytest.mark.parametrize(
+        "command, fields",
+        [
+            ("audit", f'{STATE_FIELD}, "lambda": NaN, "measurement": "rotated:phi=0.7"'),
+            ("audit", f'{STATE_FIELD}, "lambda": Infinity, "measurement": "rotated:phi=0.7"'),
+            (
+                "audit",
+                '"input_state": [[NaN, 0.0], [0.7071067811865476, 0.0]], "lambda": 0.7, '
+                '"measurement": "rotated:phi=0.7"',
+            ),
+            (
+                "audit",
+                f'{STATE_FIELD}, "lambda": 0.7, "sweep": {{"param": "q", "grid": [0.1, 1e999]}}',
+            ),
+            (
+                "simulate",
+                f'{STATE_FIELD}, "lambda": 0.7, "measurement": "sld", '
+                '"sim": {"n": 100, "trials": 4, "seed": 1, "interval": [0, Infinity]}',
+            ),
+        ],
+        ids=["lambda-nan", "lambda-inf", "state-nan", "grid-1e999", "interval-inf"],
+    )
+    def test_non_finite_config_exits_two_without_verdict(self, tmp_path, capsys, command, fields):
+        # Python's json accepts NaN and Infinity literals and reads 1e999 as inf.
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"generator": {json.dumps(qubit_config()["generator"])}, {fields}}}')
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert captured.out == ""
+        assert not out.exists()

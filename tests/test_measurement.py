@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from conftest import haar_qubit_basis, paper_qubit_family, random_family
 from fisherlab import (
+    OutcomeDistribution,
     Povm,
     StateFamily,
     audit,
@@ -120,6 +121,14 @@ class TestOutcomeDistribution:
         sd = derivative(paper_qubit_family(), 0.0)
         with pytest.raises(DimMismatchError):
             outcome_distribution(projective_povm(np.eye(3, dtype=complex)), sd)
+
+    @pytest.mark.parametrize(
+        "probs, dprobs",
+        [([np.nan, 0.5], [0.0, 0.0]), ([np.nan, np.nan], [0.0, 0.0]), ([0.5, 0.5], [np.nan, 0.0])],
+    )
+    def test_rejects_non_finite_entries(self, probs, dprobs):
+        with pytest.raises(ValueError):
+            OutcomeDistribution(probs=probs, dprobs=dprobs)
 
 
 class TestClassicalFisher:

@@ -19,6 +19,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             StateFamily(generator=np.eye(2), input_state=np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_input_state(self, bad):
+        with pytest.raises(ValueError):
+            StateFamily(generator=np.eye(2), input_state=np.array([bad, 0.0]))
+
     def test_rejects_dim_mismatch(self):
         with pytest.raises(DimMismatchError):
             StateFamily(generator=np.eye(3), input_state=np.array([1.0, 0.0]))
@@ -87,6 +92,10 @@ class TestDerivative:
         family = StateFamily(generator=np.diag([2.0, -1.0]), input_state=np.array([0.0, 1.0]))
         sd = derivative(family, 0.3)
         assert_allclose(sd.dstate, -1j * (-1.0) * sd.state, atol=1e-12)
+
+    def test_nan_parameter_fails_closed(self):
+        with pytest.raises(ValueError):
+            derivative(paper_qubit_family(), np.nan)
 
     def test_overlap_is_purely_imaginary(self, rng):
         for dim in (2, 5):
