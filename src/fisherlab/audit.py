@@ -22,15 +22,19 @@ import numpy as np
 
 from .errors import DegenerateGeneratorError, DimMismatchError
 from .measurement import (
+    OutcomeDistribution,
     Povm,
-    classical_fisher,
-    outcome_distribution,
-    q_family_measurement,
+    _born_terms,
+    _check_complete,
+    _complement,
+    _fisher_sum,
+    _q_bras,
+    _rotated_bras,
     rotated_qubit_measurement,
     shannon_entropy,
 )
 from .metrology import qfi, seminorm_bound, sld
-from .state_family import StateFamily, derivative
+from .state_family import StateAndDerivative, StateFamily, derivative
 
 __all__ = [
     "TOL_AUDIT",
@@ -82,42 +86,71 @@ class AuditReport:
     measurement_optimal: bool
 
 
-def audit(family: StateFamily, lam: float, povm: Povm) -> AuditReport:
-    """Evaluate the inequality for one family, parameter value and POVM."""
+def _audit_grid(family: StateFamily, sd: StateAndDerivative, rows, common=None) -> list:
+    """Audit the G measurements with amplitude rows ``rows`` (``(G, K, r, d)``) at once.
+
+    ``common`` (``(K0, r0, d)``) holds outcome rows every measurement
+    shares; their Born terms are computed once and broadcast. Reports
+    come back in grid order.
+    """
     seminorm_sq = seminorm_bound(family)
     if seminorm_sq <= 0.0:
         raise DegenerateGeneratorError("generator seminorm is zero; inequality is undefined")
-    sd = derivative(family, lam)
-    entropy = shannon_entropy(outcome_distribution(povm, sd))
-    fisher = classical_fisher(povm, sd)
+    terms = _born_terms(rows, sd)
+    if common is not None:
+        shared = _born_terms(common, sd)
+        terms = [
+            np.concatenate([t, np.broadcast_to(c, t.shape[:-1] + c.shape)], axis=-1)
+            for t, c in zip(terms, shared)
+        ]
+    probs, dprobs, limits = terms
+    entropy = shannon_entropy(OutcomeDistribution(probs=np.minimum(probs, 1.0), dprobs=dprobs))
+    fisher = _fisher_sum(probs, dprobs, limits)
     fisher_q = qfi(sd)
     rhs = math.log(2.0) * fisher_q / seminorm_sq
-    return AuditReport(
-        entropy=entropy,
-        fisher=fisher,
-        qfi=fisher_q,
-        seminorm_sq=seminorm_sq,
-        rhs=rhs,
-        violated=bool(entropy < rhs - TOL_AUDIT),
-        measurement_optimal=bool(abs(fisher - fisher_q) <= OPTIMALITY_TOL),
-    )
+    return [
+        AuditReport(
+            entropy=e,
+            fisher=f,
+            qfi=fisher_q,
+            seminorm_sq=seminorm_sq,
+            rhs=rhs,
+            violated=e < rhs - TOL_AUDIT,
+            measurement_optimal=abs(f - fisher_q) <= OPTIMALITY_TOL,
+        )
+        for e, f in zip(entropy.tolist(), fisher.tolist())
+    ]
+
+
+def _audit_bras(family: StateFamily, sd: StateAndDerivative, bras: np.ndarray) -> list:
+    """Audit the projective measurements with bras ``bras[g]``, which all span one subspace."""
+    if len(bras) == 0:
+        return []
+    rows = bras[:, :, None, :]
+    common = _complement(bras[0])
+    _check_complete(rows, common)
+    return _audit_grid(family, sd, rows, common)
+
+
+def audit(family: StateFamily, lam: float, povm: Povm) -> AuditReport:
+    """Evaluate the inequality for one family, parameter value and POVM."""
+    return _audit_grid(family, derivative(family, lam), povm.rows[None])[0]
 
 
 def sweep_q(family: StateFamily, lam: float, q_grid) -> list:
     """Audit the tunable-bias measurement family over a grid of q values.
 
-    Reports come back in grid order.
+    The whole grid is one batch; reports come back in grid order.
     """
     sd = derivative(family, lam)
-    sldd = sld(sd)
-    return [audit(family, lam, q_family_measurement(sldd, sd.state, q)) for q in q_grid]
+    return _audit_bras(family, sd, _q_bras(sld(sd), sd.state, q_grid))
 
 
 def sweep_phi(family: StateFamily, lam: float, phi_grid) -> list:
-    """Audit the equatorial qubit measurement over a grid of angles."""
+    """Audit the equatorial qubit measurement over a grid of angles, as one batch."""
     if family.dim != 2:
         raise DimMismatchError(f"angle sweep needs a qubit family, got dim {family.dim}")
-    return [audit(family, lam, rotated_qubit_measurement(phi)) for phi in phi_grid]
+    return _audit_bras(family, derivative(family, lam), _rotated_bras(phi_grid))
 
 
 def reproduce_counterexample(lam: float = 0.7) -> AuditReport:

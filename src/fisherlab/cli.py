@@ -61,7 +61,6 @@ __all__ = [
     "parse_config",
     "parse_config_text",
     "load_config",
-    "serialize_config",
     "build_family",
     "build_povm",
     "main",
@@ -96,10 +95,14 @@ class ExperimentConfig:
 
 
 def _complex_scalar(value, where: str) -> complex:
+    # bool is an int subclass, but JSON true/false are not numbers.
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(part, (int, float)) for part in value)
+        or not isinstance(value[0], (int, float))
+        or not isinstance(value[1], (int, float))
+        or isinstance(value[0], bool)
+        or isinstance(value[1], bool)
     ):
         raise ConfigError(f"field '{where}': expected a [re, im] pair, got {value!r}")
     try:
@@ -248,39 +251,6 @@ def load_config(path: str) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}")
     return parse_config_text(text)
-
-
-def _encode_complex_vector(vec: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in vec]
-
-
-def _encode_complex_matrix(mat: np.ndarray) -> list:
-    return [_encode_complex_vector(row) for row in mat]
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    data = {
-        "generator": _encode_complex_matrix(config.generator),
-        "input_state": _encode_complex_vector(config.input_state),
-        "lambda": config.lam,
-    }
-    if config.measurement is not None:
-        if isinstance(config.measurement, str):
-            data["measurement"] = config.measurement
-        else:
-            data["measurement"] = [_encode_complex_matrix(m) for m in config.measurement]
-    if config.sweep is not None:
-        data["sweep"] = {"param": config.sweep.param, "grid": list(config.sweep.grid)}
-    if config.sim is not None:
-        sim = {"n": config.sim.n, "trials": config.sim.trials, "seed": config.sim.seed}
-        if config.sim.interval is not None:
-            sim["interval"] = list(config.sim.interval)
-        data["sim"] = sim
-    return data
-
-
-def serialize_config(config: ExperimentConfig) -> str:
-    return json.dumps(config_to_dict(config), indent=2)
 
 
 def build_family(config: ExperimentConfig) -> StateFamily:

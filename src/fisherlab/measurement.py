@@ -68,10 +68,7 @@ class Povm:
         rows = np.asarray(self.rows, dtype=complex)
         if rows.ndim != 3 or rows.shape[0] < 1 or rows.shape[2] < 1:
             raise DimMismatchError(f"POVM rows must have shape (K, r, d), got {rows.shape}")
-        flat = rows.reshape(-1, rows.shape[2])
-        deviation = np.max(np.abs(flat.conj().T @ flat - np.eye(rows.shape[2])))
-        if not deviation <= _COMPLETENESS_TOL:
-            raise ValueError(f"effects sum to identity only within {deviation:.3e}")
+        _check_complete(rows[None])
         labels = tuple(self.labels) if self.labels else tuple(f"E{i}" for i in range(len(rows)))
         if len(labels) != len(rows):
             raise ValueError("label count does not match effect count")
@@ -111,9 +108,30 @@ class Povm:
         return self.rows.shape[0]
 
 
+def _check_complete(rows: np.ndarray, common=None) -> None:
+    """Require the effects of each ``rows[g]`` plus the shared rows ``common`` to sum to I.
+
+    ``rows`` has shape ``(G, K, r, d)``. Blocks of about 16k entries of
+    ``(d, d)`` effect sums are checked at a time, so a long grid never
+    holds all of its sums at once.
+    """
+    dim = rows.shape[-1]
+    flat = rows.reshape(len(rows), -1, dim)
+    offset = -np.eye(dim)
+    if common is not None:
+        shared = common.reshape(-1, dim)
+        offset = offset + shared.conj().T @ shared
+    block = max(1, 2**14 // dim**2)
+    for start in range(0, len(flat), block):
+        chunk = flat[start : start + block]
+        deviation = np.max(np.abs(chunk.conj().swapaxes(1, 2) @ chunk + offset))
+        if not deviation <= _COMPLETENESS_TOL:
+            raise ValueError(f"effects sum to identity only within {deviation:.3e}")
+
+
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Outcome probabilities and their parameter derivatives."""
+    """Outcome probabilities and their parameter derivatives, outcomes on the last axis."""
 
     probs: np.ndarray
     dprobs: np.ndarray
@@ -121,39 +139,50 @@ class OutcomeDistribution:
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
         dprobs = np.asarray(self.dprobs, dtype=float)
-        if probs.shape != dprobs.shape or probs.ndim != 1:
-            raise DimMismatchError("probs and dprobs must be 1-d arrays of equal length")
+        if probs.shape != dprobs.shape or probs.ndim < 1:
+            raise DimMismatchError("probs and dprobs must be arrays of equal shape")
         # Negated comparisons, so that NaN entries fail the checks too.
-        if not np.min(probs) >= -1e-12:
-            raise ValueError(f"negative probability {np.min(probs):.3e}")
-        if not abs(probs.sum() - 1.0) <= 1e-9:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
-        if not abs(dprobs.sum()) <= 1e-9:
-            raise ValueError(f"probability derivatives sum to {dprobs.sum():.3e}, not 0")
+        lowest = probs.min()
+        if not lowest >= -1e-12:
+            raise ValueError(f"negative probability {lowest:.3e}")
+        deviation = abs(probs.sum(-1) - 1.0).max()
+        if not deviation <= 1e-9:
+            raise ValueError(f"probabilities sum to 1 only within {deviation:.3e}")
+        drift = abs(dprobs.sum(-1)).max()
+        if not drift <= 1e-9:
+            raise ValueError(f"probability derivatives sum to 0 only within {drift:.3e}")
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "dprobs", dprobs)
 
 
-def _born_terms(povm: Povm, sd: StateAndDerivative):
+def _born_terms(rows: np.ndarray, sd: StateAndDerivative):
     """Per-outcome ``p``, ``dp`` and vanishing-probability limit ``4 |M_a dpsi|^2``.
 
-    With amplitudes ``A = M_a psi`` and ``dA = M_a dpsi``, ``p = |A|^2``
-    and ``dp = 2 Re(conj(dA) A)``, each summed over the outcome's rows.
-    Working on amplitudes keeps ``p`` accurate to relative rounding even
-    when the state is nearly orthogonal to the outcome.
+    ``rows`` has shape ``(..., K, r, d)``; the results have shape
+    ``(..., K)``. With amplitudes ``A = M_a psi`` and ``dA = M_a dpsi``,
+    ``p = |A|^2`` and ``dp = 2 Re(conj(dA) A)``, each summed over the
+    outcome's rows. Working on amplitudes keeps ``p`` accurate to
+    relative rounding even when the state is nearly orthogonal to the
+    outcome.
     """
-    if povm.dim != sd.dim:
-        raise DimMismatchError(f"POVM dim {povm.dim} does not match state dim {sd.dim}")
+    if rows.shape[-1] != sd.dim:
+        raise DimMismatchError(f"POVM dim {rows.shape[-1]} does not match state dim {sd.dim}")
     # Real views interleave (Re, Im), so row sums of products give
     # sum_r |A|^2, sum_r Re(conj(dA) A) and sum_r |dA|^2.
-    amps = (povm.rows @ sd.state).view(float)
-    damps = (povm.rows @ sd.dstate).view(float)
-    return (amps * amps).sum(1), 2.0 * (damps * amps).sum(1), 4.0 * (damps * damps).sum(1)
+    amps = (rows @ sd.state).view(float)
+    damps = (rows @ sd.dstate).view(float)
+    return (amps * amps).sum(-1), 2.0 * (damps * amps).sum(-1), 4.0 * (damps * damps).sum(-1)
+
+
+def _fisher_sum(probs, dprobs, limits):
+    """The Fisher sum of :func:`classical_fisher` over the last axis of the Born terms."""
+    regular = probs > EPS_PROB
+    return np.where(regular, dprobs**2 / np.maximum(probs, EPS_PROB), limits).sum(-1)
 
 
 def outcome_distribution(povm: Povm, sd: StateAndDerivative) -> OutcomeDistribution:
     """Born-rule probabilities ``<psi|E|psi>`` and derivatives ``2 Re<dpsi|E|psi>``."""
-    probs, dprobs, _ = _born_terms(povm, sd)
+    probs, dprobs, _ = _born_terms(povm.rows, sd)
     return OutcomeDistribution(probs=np.minimum(probs, 1.0), dprobs=dprobs)
 
 
@@ -164,35 +193,47 @@ def classical_fisher(povm: Povm, sd: StateAndDerivative) -> float:
     (``p_a <= EPS_PROB``) with its limit ``4 |M_a dpsi|^2``, which equals
     ``4 <dpsi|E_a|dpsi>``.
     """
-    probs, dprobs, limits = _born_terms(povm, sd)
-    regular = probs > EPS_PROB
-    return float(np.where(regular, dprobs**2 / np.maximum(probs, EPS_PROB), limits).sum())
+    return float(_fisher_sum(*_born_terms(povm.rows, sd)))
 
 
-def shannon_entropy(dist) -> float:
+def shannon_entropy(dist):
     """Shannon entropy ``-sum p ln p`` in nats, with ``0 ln 0 = 0``.
 
-    Accepts an :class:`OutcomeDistribution` or any probability sequence.
+    Accepts an :class:`OutcomeDistribution` or any probability array and
+    sums over its last axis: a float for one distribution, an array for
+    a stack of them.
     """
     probs = np.asarray(getattr(dist, "probs", dist), dtype=float)
-    positive = probs[probs > 0.0]
-    return float(-np.sum(positive * np.log(positive)))
+    logs = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
+    entropy = -(probs * logs).sum(-1)
+    return float(entropy) if entropy.ndim == 0 else entropy
 
 
-def _complete(kets: np.ndarray, labels: tuple) -> Povm:
-    """Projective POVM onto orthonormal ``kets``, one bra row per outcome.
+def _complement(bras: np.ndarray):
+    """Rows ``(1, d, d)`` of the projector onto the complement of span(``bras^H``).
 
-    When the kets leave part of the space uncovered (dimension > 2), a
-    lumped "rest" outcome is appended whose rows are the complement
-    projector itself, since ``P^H P = P``.
+    A projector is its own amplitude row set, since ``P^H P = P``.
+    ``None`` when the bras span the space (dimension <= 2).
     """
-    bras = kets.conj()
-    count, dim = bras.shape
+    dim = bras.shape[-1]
     if dim <= 2:
+        return None
+    return (np.eye(dim) - bras.conj().T @ bras)[None]
+
+
+def _complete(bras: np.ndarray, labels: tuple) -> Povm:
+    """Projective POVM with one orthonormal bra row per outcome.
+
+    When the bras leave part of the space uncovered, a lumped "rest"
+    outcome with the :func:`_complement` rows is appended.
+    """
+    rest = _complement(bras)
+    if rest is None:
         return Povm(rows=bras[:, None, :], labels=labels)
+    count, dim = bras.shape
     rows = np.zeros((count + 1, dim, dim), dtype=complex)
     rows[:count, 0] = bras
-    rows[count] = np.eye(dim) - kets.T @ bras
+    rows[count] = rest[0]
     return Povm(rows=rows, labels=labels + ("rest",))
 
 
@@ -204,7 +245,24 @@ def sld_measurement(sldd: SldData) -> Povm:
     complement annihilates both the state and its derivative, so its
     probability and its Fisher contribution are zero.
     """
-    return _complete(np.stack([sldd.plus_state, sldd.minus_state]), ("+", "-"))
+    return _complete(np.stack([sldd.plus_state, sldd.minus_state]).conj(), ("+", "-"))
+
+
+def _q_bras(sldd: SldData, state, q_values) -> np.ndarray:
+    """Bras ``(G, 2, d)`` of :func:`q_family_measurement` at every ``q``; NaN is out of range."""
+    q = np.asarray(q_values, dtype=float)
+    outside = ~((q >= 0.0) & (q <= 1.0))
+    if outside.any():
+        raise InvalidQError(f"q must lie in [0, 1], got {float(q[outside][0])!r}")
+    psi = as_state_vector(state)
+    if psi.size != sldd.tangent.size:
+        raise DimMismatchError("state dim does not match SLD data dim")
+    psi, tangent = psi.conj(), sldd.tangent.conj()
+    root_q = np.sqrt(q)[:, None]
+    root_qbar = np.sqrt(1.0 - q)[:, None]
+    bra_q = root_q * psi + root_qbar * tangent
+    bra_qbar = root_qbar * psi - root_q * tangent
+    return np.stack([bra_q, bra_qbar], axis=1)
 
 
 def q_family_measurement(sldd: SldData, state, q: float) -> Povm:
@@ -215,14 +273,16 @@ def q_family_measurement(sldd: SldData, state, q: float) -> Povm:
     full quantum Fisher information while the outcome distribution is
     ``(q, 1-q)``, so the entropy sweeps the whole range [0, ln 2].
     """
-    if not 0.0 <= q <= 1.0:
-        raise InvalidQError(f"q must lie in [0, 1], got {q!r}")
-    psi = as_state_vector(state)
-    if psi.size != sldd.tangent.size:
-        raise DimMismatchError("state dim does not match SLD data dim")
-    ket_q = np.sqrt(q) * psi + np.sqrt(1.0 - q) * sldd.tangent
-    ket_qbar = np.sqrt(1.0 - q) * psi - np.sqrt(q) * sldd.tangent
-    return _complete(np.stack([ket_q, ket_qbar]), ("q", "qbar"))
+    return _complete(_q_bras(sldd, state, [q])[0], ("q", "qbar"))
+
+
+def _rotated_bras(phi_values) -> np.ndarray:
+    """Bras ``(G, 2, 2)`` of :func:`rotated_qubit_measurement` at every angle."""
+    phase = np.exp(1j * np.asarray(phi_values, dtype=float)).conj()
+    bras = np.ones(phase.shape + (2, 2), dtype=complex)
+    bras[:, 0, 1] = phase
+    bras[:, 1, 1] = -phase
+    return bras / np.sqrt(2.0)
 
 
 def rotated_qubit_measurement(phi: float) -> Povm:
@@ -231,6 +291,4 @@ def rotated_qubit_measurement(phi: float) -> Povm:
     Projects onto ``(|0> +- e^{i phi}|1>)/sqrt(2)``, the eigenstates of
     ``cos(phi) sigma_x + sin(phi) sigma_y``.
     """
-    phase = np.exp(1j * phi)
-    kets = np.array([[1.0, phase], [1.0, -phase]], dtype=complex) / np.sqrt(2.0)
-    return _complete(kets, ("+", "-"))
+    return _complete(_rotated_bras([phi])[0], ("+", "-"))

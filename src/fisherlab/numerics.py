@@ -77,21 +77,17 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first nonzero component is real positive."""
-    fixed = np.array(vectors, dtype=complex, copy=True)
-    for i in range(fixed.shape[1]):
-        col = fixed[:, i]
-        nonzero = np.flatnonzero(np.abs(col) > 1e-12)
-        pivot = col[nonzero[0]] if nonzero.size else 0.0
-        if abs(pivot) > 0.0:
-            fixed[:, i] = col * (pivot.conjugate() / abs(pivot))
-    return fixed
+    vectors = np.asarray(vectors, dtype=complex)
+    nonzero = np.abs(vectors) > 1e-12
+    columns = np.arange(vectors.shape[1])
+    pivot_row = np.argmax(nonzero, axis=0)
+    found = nonzero[pivot_row, columns]
+    pivot = vectors[pivot_row, columns]
+    modulus = np.where(found, np.abs(pivot), 1.0)
+    return vectors * np.where(found, pivot.conj() / modulus, 1.0)
 
 
 def hermitian_eig(op) -> EigenDecomposition:

@@ -132,19 +132,14 @@ def test_criterion_6_zero_probability_limit_rule(monkeypatch):
             assert abs(at_angle - nearby) <= 1e-6
 
         # A build that silently drops p ~ 0 outcomes must fail the golden check.
-        def dropping_fisher(povm, sd):
-            total = 0.0
-            for eff in povm.effects:
-                prob = np.vdot(sd.state, eff @ sd.state).real
-                if prob > EPS_PROB:
-                    dprob = 2.0 * np.vdot(sd.dstate, eff @ sd.state).real
-                    total += dprob * dprob / prob
-            return total
+        def dropping_fisher(probs, dprobs, limits):
+            regular = probs > EPS_PROB
+            return np.where(regular, dprobs**2 / np.maximum(probs, EPS_PROB), 0.0).sum(-1)
 
         import sys
 
         audit_module = sys.modules["fisherlab.audit"]
-        monkeypatch.setattr(audit_module, "classical_fisher", dropping_fisher)
+        monkeypatch.setattr(audit_module, "_fisher_sum", dropping_fisher)
         rc = main(["golden"])
         monkeypatch.undo()
         assert rc == 1

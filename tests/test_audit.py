@@ -9,6 +9,7 @@ from fisherlab import (
     StateFamily,
     audit,
     derivative,
+    q_family_measurement,
     qfi,
     reproduce_counterexample,
     rotated_qubit_measurement,
@@ -19,9 +20,37 @@ from fisherlab import (
 )
 from fisherlab.audit import SWEEP_CSV_COLUMNS, TOL_AUDIT, write_sweep_csv
 from fisherlab.errors import DegenerateGeneratorError, DimMismatchError, InvalidQError
+from fisherlab.measurement import _check_complete
 from test_measurement import binary_entropy
 
 LN2 = math.log(2.0)
+
+# The q grid of the benchmark's sweep workload: a uniform grid with both
+# endpoints, plus log-spaced points down to 1e-12.
+BENCH_Q_GRID = np.concatenate([np.linspace(0.0, 1.0, 1801), np.logspace(-12.0, -1.0, 200)])
+
+
+def per_point_sweep_q(family, lam, q_grid):
+    """The per-point loop that the batched ``sweep_q`` replaced, as an oracle."""
+    sd = derivative(family, lam)
+    sldd = sld(sd)
+    return [audit(family, lam, q_family_measurement(sldd, sd.state, q)) for q in q_grid]
+
+
+def per_point_sweep_phi(family, lam, phi_grid):
+    """The per-point loop that the batched ``sweep_phi`` replaced, as an oracle."""
+    return [audit(family, lam, rotated_qubit_measurement(phi)) for phi in phi_grid]
+
+
+def assert_reports_agree(batched, oracle):
+    """Entropy and Fisher to 1e-12; the other scalars and both verdicts exactly."""
+    assert len(batched) == len(oracle)
+    for new, old in zip(batched, oracle):
+        assert abs(new.entropy - old.entropy) <= 1e-12
+        assert abs(new.fisher - old.fisher) <= 1e-12
+        assert (new.qfi, new.seminorm_sq, new.rhs) == (old.qfi, old.seminorm_sq, old.rhs)
+        assert new.violated == old.violated
+        assert new.measurement_optimal == old.measurement_optimal
 
 
 class TestAudit:
@@ -131,6 +160,63 @@ class TestSweepQ:
         grid = np.linspace(0.0, 1.0, 9)
         per_point = [sweep_q(family, 0.7, [q])[0] for q in grid]
         assert sweep_q(family, 0.7, grid) == per_point
+
+
+class TestSweepOracle:
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_q_sweep_matches_per_point_audits(self, dim, rng):
+        family = random_family(dim, rng)
+        lam = float(rng.uniform(0.0, 2.0 * np.pi))
+        batched = sweep_q(family, lam, BENCH_Q_GRID)
+        assert_reports_agree(batched, per_point_sweep_q(family, lam, BENCH_Q_GRID))
+        assert any(r.violated for r in batched) and not all(r.violated for r in batched)
+
+    def test_phi_sweep_matches_per_point_audits(self, rng):
+        offsets = np.concatenate(
+            [np.linspace(-np.pi, np.pi, 201), [-1e-10, 0.0, 1e-10], np.logspace(-10, -2, 17)]
+        )
+        for family in (paper_qubit_family(), random_family(2, rng)):
+            lam = float(rng.uniform(-np.pi, np.pi))
+            grid = lam + np.concatenate([offsets, -offsets])
+            batched = sweep_phi(family, lam, grid)
+            assert_reports_agree(batched, per_point_sweep_phi(family, lam, grid))
+
+    @pytest.mark.parametrize("where", [0, 1000, -1])
+    def test_nan_anywhere_in_q_grid_raises(self, where):
+        grid = np.linspace(0.0, 1.0, 2001)
+        grid[where] = np.nan
+        with pytest.raises(InvalidQError):
+            sweep_q(paper_qubit_family(), 0.7, grid)
+
+
+class TestSweepPerPointChecks:
+    def test_nan_angle_fails_its_completeness_check(self):
+        grid = np.linspace(-np.pi, np.pi, 2001)
+        grid[1500] = np.nan
+        with pytest.raises(ValueError, match="identity"):
+            sweep_phi(paper_qubit_family(), 0.7, grid)
+
+    def test_degenerate_generator_raises(self):
+        family = StateFamily(generator=np.eye(2), input_state=np.array([1.0, 0.0]))
+        with pytest.raises(DegenerateGeneratorError):
+            sweep_phi(family, 0.0, np.linspace(0.0, 1.0, 11))
+
+    @pytest.mark.parametrize("excess, complete", [(0.9e-9, True), (1.1e-9, False)])
+    def test_completeness_band_edge_at_one_point_deep_in_the_grid(self, excess, complete):
+        # d = 8, bras <0| and <1| at every point, plus the shared projector
+        # onto the other six basis states; one point's first effect is
+        # scaled by 1 + excess, which is its whole completeness deviation.
+        dim, points = 8, 2001
+        rows = np.zeros((points, 2, 1, dim), dtype=complex)
+        rows[:, 0, 0, 0] = 1.0
+        rows[:, 1, 0, 1] = 1.0
+        rows[1500, 0, 0, 0] = np.sqrt(1.0 + excess)
+        common = np.diag([0.0, 0.0] + [1.0] * (dim - 2)).astype(complex)[None]
+        if complete:
+            _check_complete(rows, common)
+        else:
+            with pytest.raises(ValueError, match="identity"):
+                _check_complete(rows, common)
 
 
 class TestSweepPhi:

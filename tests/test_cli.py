@@ -5,13 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fisherlab.cli import (
-    build_povm,
-    config_to_dict,
-    main,
-    parse_config_text,
-    serialize_config,
-)
+from fisherlab.cli import build_povm, main, parse_config_text
 from fisherlab.errors import ConfigError
 from test_measurement import binary_entropy
 
@@ -40,15 +34,6 @@ def write_config(tmp_path, config, name="config.json") -> str:
 
 
 class TestConfigParsing:
-    def test_round_trip(self):
-        config = qubit_config(
-            measurement="q_family:q=0.3",
-            sim={"n": 100, "trials": 4, "seed": 7, "interval": [0.0, 1.4]},
-        )
-        first = parse_config_text(json.dumps(config))
-        second = parse_config_text(serialize_config(first))
-        assert config_to_dict(first) == config_to_dict(second)
-
     def test_missing_field_is_named(self):
         config = qubit_config()
         del config["generator"]
@@ -277,16 +262,11 @@ class TestCmdGolden:
 
         audit_module = sys.modules["fisherlab.audit"]
 
-        def dropping_fisher(povm, sd):
-            total = 0.0
-            for eff in povm.effects:
-                prob = np.vdot(sd.state, eff @ sd.state).real
-                if prob > 1e-10:
-                    dprob = 2.0 * np.vdot(sd.dstate, eff @ sd.state).real
-                    total += dprob * dprob / prob
-            return total
+        def dropping_fisher(probs, dprobs, limits):
+            regular = probs > 1e-10
+            return np.where(regular, dprobs**2 / np.maximum(probs, 1e-10), 0.0).sum(-1)
 
-        monkeypatch.setattr(audit_module, "classical_fisher", dropping_fisher)
+        monkeypatch.setattr(audit_module, "_fisher_sum", dropping_fisher)
         assert main(["golden"]) == 1
         out = capsys.readouterr().out
         assert "FAIL fisher at phi=lambda" in out
@@ -351,3 +331,11 @@ class TestExitCodes:
         assert "config error" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    def test_boolean_state_entries_exit_two_without_output(self, tmp_path, capsys):
+        # JSON true/false are not numbers, although Python's bool is an int.
+        path = write_config(tmp_path, qubit_config(input_state=[[True, 0], [0, False]]))
+        assert main(["qfi", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert captured.out == ""

@@ -131,6 +131,41 @@ class TestOutcomeDistribution:
             OutcomeDistribution(probs=probs, dprobs=dprobs)
 
 
+class TestBatchedDistributions:
+    """Leading axes index distributions; every check holds for each of them."""
+
+    @pytest.mark.parametrize("excess, valid", [(0.9e-9, True), (1.1e-9, False)])
+    def test_sum_band_edge_in_one_row(self, excess, valid):
+        probs = np.array([[0.5, 0.5], [0.25, 0.75 + excess], [1.0, 0.0]])
+        if valid:
+            OutcomeDistribution(probs=probs, dprobs=np.zeros_like(probs))
+        else:
+            with pytest.raises(ValueError, match="sum to 1"):
+                OutcomeDistribution(probs=probs, dprobs=np.zeros_like(probs))
+
+    @pytest.mark.parametrize("low, valid", [(-0.9e-12, True), (-1.1e-12, False)])
+    def test_negativity_band_edge_in_one_row(self, low, valid):
+        probs = np.array([[0.5, 0.5], [low, 1.0 - low]])
+        if valid:
+            OutcomeDistribution(probs=probs, dprobs=np.zeros_like(probs))
+        else:
+            with pytest.raises(ValueError, match="negative"):
+                OutcomeDistribution(probs=probs, dprobs=np.zeros_like(probs))
+
+    def test_derivative_sum_checked_per_row(self):
+        probs = np.array([[0.5, 0.5], [0.5, 0.5]])
+        dprobs = np.array([[1.0, -1.0], [1.0, -1.0 + 2e-9]])
+        with pytest.raises(ValueError, match="derivatives"):
+            OutcomeDistribution(probs=probs, dprobs=dprobs)
+
+    def test_entropy_of_a_stack_is_the_entropy_of_each_row(self):
+        probs = np.array([[0.5, 0.5, 0.0], [0.3, 0.7, 0.0], [1.0, 0.0, 0.0]])
+        stacked = shannon_entropy(probs)
+        assert stacked.shape == (3,)
+        assert stacked.tolist() == [shannon_entropy(row) for row in probs]
+        assert isinstance(shannon_entropy(probs[0]), float)
+
+
 class TestClassicalFisher:
     def test_rotated_measurement_is_optimal_at_every_angle(self):
         family = paper_qubit_family()

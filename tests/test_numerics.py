@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from conftest import SIGMA_X, SIGMA_Z, random_hermitian
 from fisherlab import hermitian_eig, seminorm, unitary_exp
 from fisherlab.errors import NonHermitianError
-from fisherlab.numerics import require_hermitian
+from fisherlab.numerics import _fix_phases, require_hermitian
 
 
 def taylor_expm(matrix: np.ndarray, terms: int = 60) -> np.ndarray:
@@ -65,6 +65,67 @@ class TestHermitianEig:
         dec = hermitian_eig(mat)
         for val, vec in zip(dec.eigenvalues, dec.eigenvectors.T):
             assert np.linalg.norm(mat @ vec - val * vec) <= 1e-10 * (1.0 + abs(val))
+
+
+def loop_fix_phases(vectors: np.ndarray) -> np.ndarray:
+    """The per-column phase fix that the vectorised ``_fix_phases`` replaced, as an oracle."""
+    fixed = np.array(vectors, dtype=complex, copy=True)
+    for i in range(fixed.shape[1]):
+        col = fixed[:, i]
+        nonzero = np.flatnonzero(np.abs(col) > 1e-12)
+        pivot = col[nonzero[0]] if nonzero.size else 0.0
+        if abs(pivot) > 0.0:
+            fixed[:, i] = col * (pivot.conjugate() / abs(pivot))
+    return fixed
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestFixPhasesOracle:
+    """``_fix_phases`` agrees with the per-column loop to 1e-15 in every entry."""
+
+    @pytest.mark.parametrize("dim", [2, 8, 32])
+    def test_random_eigenvectors(self, dim, rng):
+        vectors = np.linalg.eigh(random_hermitian(dim, rng))[1]
+        assert np.max(np.abs(_fix_phases(vectors) - loop_fix_phases(vectors))) <= 1e-15
+
+    @pytest.mark.parametrize("dim", [2, 8, 32])
+    def test_degenerate_spectrum(self, dim, rng):
+        # Every eigenvalue twice (once for dim 2): eigh picks an arbitrary
+        # basis inside each eigenspace, which the phase fix must not care about.
+        spectrum = np.repeat(np.arange(max(dim // 2, 1), dtype=float), 2)[:dim]
+        unitary = random_unitary(dim, rng)
+        vectors = np.linalg.eigh((unitary * spectrum) @ unitary.conj().T)[1]
+        assert np.max(np.abs(_fix_phases(vectors) - loop_fix_phases(vectors))) <= 1e-15
+
+    @pytest.mark.parametrize("dim", [2, 8, 32])
+    def test_zero_leading_entries(self, dim, rng):
+        # A block-diagonal operator: eigenvectors of the lower block start
+        # with exact zeros, and one column is below the 1e-12 threshold
+        # except for a pivot deep inside it.
+        lower = random_hermitian(dim - 1, rng)
+        mat = np.zeros((dim, dim), dtype=complex)
+        mat[0, 0] = 5.0
+        mat[1:, 1:] = lower
+        vectors = np.linalg.eigh(mat)[1]
+        assert np.all(vectors[0, :-1] == 0.0)
+        deep_pivot = np.full(dim, 1e-13j)
+        deep_pivot[-1] = -0.5j
+        vectors = np.column_stack([vectors, deep_pivot])
+        fixed = _fix_phases(vectors)
+        assert np.max(np.abs(fixed - loop_fix_phases(vectors))) <= 1e-15
+        assert fixed[-1, -1] == pytest.approx(0.5, abs=1e-15)
+
+    def test_column_without_pivot_is_unchanged(self):
+        vectors = np.array([[1e-13j, 1.0j], [-1e-14, 0.0]])
+        fixed = _fix_phases(vectors)
+        assert np.max(np.abs(fixed - loop_fix_phases(vectors))) <= 1e-15
+        assert fixed[0, 0] == 1e-13j
+        assert fixed[0, 1] == 1.0
 
 
 class TestUnitaryExp:
