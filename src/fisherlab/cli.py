@@ -33,6 +33,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from .measurement import (
     rotated_qubit_measurement,
     sld_measurement,
 )
-from .metrology import qfi_report, sld
+from .metrology import _qfi_report, sld
 from .state_family import StateFamily, derivative
 
 __all__ = [
@@ -73,7 +74,7 @@ _LN2 = math.log(2.0)
 @dataclass(frozen=True)
 class SweepSpec:
     param: str
-    grid: tuple
+    grid: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -106,24 +107,71 @@ def _complex_scalar(value, where: str) -> complex:
     ):
         raise ConfigError(f"field '{where}': expected a [re, im] pair, got {value!r}")
     try:
-        return complex(value[0], value[1])
+        number = complex(value[0], value[1])
     except OverflowError:
         raise ConfigError(f"field '{where}': {value!r} overflows a double")
+    if not (math.isfinite(number.real) and math.isfinite(number.imag)):
+        raise ConfigError(f"field '{where}': expected finite numbers, got {value!r}")
+    return number
 
 
 def _complex_vector(value, where: str) -> np.ndarray:
+    pairs = _read_pairs(value, 1)
+    if pairs is not None:
+        return pairs
     if not isinstance(value, list) or not value:
         raise ConfigError(f"field '{where}': expected a non-empty list of [re, im] pairs")
     return np.array([_complex_scalar(v, f"{where}[{i}]") for i, v in enumerate(value)])
 
 
 def _complex_matrix(value, where: str) -> np.ndarray:
+    pairs = _read_pairs(value, 2)
+    if pairs is not None:
+        return pairs
     if not isinstance(value, list) or not value:
         raise ConfigError(f"field '{where}': expected a non-empty list of rows")
     rows = [_complex_vector(row, f"{where}[{i}]") for i, row in enumerate(value)]
     if len({row.size for row in rows}) != 1:
         raise ConfigError(f"field '{where}': rows have unequal lengths")
     return np.array(rows)
+
+
+def _read_floats(value, depth: int):
+    """``value`` as a float array of ``depth`` nested lists, or None if it is not one.
+
+    None also when the lists are ragged or empty, or an entry is not a
+    plain ``int`` or ``float`` (JSON true/false, strings and null are not
+    numbers), overflows a double or is not finite. A type and length
+    pass per nesting level and one array conversion of the flattened
+    entries replace a per-entry walk; callers walk the entries only when
+    this returns None, to name the offending one.
+    """
+    if type(value) is not list:
+        return None
+    shape = [len(value)]
+    for _ in range(depth - 1):
+        if set(map(type, value)) != {list}:
+            return None
+        lengths = set(map(len, value))
+        if len(lengths) != 1:
+            return None
+        shape.append(lengths.pop())
+        value = list(chain.from_iterable(value))
+    if not value or not set(map(type, value)) <= {int, float}:
+        return None
+    try:
+        array = np.array(value, dtype=float)
+    except OverflowError:
+        return None
+    return array.reshape(shape) if np.isfinite(array).all() else None
+
+
+def _read_pairs(value, depth: int):
+    """``depth`` nested lists of ``[re, im]`` pairs as a complex array, or None."""
+    array = _read_floats(value, depth + 1)
+    if array is None or array.shape[-1] != 2:
+        return None
+    return array.view(complex)[..., 0]
 
 
 def _finite(value: float, where: str) -> float:
@@ -156,7 +204,9 @@ def _parse_sweep(data) -> SweepSpec:
     grid = data.get("grid")
     if not isinstance(grid, list) or not grid:
         raise ConfigError("field 'sweep.grid': expected a non-empty list of numbers")
-    values = tuple(_real_number(v, f"sweep.grid[{i}]") for i, v in enumerate(grid))
+    values = _read_floats(grid, 1)
+    if values is None:
+        values = np.array([_real_number(v, f"sweep.grid[{i}]") for i, v in enumerate(grid)])
     unknown = set(data) - {"param", "grid"}
     if unknown:
         raise ConfigError(f"field 'sweep': unknown keys {sorted(unknown)}")
@@ -304,8 +354,9 @@ def _fmt(value: float) -> str:
 def cmd_qfi(args) -> int:
     config = load_config(args.config)
     family = build_family(config)
-    sldd = sld(derivative(family, config.lam))
-    report = qfi_report(family, config.lam)
+    sd = derivative(family, config.lam)
+    sldd = sld(sd)
+    report = _qfi_report(family, sd)
     print(f"F_Q     = {_fmt(report.qfi)}")
     print(f"||h||^2 = {_fmt(report.seminorm_sq)}")
     print(f"ratio   = {_fmt(report.ratio)}")
@@ -349,13 +400,13 @@ def cmd_audit(args) -> int:
     if args.out is None:
         raise ConfigError("sweep audits write CSV; pass --out PATH")
     if config.sweep.param == "q":
-        reports = sweep_q(family, config.lam, config.sweep.grid)
+        result = sweep_q(family, config.lam, config.sweep.grid)
     else:
-        reports = sweep_phi(family, config.lam, config.sweep.grid)
-    write_sweep_csv(args.out, config.sweep.grid, reports)
-    violations = sum(1 for r in reports if r.violated)
+        result = sweep_phi(family, config.lam, config.sweep.grid)
+    write_sweep_csv(args.out, config.sweep.grid, result)
+    violations = int(result.violated.sum())
     print(
-        f"wrote {len(reports)} rows to {args.out} "
+        f"wrote {len(result)} rows to {args.out} "
         f"({violations} violated, sweep over {config.sweep.param})"
     )
     if args.fail_on_violation and violations:

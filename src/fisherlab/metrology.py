@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateGeneratorError, StationaryStateError
 from .numerics import hermitian_eig
-from .state_family import StateAndDerivative, StateFamily
+from .state_family import StateAndDerivative, StateFamily, derivative
 
 __all__ = [
     "EPS_QFI",
@@ -152,10 +152,13 @@ def optimal_input_state(family: StateFamily) -> np.ndarray:
 
 def qfi_report(family: StateFamily, lam: float) -> QfiReport:
     """QFI of the family at ``lam`` next to its generator ceiling."""
-    from .state_family import derivative
+    return _qfi_report(family, derivative(family, lam))
 
+
+def _qfi_report(family: StateFamily, sd: StateAndDerivative) -> QfiReport:
+    """:func:`qfi_report` for a state and derivative already computed."""
     bound = seminorm_bound(family)
     if bound <= 0.0:
         raise DegenerateGeneratorError("generator spectrum is constant; ratio undefined")
-    value = qfi(derivative(family, lam))
+    value = qfi(sd)
     return QfiReport(qfi=value, seminorm_sq=bound, ratio=value / bound)

@@ -9,6 +9,7 @@ generator itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,7 +122,8 @@ def finite_difference_derivative(
     cross-checked against each other in the test suite. Truncation error
     is O(step^2).
     """
-    if step <= 0.0 or step < 1e-12:
+    # Negated, so that a NaN step fails it too.
+    if not (step >= 1e-12 and math.isfinite(step)):
         raise InvalidStepError(f"step must be positive and >= 1e-12, got {step!r}")
     fwd = evaluate(family, lam + step)
     bwd = evaluate(family, lam - step)

@@ -18,7 +18,7 @@ from fisherlab import (
     sweep_phi,
     sweep_q,
 )
-from fisherlab.audit import SWEEP_CSV_COLUMNS, TOL_AUDIT, write_sweep_csv
+from fisherlab.audit import SWEEP_CSV_COLUMNS, TOL_AUDIT, SweepResult, write_sweep_csv
 from fisherlab.errors import DegenerateGeneratorError, DimMismatchError, InvalidQError
 from fisherlab.measurement import _check_complete
 from test_measurement import binary_entropy
@@ -40,6 +40,26 @@ def per_point_sweep_q(family, lam, q_grid):
 def per_point_sweep_phi(family, lam, phi_grid):
     """The per-point loop that the batched ``sweep_phi`` replaced, as an oracle."""
     return [audit(family, lam, rotated_qubit_measurement(phi)) for phi in phi_grid]
+
+
+def csv_writer_sweep_csv(path, param_values, reports):
+    """The per-row ``csv.writer`` loop that the columnar ``write_sweep_csv`` replaced."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(SWEEP_CSV_COLUMNS)
+        for value, report in zip(param_values, reports):
+            writer.writerow(
+                [
+                    f"{value:.17g}",
+                    f"{report.entropy:.17g}",
+                    f"{report.fisher:.17g}",
+                    f"{report.qfi:.17g}",
+                    f"{report.seminorm_sq:.17g}",
+                    f"{report.rhs:.17g}",
+                    "true" if report.violated else "false",
+                    "true" if report.measurement_optimal else "false",
+                ]
+            )
 
 
 def assert_reports_agree(batched, oracle):
@@ -159,7 +179,7 @@ class TestSweepQ:
         family = paper_qubit_family()
         grid = np.linspace(0.0, 1.0, 9)
         per_point = [sweep_q(family, 0.7, [q])[0] for q in grid]
-        assert sweep_q(family, 0.7, grid) == per_point
+        assert list(sweep_q(family, 0.7, grid)) == per_point
 
 
 class TestSweepOracle:
@@ -301,3 +321,49 @@ class TestSweepCsv:
         reports = sweep_q(paper_qubit_family(), 0.7, [0.5])
         with pytest.raises(ValueError):
             write_sweep_csv(tmp_path / "bad.csv", [0.5, 0.6], reports)
+
+    @pytest.mark.parametrize("param", ["q", "phi", "empty"])
+    def test_bytes_match_the_csv_writer_oracle(self, tmp_path, rng, param):
+        if param == "q":
+            grid = BENCH_Q_GRID
+            result = sweep_q(random_family(8, rng), 0.3, grid)
+        elif param == "phi":
+            lam = 0.7
+            grid = lam + np.concatenate([np.linspace(-np.pi, np.pi, 201), [-1e-10, 0.0, 1e-10]])
+            result = sweep_phi(paper_qubit_family(), lam, grid)
+        else:
+            grid = []
+            result = sweep_q(paper_qubit_family(), 0.7, grid)
+        write_sweep_csv(tmp_path / "columns.csv", grid, result)
+        csv_writer_sweep_csv(tmp_path / "rows.csv", grid, list(result))
+        written = (tmp_path / "columns.csv").read_bytes()
+        assert written == (tmp_path / "rows.csv").read_bytes()
+        assert written.count(b"\r\n") == len(grid) + 1
+
+
+class TestSweepResult:
+    def test_indexing_builds_the_reports_of_the_sequence(self):
+        grid = np.linspace(0.0, 1.0, 7)
+        result = sweep_q(paper_qubit_family(), 0.7, grid)
+        assert isinstance(result, SweepResult) and len(result) == 7
+        reports = list(result)
+        for i in range(-7, 7):
+            assert reports[i] == result[i]
+        assert result[-1] == result[6]
+        assert result[0].violated is True and type(result[0].entropy) is float
+        for index in (7, -8):
+            with pytest.raises(IndexError):
+                result[index]
+
+    def test_columns_are_read_only(self):
+        result = sweep_phi(paper_qubit_family(), 0.7, [0.7, 1.2])
+        for column in (result.entropy, result.fisher, result.violated, result.measurement_optimal):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    def test_empty_grid_gives_an_empty_result(self):
+        result = sweep_q(paper_qubit_family(), 0.7, [])
+        assert len(result) == 0 and list(result) == []
+        assert result.qfi == pytest.approx(1.0) and result.rhs == pytest.approx(LN2)
+        with pytest.raises(IndexError):
+            result[0]

@@ -5,7 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from fisherlab.cli import build_povm, main, parse_config_text
+import fisherlab.cli
+import fisherlab.metrology
+import fisherlab.state_family
+from fisherlab import derivative, qfi_report, sld
+from fisherlab.cli import (
+    _complex_matrix,
+    _complex_scalar,
+    _read_floats,
+    _real_number,
+    build_family,
+    build_povm,
+    main,
+    parse_config,
+    parse_config_text,
+)
 from fisherlab.errors import ConfigError
 from test_measurement import binary_entropy
 
@@ -80,6 +94,90 @@ class TestConfigParsing:
             build_povm(config, build_family(config))
 
 
+def sweep_config(grid) -> dict:
+    return qubit_config(sweep={"param": "q", "grid": grid})
+
+
+class TestArrayReader:
+    """The one-shot array read of numeric fields against the per-entry walk."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [[0, 0.5, 1], [-0.0, 0.25, 1, 0.0], [1e-300, 3, 0.1]],
+        ids=["mixed", "signed-zero", "tiny"],
+    )
+    def test_grid_reads_bit_for_bit_like_the_walk(self, grid):
+        walked = np.array([_real_number(v, "grid") for v in grid])
+        read = _read_floats(grid, 1)
+        assert read.dtype == walked.dtype and read.tobytes() == walked.tobytes()
+        parsed = parse_config_text(json.dumps(sweep_config(grid))).sweep.grid
+        assert parsed.tobytes() == walked.tobytes()
+
+    def test_complex_fields_read_bit_for_bit_like_the_walk(self):
+        matrix = [[[0.5, -0.0], [0, 1]], [[-0.0, -1], [-0.5, 0]]]
+        walked = np.array([[_complex_scalar(p, "m") for p in row] for row in matrix])
+        read = _complex_matrix(matrix, "m")
+        assert read.dtype == walked.dtype and read.shape == (2, 2)
+        assert read.tobytes() == walked.tobytes()
+
+    def test_tuples_from_python_callers_get_the_walks_verdict(self):
+        # The walk takes tuple pairs but only list rows; the array read takes neither.
+        config = qubit_config(input_state=[(INV_SQRT2, 0.0), (INV_SQRT2, 0.0)])
+        state = parse_config(config).input_state
+        assert state.tobytes() == np.array([INV_SQRT2, INV_SQRT2], dtype=complex).tobytes()
+        config = qubit_config(generator=[((0.5, 0.0), (0.0, 0.0)), [[0.0, 0.0], [-0.5, 0.0]]])
+        with pytest.raises(ConfigError, match=r"generator\[0\]'"):
+            parse_config(config)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('"grid": [0.1, true]', r"sweep\.grid\[1\]"),
+            ('"grid": [false, 0.2]', r"sweep\.grid\[0\]"),
+            ('"grid": [0.1, "1.5"]', r"sweep\.grid\[1\]"),
+            ('"grid": [0.1, null]', r"sweep\.grid\[1\]"),
+            ('"grid": [0.1, [0.2]]', r"sweep\.grid\[1\]"),
+            ('"grid": []', r"'sweep\.grid'"),
+            ('"grid": [0.1, 1' + "0" * 400 + "]", r"sweep\.grid\[1\].*overflows"),
+            ('"grid": [0.1, 1e999]', r"sweep\.grid\[1\].*finite"),
+        ],
+    )
+    def test_bad_grid_entries_are_named(self, text, where):
+        config = json.dumps(qubit_config())[:-1] + ', "sweep": {"param": "q", ' + text + "}}"
+        with pytest.raises(ConfigError, match=where):
+            parse_config_text(config)
+
+    @pytest.mark.parametrize(
+        "field, value, where",
+        [
+            ("input_state", [[True, 0], [0.7, 0]], r"input_state\[0\]"),
+            ("input_state", [[0.7, 0], [0.7, False]], r"input_state\[1\]"),
+            ("input_state", [["1.5", 0], [0.7, 0]], r"input_state\[0\]"),
+            ("input_state", [None, [0.7, 0]], r"input_state\[0\]"),
+            ("input_state", [[0.7, 0, 0], [0.7, 0]], r"input_state\[0\]"),
+            ("input_state", [[0.7], [0.7, 0]], r"input_state\[0\]"),
+            ("input_state", [], r"'input_state'"),
+            ("input_state", [[0.7, 0], [10**400, 0]], r"input_state\[1\].*overflows"),
+            ("input_state", [[0.7, 0], "1e999"], r"input_state\[1\].*finite"),
+            ("generator", [[[1, 0], [0, 0]], [[0, 0]]], r"'generator'.*unequal"),
+            ("generator", [[[1, 0], [0, 0]], [[0, True], [0, 0]]], r"generator\[1\]\[0\]"),
+            ("generator", [[[1, 0], [0, 0]], [[0, 0], None]], r"generator\[1\]\[1\]"),
+            ("generator", [[[1, 0], [0, 0]], []], r"generator\[1\]'"),
+            ("generator", [[[1, 0], [0, 0]], [[0, 0], "1e999"]], r"generator\[1\]\[1\].*finite"),
+            (
+                "measurement",
+                [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [1, True]]]],
+                r"measurement\[1\]\[1\]\[1\]",
+            ),
+        ],
+    )
+    def test_bad_complex_entries_are_named(self, field, value, where):
+        # "1e999" stands for a literal that json reads as inf.
+        text = json.dumps(qubit_config(**{field: value})).replace('"1e999"', "[1e999, 0]")
+        with pytest.raises(ConfigError, match=where):
+            parse_config_text(text)
+
+
 class TestCmdQfi:
     def test_paper_family(self, tmp_path, capsys):
         path = write_config(tmp_path, qubit_config())
@@ -88,6 +186,37 @@ class TestCmdQfi:
         assert "F_Q     = 1" in out
         assert "||h||^2 = 1" in out
         assert "N       = 2" in out
+
+    def test_table_comes_from_one_derivative(self, tmp_path, capsys, monkeypatch, rng):
+        generator = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        generator = (generator + generator.conj().T) / 2.0
+        state = rng.normal(size=3) + 1j * rng.normal(size=3)
+        state /= np.linalg.norm(state)
+        config = qubit_config(
+            generator=[[[z.real, z.imag] for z in row] for row in generator],
+            input_state=[[z.real, z.imag] for z in state],
+        )
+        family = build_family(parse_config_text(json.dumps(config)))
+        report = qfi_report(family, 0.7)
+        sldd = sld(derivative(family, 0.7))
+        expected = (
+            f"F_Q     = {report.qfi:.6g}\n"
+            f"||h||^2 = {report.seminorm_sq:.6g}\n"
+            f"ratio   = {report.ratio:.6g}\n"
+            f"N       = {sldd.normalization:.6g}\n"
+            f"SLD eigenvalues = {sldd.eigenvalue_plus:.6g}, {sldd.eigenvalue_minus:.6g}\n"
+        )
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return derivative(*args)
+
+        for module in (fisherlab.cli, fisherlab.metrology, fisherlab.state_family):
+            monkeypatch.setattr(module, "derivative", counted)
+        assert main(["qfi", "--config", write_config(tmp_path, config)]) == 0
+        assert capsys.readouterr().out == expected
+        assert len(calls) == 1
 
     def test_stationary_family_exits_three(self, tmp_path, capsys):
         config = qubit_config(

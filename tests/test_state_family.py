@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -109,6 +111,11 @@ class TestFiniteDifference:
         for step in (0.0, -1e-3, 1e-13):
             with pytest.raises(InvalidStepError):
                 finite_difference_derivative(family, 0.0, step=step)
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_steps(self, step):
+        with pytest.raises(InvalidStepError):
+            finite_difference_derivative(paper_qubit_family(), 0.0, step=step)
 
     def test_zero_generator_gives_exact_zero(self):
         family = StateFamily(generator=np.zeros((2, 2)), input_state=np.array([1.0, 0.0]))
