@@ -29,6 +29,7 @@ carry full double precision and are the only machine-readable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -69,6 +70,8 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# The multinomial draw takes the shot count as a 64-bit signed integer.
+_MAX_SHOTS = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -221,8 +224,12 @@ def _parse_sim(data) -> SimSpec:
     seed = _integer(data.get("seed"), "sim.seed")
     if n < 1:
         raise ConfigError(f"field 'sim.n': must be >= 1, got {n}")
+    if n > _MAX_SHOTS:
+        raise ConfigError(f"field 'sim.n': must be <= {_MAX_SHOTS}, got {n}")
     if trials < 2:
         raise ConfigError(f"field 'sim.trials': must be >= 2, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"field 'sim.seed': must be >= 0, got {seed}")
     interval = None
     if "interval" in data and data["interval"] is not None:
         raw = data["interval"]
@@ -465,6 +472,9 @@ def cmd_golden(args) -> int:
     return 0 if ok else 1
 
 
+# Built on first use and shared by every call of main: parsing leaves
+# the parser unchanged.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fisherlab",
@@ -503,9 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

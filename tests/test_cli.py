@@ -358,6 +358,18 @@ class TestCmdSimulate:
         assert main(["simulate", "--config", path, "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_out_does_not_carry_over_to_the_next_call(self, tmp_path, capsys):
+        # main parses with one parser for the whole process.
+        config = qubit_config(measurement="sld", sim={"n": 300, "trials": 10, "seed": 123})
+        path = write_config(tmp_path, config)
+        out = tmp_path / "trials.csv"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        assert "wrote per-trial estimates" in capsys.readouterr().out
+        out.unlink()
+        assert main(["simulate", "--config", path]) == 0
+        assert "wrote" not in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
 
 class TestCmdGolden:
     def test_exit_zero_with_six_pass_lines(self, capsys):
@@ -458,6 +470,23 @@ class TestExitCodes:
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert "config error" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sim, field",
+        [
+            ({"n": 10**20, "trials": 4, "seed": 1}, "sim.n"),
+            ({"n": 100, "trials": 4, "seed": -1}, "sim.seed"),
+        ],
+        ids=["n-overflows-int64", "seed-negative"],
+    )
+    def test_out_of_range_sim_field_exits_two(self, tmp_path, capsys, sim, field):
+        path = write_config(tmp_path, qubit_config(measurement="sld", sim=sim))
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and f"'{field}'" in captured.err
         assert captured.out == ""
         assert not out.exists()
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from conftest import paper_qubit_family, random_family
 from fisherlab import (
     Povm,
     SampleRecord,
+    StateFamily,
     classical_fisher,
     crb_experiment,
     derivative,
     evaluate,
     mle_estimate,
+    outcome_distribution,
     rotated_qubit_measurement,
     sample_outcomes,
     sld,
@@ -24,10 +27,12 @@ TRUE_LAMBDA = 0.7
 QUBIT_INTERVAL = (TRUE_LAMBDA - np.pi / 2.0, TRUE_LAMBDA + np.pi / 2.0)
 
 # The scalar grid + golden-section search that the batched MLE replaced,
-# kept as the reference. Both stop on the float-noise plateau at the
-# likelihood peak, where their different rounding of the log-likelihood
-# moves the argmax by a few 1e-8; ORACLE_TOL bounds that.
+# kept as the reference. Golden section compares likelihood values, so it
+# stops on the float-noise plateau at the peak, a few 1e-8 wide;
+# ORACLE_TOL bounds that plateau, not the batched search's own error
+# (TestClosedForm pins that to CLOSED_FORM_TOL).
 ORACLE_TOL = 1e-7
+CLOSED_FORM_TOL = 1e-12
 _LOG_FLOOR = 1e-300
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -389,3 +394,124 @@ class TestBatchInvariance:
         for i in range(trials):
             want = sample_outcomes(povm, family, TRUE_LAMBDA, n, seed + i).counts
             assert counts[i].tolist() == want.tolist()
+
+
+def closed_form_estimates(povm, counts):
+    """``TRUE_LAMBDA + asin((c_+ - c_-)/n)``, the exact MLE for ``p_+- = (1 +- sin(lam - TRUE_LAMBDA))/2``.
+
+    On the paper qubit this is the outcome law of the SLD and of the
+    balanced measurement; ``c_+`` counts the outcome whose probability
+    rises with lambda.
+    """
+    dist = outcome_distribution(povm, derivative(paper_qubit_family(), TRUE_LAMBDA))
+    assert np.allclose(dist.probs, 0.5, atol=1e-12)
+    assert np.allclose(np.abs(dist.dprobs), 0.5, atol=1e-12)
+    plus = int(np.argmax(dist.dprobs))
+    counts = np.asarray(counts)
+    n = counts.sum(-1)
+    return TRUE_LAMBDA + np.arcsin((counts[..., plus] - counts[..., 1 - plus]) / n)
+
+
+CLOSED_FORM_CASES = {"sld": lambda: qubit_case(None)[1], "balanced": balanced_measurement}
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("n", [10**2, 10**4, 10**6])
+    @pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+    def test_batched_estimates_equal_closed_form(self, tmp_path, case, n):
+        family, povm = paper_qubit_family(), CLOSED_FORM_CASES[case]()
+        trials = 20
+        for seed in (3, 1001, 52_117):
+            _, estimates = batched_run(tmp_path, family, povm, n, trials, seed, QUBIT_INTERVAL)
+            counts = [
+                sample_outcomes(povm, family, TRUE_LAMBDA, n, seed + i).counts
+                for i in range(trials)
+            ]
+            want = closed_form_estimates(povm, counts)
+            assert np.max(np.abs(estimates - want)) <= CLOSED_FORM_TOL
+
+    @pytest.mark.parametrize("n", [1, 10**2, 10**4, 10**6])
+    @pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+    def test_single_estimates_equal_closed_form(self, case, n):
+        family, povm = paper_qubit_family(), CLOSED_FORM_CASES[case]()
+        for seed in range(40):
+            record = sample_outcomes(povm, family, TRUE_LAMBDA, n, seed)
+            estimate = mle_estimate(family, povm, record, QUBIT_INTERVAL)
+            assert abs(estimate - closed_form_estimates(povm, record.counts)) <= CLOSED_FORM_TOL
+
+
+def count_score_calls(monkeypatch) -> list:
+    """Record each call of the per-step score helper of the Newton iteration."""
+    calls = []
+    real_score = estimation._score
+
+    def counted(*args):
+        calls.append(args)
+        return real_score(*args)
+
+    monkeypatch.setattr(estimation, "_score", counted)
+    return calls
+
+
+class TestNewtonIteration:
+    @pytest.mark.parametrize(
+        "scale, truth, interval",
+        [(1.0, TRUE_LAMBDA, QUBIT_INTERVAL), (1e6, 0.0, (0.0, 1e-6))],
+        ids=["paper-qubit", "fast-qubit-from-peak"],
+    )
+    def test_deterministic_outcome_raises_no_warning(self, monkeypatch, scale, truth, interval):
+        # At phi = lambda one outcome has p = 0 at the peak and is never
+        # observed: its zero count must not meet an infinite ratio. The fast
+        # qubit's search starts on the peak, where that p is 0 to the last
+        # bit and its curvature term alone would overflow.
+        qubit = paper_qubit_family()
+        family = StateFamily(generator=scale * qubit.generator, input_state=qubit.input_state)
+        povm = rotated_qubit_measurement(truth)
+        probs = outcome_distribution(povm, derivative(family, truth)).probs
+        counts = np.zeros(2, dtype=int)
+        counts[int(np.argmax(probs))] = 10**4
+        record = SampleRecord(counts=counts, n=10**4, seed=0)
+        calls = count_score_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimate = mle_estimate(family, povm, record, interval)
+            report = crb_experiment(
+                family, povm, truth, n=10**4, trials=20, seed=17, search_interval=interval
+            )
+        assert calls
+        assert abs(estimate - truth) <= CLOSED_FORM_TOL / scale
+        assert report.empirical_std <= CLOSED_FORM_TOL / scale
+
+    @pytest.mark.parametrize("interval, end", [((0.0, 0.5), 1), ((1.0, 2.0), 0)])
+    def test_maximum_beyond_the_interval_returns_its_endpoint(self, interval, end):
+        # The likelihood peaks at TRUE_LAMBDA = 0.7, outside both intervals:
+        # the grid pick is an interval end and the slope points out of it.
+        record = SampleRecord(counts=np.array([5000, 5000]), n=10**4, seed=0)
+        estimate = mle_estimate(paper_qubit_family(), balanced_measurement(), record, interval)
+        assert estimate == interval[end]
+
+    @pytest.mark.parametrize("counts, end", [([1, 0], 1), ([0, 1], 0)])
+    def test_single_shot_maximum_sits_on_the_interval_edge(self, tmp_path, counts, end):
+        family, povm = paper_qubit_family(), balanced_measurement()
+        record = SampleRecord(counts=np.array(counts), n=1, seed=0)
+        assert mle_estimate(family, povm, record, QUBIT_INTERVAL) == QUBIT_INTERVAL[end]
+        _, estimates = batched_run(tmp_path, family, povm, 1, 20, 3, QUBIT_INTERVAL)
+        assert sorted(set(estimates.tolist())) == list(QUBIT_INTERVAL)
+
+    def test_interval_far_from_origin_stops_within_float_spacings(self, monkeypatch):
+        truth = 1e8 + 1.5
+        povm = rotated_qubit_measurement(truth + np.pi / 2.0)
+        record = SampleRecord(counts=np.array([5000, 5000]), n=10**4, seed=0)
+        calls = count_score_calls(monkeypatch)
+        estimate = mle_estimate(paper_qubit_family(), povm, record, (1e8, 1e8 + 3.0))
+        assert abs(estimate - truth) <= 4.0 * np.spacing(truth)
+        assert len(calls) <= 8
+
+    @pytest.mark.parametrize("seed", [5, 1_000_005, 987_654_321])
+    def test_bench_settings_take_few_steps(self, monkeypatch, seed):
+        # Paper qubit, SLD, n = 10**4, 100 trials: Newton converges in about
+        # four lockstep steps; bisection alone would take ~27.
+        family, povm, _ = qubit_case(None)
+        calls = count_score_calls(monkeypatch)
+        crb_experiment(family, povm, TRUE_LAMBDA, n=10**4, trials=100, seed=seed)
+        assert 1 <= len(calls) <= 8
