@@ -239,6 +239,8 @@ def _parse_sim(data) -> SimSpec:
         hi = _real_number(raw[1], "sim.interval[1]")
         if not hi > lo:
             raise ConfigError("field 'sim.interval': high must exceed low")
+        if not math.isfinite(hi - lo):
+            raise ConfigError("field 'sim.interval': its length high - low overflows")
         interval = (lo, hi)
     unknown = set(data) - {"n", "trials", "seed", "interval"}
     if unknown:

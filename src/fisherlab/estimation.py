@@ -7,12 +7,19 @@ compares the empirical spread of the estimates with the bound
 for large shot counts the ratio should hover just above 1.
 
 All trials run as one batch. The outcome distribution at the true
-parameter is computed once; trial ``i`` draws its counts from
-``default_rng(seed + i)``. The likelihood and its first two derivatives
-are evaluated from amplitude weights in the generator eigenbasis,
-precomputed once per experiment; the 256-point grid scan is shared by
-every trial, and a safeguarded Newton iteration on the score refines
-every trial in lockstep. Each trial converges to the likelihood's
+parameter is computed once; trial ``i`` draws its counts from exactly
+the ``default_rng(seed + i)`` stream. Those streams are derived for all
+trials in one pass: NumPy's ``SeedSequence`` hash (NEP 19) runs over
+every trial's seed words at once in uint32 array arithmetic, PCG64's
+``setseq_128`` seeding step turns each result into a starting state,
+and one reused generator draws from each state in turn. Tests pin the
+counts against NumPy's own ``default_rng``.
+
+The likelihood and its first two derivatives are evaluated from
+amplitude weights in the generator eigenbasis, precomputed once per
+experiment; the 256-point grid scan is shared by every trial, and a
+safeguarded Newton iteration on the score refines every trial in
+lockstep. Each trial converges to the likelihood's
 maximum to rounding (1e-12 of the closed-form estimate on the paper
 qubit), in about four steps. Every reduction is per trial, so trial
 ``i``'s estimate depends only on (settings, seed + i): it is the same
@@ -28,6 +35,7 @@ caller's responsibility.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,22 +89,121 @@ def _sampling_probs(povm: Povm, sd: StateAndDerivative) -> np.ndarray:
     return dist.probs / dist.probs.sum()
 
 
+# NumPy's SeedSequence hash (NEP 19): pool size, hash and mix constants.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+# The 128-bit LCG multiplier of PCG64 (O'Neill's setseq_128).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult**k mod 2**32`` for ``k = 0..count``, as a uint32 column."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` under ``len(consts) - 1`` successive hash constants.
+
+    Call ``k`` xors with ``consts[k]`` and multiplies by ``consts[k + 1]``;
+    ``values`` broadcasts against the calls along the first axis.
+    """
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ values >> _XSHIFT
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return mixed ^ mixed >> _XSHIFT
+
+
+def _pcg64_states(seed: int, trials: int) -> list:
+    """PCG64 ``(state, inc)`` pairs that ``default_rng(seed + i)`` starts from, ``i < trials``.
+
+    Runs SeedSequence's ``mix_entropy`` and ``generate_state(4, uint64)``
+    for every trial at once in uint32 array arithmetic, one column per
+    trial, then PCG64's seeding step ``pcg_setseq_128_srandom_r``.
+    """
+    width = max(_POOL_SIZE, -(-(seed + trials - 1).bit_length() // 32))
+    raw = b"".join((seed + i).to_bytes(4 * width, "little") for i in range(trials))
+    words = np.frombuffer(raw, dtype="<u4").reshape(trials, width).T.astype(np.uint32)
+    consts = _hash_constants(_INIT_A, _MULT_A, 4 * width)
+    # SeedSequence hashes a 0 into each pool slot past a seed's last word,
+    # so zero padding to the pool size is exact.
+    pool = _hashmix(words[:_POOL_SIZE], consts[: _POOL_SIZE + 1])
+    used = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [slot for slot in range(_POOL_SIZE) if slot != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[used : used + len(dst) + 1]))
+        used += len(dst)
+    for k in range(_POOL_SIZE, width):
+        # A word past the pool mixes into every slot, for the seeds that have it.
+        mixed = _mix(pool, _hashmix(words[k], consts[used : used + _POOL_SIZE + 1]))
+        pool = np.where(words[k:].any(0), mixed, pool)
+        used += _POOL_SIZE
+    out = _hashmix(np.tile(pool, (2, 1)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
+    # uint64 word j is out[2j] | out[2j + 1] << 32, whatever the byte order.
+    out = out.astype(np.uint64)
+    state_hi, state_lo, seq_hi, seq_lo = (out[0::2] | out[1::2] << 32).tolist()
+    states = []
+    for a, b, c, d in zip(state_hi, state_lo, seq_hi, seq_lo):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        states.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _trial_counts(n: int, probs: np.ndarray, seed: int, trials: int) -> np.ndarray:
+    """Multinomial counts of ``trials`` trials, shape ``(trials, len(probs))``.
+
+    Row ``i`` is ``default_rng(seed + i).multinomial(n, probs)`` bit for
+    bit: the starting states of all those streams are derived in one
+    pass and set in turn on a single reused generator.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    generator = np.random.Generator(np.random.PCG64(0))
+    rows = []
+    for state, inc in _pcg64_states(seed, trials):
+        generator.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        rows.append(generator.multinomial(n, probs))
+    return np.array(rows)
+
+
 def sample_outcomes(
     povm: Povm, family: StateFamily, true_lambda: float, n: int, seed: int
 ) -> SampleRecord:
-    """Draw ``n`` outcomes from the POVM at the true parameter value."""
+    """Draw ``n`` outcomes from the POVM at the true parameter value.
+
+    The counts are ``default_rng(seed).multinomial(n, probs)`` bit for
+    bit: this is the one-trial case of the draws :func:`crb_experiment`
+    makes, which derive every trial's stream in one pass. Tests pin it
+    against NumPy's ``default_rng``.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     probs = _sampling_probs(povm, derivative(family, true_lambda))
-    counts = np.random.default_rng(seed).multinomial(n, probs)
+    counts = _trial_counts(n, probs, seed, 1)[0]
     return SampleRecord(counts=counts, n=int(n), seed=int(seed))
 
 
 def _finite_interval(search_interval) -> tuple:
     lo, hi = float(search_interval[0]), float(search_interval[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo and math.isfinite(hi - lo)):
         raise ValueError(
-            f"search interval must be finite with positive length, got ({lo}, {hi})"
+            f"search interval must be finite with positive finite length, got ({lo}, {hi})"
         )
     return lo, hi
 
@@ -214,9 +321,10 @@ def mle_estimate(family: StateFamily, povm: Povm, record: SampleRecord, search_i
     one, a bisection otherwise. With ``tol = |interval| * 1e-10`` (at
     least four float spacings), it stops once a step is at most
     ``tol / 2``, the bracket at most ``tol`` or the slope exactly 0; a
-    maximum on the interval's edge returns the edge. Grid ties are broken toward the
-    interval midpoint. The interval must be finite and contain at most
-    one likelihood mode. This is the one-trial case of the batched
+    maximum on the interval's edge returns the edge. Grid ties are broken
+    toward the interval midpoint. The interval and its length must be
+    finite, and it must contain at most one likelihood mode. This is the
+    one-trial case of the batched
     search :func:`crb_experiment` runs, and gives the same estimate bit
     for bit.
 
@@ -249,9 +357,11 @@ def crb_experiment(
 ) -> CrbReport:
     """Run independent sample/estimate rounds and compare spread to the bound.
 
-    Trial ``i`` draws its counts from ``default_rng(seed + i)``, exactly
-    as :func:`sample_outcomes` would, and its estimate equals
-    :func:`mle_estimate` on those counts. When ``csv_path`` is given, the
+    Trial ``i`` draws its counts from exactly the ``default_rng(seed + i)``
+    stream, as :func:`sample_outcomes` would, and its estimate equals
+    :func:`mle_estimate` on those counts. The streams of all trials are
+    derived in one pass (see the module docstring); tests pin them
+    against NumPy's ``default_rng``. When ``csv_path`` is given, the
     per-trial estimates are written as CSV with the settings echoed in a
     leading ``#`` comment line and a final summary row holding the
     empirical standard deviation.
@@ -269,9 +379,7 @@ def crb_experiment(
     sd = derivative(family, true_lambda)
     fisher = classical_fisher(povm, sd)
     probs = _sampling_probs(povm, sd)
-    counts = np.stack(
-        [np.random.default_rng(seed + i).multinomial(n, probs) for i in range(trials)]
-    )
+    counts = _trial_counts(n, probs, seed, trials)
     estimates = _mle(family, povm, counts, n, lo, hi)
     crb = 1.0 / math.sqrt(n * fisher)
     empirical_std = float(np.std(estimates, ddof=1))

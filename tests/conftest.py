@@ -45,12 +45,17 @@ def random_family(dim: int, rng: np.random.Generator, min_qfi: float = 1e-6) -> 
             return family
 
 
-def haar_qubit_basis(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random orthonormal qubit basis as unitary columns."""
-    raw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(raw)
-    phases = np.diagonal(r)
-    return q * (phases / np.abs(phases))
+def haar_basis(rng: np.random.Generator, dim: int = 2, count: int | None = None) -> np.ndarray:
+    """Haar-random orthonormal basis of ``C^dim`` as unitary columns.
+
+    With ``count``, a ``(count, dim, dim)`` stack drawn from the same
+    stream, in the same order, as ``count`` single calls.
+    """
+    shape = () if count is None else (count,)
+    raw = rng.standard_normal((*shape, 2, dim, dim))
+    q, r = np.linalg.qr(raw[..., 0, :, :] + 1j * raw[..., 1, :, :])
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
 
 
 @pytest.fixture

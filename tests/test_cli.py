@@ -478,8 +478,9 @@ class TestExitCodes:
         [
             ({"n": 10**20, "trials": 4, "seed": 1}, "sim.n"),
             ({"n": 100, "trials": 4, "seed": -1}, "sim.seed"),
+            ({"n": 100, "trials": 4, "seed": 1, "interval": [-1e308, 1e308]}, "sim.interval"),
         ],
-        ids=["n-overflows-int64", "seed-negative"],
+        ids=["n-overflows-int64", "seed-negative", "interval-length-overflows"],
     )
     def test_out_of_range_sim_field_exits_two(self, tmp_path, capsys, sim, field):
         path = write_config(tmp_path, qubit_config(measurement="sld", sim=sim))

@@ -3,8 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import paper_qubit_family, random_family
+from conftest import haar_basis, paper_qubit_family, random_family
 from fisherlab import (
     Povm,
     SampleRecord,
@@ -155,6 +157,78 @@ class TestSampleOutcomes:
             SampleRecord(counts=np.array([3, 4]), n=10, seed=0)
 
 
+def reference_counts(n, probs, seed, trials):
+    """Counts from one freshly seeded ``default_rng(seed + i)`` per trial."""
+    return np.stack([np.random.default_rng(seed + i).multinomial(n, probs) for i in range(trials)])
+
+
+def sampling_probs(family, povm):
+    """Outcome probabilities at ``TRUE_LAMBDA``, normalised as the sampler draws them."""
+    probs = outcome_distribution(povm, derivative(family, TRUE_LAMBDA)).probs
+    return probs / probs.sum()
+
+
+def qubit_probs():
+    family, povm, _ = qubit_case(None)
+    return sampling_probs(family, povm)
+
+
+def haar8_probs():
+    rng = np.random.default_rng(88)
+    family = random_family(8, rng)
+    povm = Povm.from_effects(tuple(np.outer(col, col.conj()) for col in haar_basis(rng, 8).T))
+    assert len(povm) == 8
+    return sampling_probs(family, povm)
+
+
+STREAM_PROBS = {"qubit-K2": qubit_probs, "haar-d8-K8": haar8_probs}
+
+
+class TestTrialStreams:
+    """Trial ``i`` draws exactly the ``default_rng(seed + i)`` stream.
+
+    The windows cross the seeds' 1 -> 2, 2 -> 3 and 4 -> 5 word
+    boundaries of SeedSequence's 32-bit entropy words, and 2**200 runs
+    its loop over words past the 4-word pool.
+    """
+
+    @pytest.mark.parametrize("n", [1, 10**4, 2**62], ids=["n1", "n1e4", "n2pow62"])
+    @pytest.mark.parametrize("case", sorted(STREAM_PROBS))
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 2**32 - 50, 2**64 - 50, 2**128 - 50, 2**200],
+        ids=["0", "2pow32-50", "2pow64-50", "2pow128-50", "2pow200"],
+    )
+    def test_window_matches_default_rng(self, seed, case, n):
+        probs = STREAM_PROBS[case]()
+        counts = estimation._trial_counts(n, probs, seed, 100)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, reference_counts(n, probs, seed, 100))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**160), trials=st.integers(1, 6))
+    def test_any_seed_matches_default_rng(self, seed, trials):
+        probs = np.array([0.25, 0.5, 0.25])
+        np.testing.assert_array_equal(
+            estimation._trial_counts(1000, probs, seed, trials),
+            reference_counts(1000, probs, seed, trials),
+        )
+
+    def test_sample_outcomes_draws_the_seed_stream(self):
+        family, povm, _ = qubit_case(None)
+        record = sample_outcomes(povm, family, TRUE_LAMBDA, 10**4, seed=2**64 + 3)
+        np.testing.assert_array_equal(
+            record.counts, reference_counts(10**4, qubit_probs(), 2**64 + 3, 1)[0]
+        )
+
+    def test_rejects_negative_seed(self):
+        family, povm, _ = qubit_case(None)
+        with pytest.raises(ValueError, match="seed"):
+            sample_outcomes(povm, family, TRUE_LAMBDA, 100, seed=-1)
+        with pytest.raises(ValueError, match="seed"):
+            crb_experiment(family, povm, TRUE_LAMBDA, n=100, trials=2, seed=-1)
+
+
 class TestMleEstimate:
     def test_exact_expected_counts_recover_truth(self):
         # Counts proportional to the model probabilities peak the likelihood
@@ -190,7 +264,9 @@ class TestMleEstimate:
         with pytest.raises(ValueError):
             mle_estimate(family, balanced_measurement(), record, (1.0, 1.0))
 
-    @pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    @pytest.mark.parametrize(
+        "interval", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (-1e308, 1e308)]
+    )
     def test_rejects_non_finite_interval(self, interval):
         family = paper_qubit_family()
         record = SampleRecord(counts=np.array([50, 50]), n=100, seed=0)
@@ -284,8 +360,9 @@ class TestCrbExperiment:
             dict(true_lambda=math.nan),
             dict(true_lambda=math.inf),
             dict(true_lambda=TRUE_LAMBDA, search_interval=(0.0, math.inf)),
+            dict(true_lambda=TRUE_LAMBDA, search_interval=(-1e308, 1e308)),
         ],
-        ids=["lambda-nan", "lambda-inf", "interval-inf"],
+        ids=["lambda-nan", "lambda-inf", "interval-inf", "interval-length-overflows"],
     )
     def test_rejects_non_finite_settings(self, settings):
         with pytest.raises(ValueError, match="finite"):
@@ -391,9 +468,11 @@ class TestBatchInvariance:
         crb_experiment(family, povm, TRUE_LAMBDA, n=n, trials=trials, seed=seed)
         (counts,) = seen
         assert counts.shape == (trials, len(povm))
+        reference = reference_counts(n, sampling_probs(family, povm), seed, trials)
         for i in range(trials):
             want = sample_outcomes(povm, family, TRUE_LAMBDA, n, seed + i).counts
             assert counts[i].tolist() == want.tolist()
+            assert counts[i].tolist() == reference[i].tolist()
 
 
 def closed_form_estimates(povm, counts):

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import haar_qubit_basis, paper_qubit_family, random_family
+from conftest import haar_basis, paper_qubit_family, random_family
 from fisherlab import (
     OutcomeDistribution,
     Povm,
@@ -199,7 +199,7 @@ class TestClassicalFisher:
         for _ in range(50):
             family = random_family(2, rng)
             sd = derivative(family, 0.4)
-            povm = projective_povm(haar_qubit_basis(rng))
+            povm = projective_povm(haar_basis(rng))
             assert classical_fisher(povm, sd) <= qfi(sd) + 1e-8
 
     def test_zero_probability_continuity(self):
@@ -219,7 +219,7 @@ class TestClassicalFisher:
         target = qfi(sd)
         best = 0.0
         for _ in range(2000):
-            best = max(best, classical_fisher(projective_povm(haar_qubit_basis(rng)), sd))
+            best = max(best, classical_fisher(projective_povm(haar_basis(rng)), sd))
         assert best <= target + 1e-8
         assert best >= 0.99 * target
 
