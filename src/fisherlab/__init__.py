@@ -31,7 +31,7 @@ from .measurement import (
     sld_measurement,
 )
 from .metrology import QfiReport, SldData, optimal_input_state, qfi, qfi_report, seminorm_bound, sld
-from .numerics import EigenDecomposition, hermitian_eig, seminorm, unitary_exp
+from .numerics import EigenDecomposition, hermitian_eig, seminorm
 from .state_family import (
     StateAndDerivative,
     StateFamily,
@@ -85,5 +85,4 @@ __all__ = [
     "sld_measurement",
     "sweep_phi",
     "sweep_q",
-    "unitary_exp",
 ]

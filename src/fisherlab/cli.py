@@ -20,7 +20,8 @@ matrices. Audit sweeps replace "measurement" with
 
 Exit codes: 0 success, 1 golden-check mismatch, 2 malformed config,
 3 degenerate physics (stationary state, constant generator spectrum,
-flat likelihood), 4 violation found while --fail-on-violation is set.
+flat likelihood, zero Fisher information in simulate), 4 violation found
+while --fail-on-violation is set.
 
 Human-readable tables go to stdout with 6 significant digits; CSV files
 carry full double precision and are the only machine-readable output.
@@ -98,98 +99,73 @@ class ExperimentConfig:
     sim: SimSpec | None
 
 
-def _complex_scalar(value, where: str) -> complex:
-    # bool is an int subclass, but JSON true/false are not numbers.
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not isinstance(value[0], (int, float))
-        or not isinstance(value[1], (int, float))
-        or isinstance(value[0], bool)
-        or isinstance(value[1], bool)
-    ):
-        raise ConfigError(f"field '{where}': expected a [re, im] pair, got {value!r}")
-    try:
-        number = complex(value[0], value[1])
-    except OverflowError:
-        raise ConfigError(f"field '{where}': {value!r} overflows a double")
-    if not (math.isfinite(number.real) and math.isfinite(number.imag)):
-        raise ConfigError(f"field '{where}': expected finite numbers, got {value!r}")
-    return number
+def _numbers(value, depth: int, where: str, pair: bool = False) -> np.ndarray:
+    """Config field ``where`` as an array of ``depth`` nested lists of numbers.
 
-
-def _complex_vector(value, where: str) -> np.ndarray:
-    pairs = _read_pairs(value, 1)
-    if pairs is not None:
-        return pairs
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"field '{where}': expected a non-empty list of [re, im] pairs")
-    return np.array([_complex_scalar(v, f"{where}[{i}]") for i, v in enumerate(value)])
-
-
-def _complex_matrix(value, where: str) -> np.ndarray:
-    pairs = _read_pairs(value, 2)
-    if pairs is not None:
-        return pairs
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"field '{where}': expected a non-empty list of rows")
-    rows = [_complex_vector(row, f"{where}[{i}]") for i, row in enumerate(value)]
-    if len({row.size for row in rows}) != 1:
-        raise ConfigError(f"field '{where}': rows have unequal lengths")
-    return np.array(rows)
-
-
-def _read_floats(value, depth: int):
-    """``value`` as a float array of ``depth`` nested lists, or None if it is not one.
-
-    None also when the lists are ragged or empty, or an entry is not a
-    plain ``int`` or ``float`` (JSON true/false, strings and null are not
-    numbers), overflows a double or is not finite. A type and length
-    pass per nesting level and one array conversion of the flattened
-    entries replace a per-entry walk; callers walk the entries only when
-    this returns None, to name the offending one.
+    With ``pair``, every innermost entry is an ``[re, im]`` pair and the
+    array is complex. Entries must be plain ``int`` or ``float`` (JSON
+    true/false, strings and null are not numbers) that fit a double and
+    are finite. A type and length pass per nesting level and one array
+    conversion of the flattened entries read a well-formed field; only
+    a field that fails them is walked, by :func:`_first_bad`, to name
+    its first bad entry.
     """
-    if type(value) is not list:
-        return None
-    shape = [len(value)]
-    for _ in range(depth - 1):
-        if set(map(type, value)) != {list}:
-            return None
-        lengths = set(map(len, value))
-        if len(lengths) != 1:
-            return None
+    shape, flat, array = [], [value], None
+    for _ in range(depth + pair):
+        if set(map(type, flat)) != {list} or len(lengths := set(map(len, flat))) != 1:
+            flat = None
+            break
         shape.append(lengths.pop())
-        value = list(chain.from_iterable(value))
-    if not value or not set(map(type, value)) <= {int, float}:
-        return None
-    try:
+        flat = list(chain.from_iterable(flat))
+    if flat and set(map(type, flat)) <= {int, float} and (not pair or shape[-1] == 2):
+        try:
+            array = np.array(flat, dtype=float).reshape(shape)
+        except OverflowError:
+            pass
+    if array is None or not np.isfinite(array).all():
+        problem = _first_bad(value, depth, where, pair)
+        if problem is not None:
+            raise ConfigError(problem)
+        # Python callers may pass tuple pairs and float subclasses; _first_bad accepts them.
         array = np.array(value, dtype=float)
+    return array.view(complex)[..., 0] if pair else array
+
+
+def _first_bad(value, depth: int, where: str, pair: bool):
+    """The message naming the first bad entry of a :func:`_numbers` field, or None."""
+    if depth:
+        if not isinstance(value, list) or not value:
+            kind = "rows" if depth == 2 else "[re, im] pairs" if pair else "numbers"
+            return f"field '{where}': expected a non-empty list of {kind}"
+        for i, entry in enumerate(value):
+            problem = _first_bad(entry, depth - 1, f"{where}[{i}]", pair)
+            if problem is not None:
+                return problem
+        if depth == 2 and len(set(map(len, value))) != 1:
+            return f"field '{where}': rows have unequal lengths"
+        return None
+    # bool is an int subclass, but JSON true/false are not numbers.
+    parts = value if pair and isinstance(value, (list, tuple)) else [value]
+    if (pair and len(parts) != 2) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts
+    ):
+        kind = "a [re, im] pair" if pair else "a number"
+        return f"field '{where}': expected {kind}, got {value!r}"
+    try:
+        numbers = [float(x) for x in parts]
     except OverflowError:
-        return None
-    return array.reshape(shape) if np.isfinite(array).all() else None
-
-
-def _read_pairs(value, depth: int):
-    """``depth`` nested lists of ``[re, im]`` pairs as a complex array, or None."""
-    array = _read_floats(value, depth + 1)
-    if array is None or array.shape[-1] != 2:
-        return None
-    return array.view(complex)[..., 0]
+        return f"field '{where}': {value!r} overflows a double"
+    if not all(map(math.isfinite, numbers)):
+        if pair:
+            return f"field '{where}': expected finite numbers, got {value!r}"
+        return f"field '{where}': expected a finite number, got {numbers[0]!r}"
+    return None
 
 
 def _finite(value: float, where: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return value
-
-
-def _real_number(value, where: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"field '{where}': expected a number, got {value!r}")
-    try:
-        return _finite(float(value), f"field '{where}'")
-    except OverflowError:
-        raise ConfigError(f"field '{where}': {value!r} overflows a double")
 
 
 def _integer(value, where: str) -> int:
@@ -204,12 +180,7 @@ def _parse_sweep(data) -> SweepSpec:
     param = data.get("param")
     if param not in ("q", "phi"):
         raise ConfigError(f"field 'sweep.param': expected \"q\" or \"phi\", got {param!r}")
-    grid = data.get("grid")
-    if not isinstance(grid, list) or not grid:
-        raise ConfigError("field 'sweep.grid': expected a non-empty list of numbers")
-    values = _read_floats(grid, 1)
-    if values is None:
-        values = np.array([_real_number(v, f"sweep.grid[{i}]") for i, v in enumerate(grid)])
+    values = _numbers(data.get("grid"), 1, "sweep.grid")
     unknown = set(data) - {"param", "grid"}
     if unknown:
         raise ConfigError(f"field 'sweep': unknown keys {sorted(unknown)}")
@@ -235,8 +206,7 @@ def _parse_sim(data) -> SimSpec:
         raw = data["interval"]
         if not isinstance(raw, list) or len(raw) != 2:
             raise ConfigError("field 'sim.interval': expected [low, high]")
-        lo = _real_number(raw[0], "sim.interval[0]")
-        hi = _real_number(raw[1], "sim.interval[1]")
+        lo, hi = _numbers(raw, 1, "sim.interval").tolist()
         if not hi > lo:
             raise ConfigError("field 'sim.interval': high must exceed low")
         if not math.isfinite(hi - lo):
@@ -260,9 +230,9 @@ def parse_config(data: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
 
-    generator = _complex_matrix(data["generator"], "generator")
-    input_state = _complex_vector(data["input_state"], "input_state")
-    lam = _real_number(data["lambda"], "lambda")
+    generator = _numbers(data["generator"], 2, "generator", pair=True)
+    input_state = _numbers(data["input_state"], 1, "input_state", pair=True)
+    lam = float(_numbers(data["lambda"], 0, "lambda"))
 
     measurement = data.get("measurement")
     if measurement is not None and not isinstance(measurement, str):
@@ -271,7 +241,7 @@ def parse_config(data: dict) -> ExperimentConfig:
                 "field 'measurement': expected a constructor string or a list of matrices"
             )
         measurement = tuple(
-            _complex_matrix(m, f"measurement[{i}]") for i, m in enumerate(measurement)
+            _numbers(m, 2, f"measurement[{i}]", pair=True) for i, m in enumerate(measurement)
         )
 
     sweep = _parse_sweep(data["sweep"]) if data.get("sweep") is not None else None
@@ -322,6 +292,8 @@ def _parse_spec_args(arg_text: str, spec: str) -> dict:
         key, sep, raw = part.partition("=")
         if not sep or not key:
             raise ConfigError(f"measurement spec {spec!r}: expected name:key=value")
+        if key in args:
+            raise ConfigError(f"measurement spec {spec!r}: key {key!r} is given twice")
         try:
             value = float(raw)
         except ValueError:

@@ -364,7 +364,9 @@ def crb_experiment(
     against NumPy's ``default_rng``. When ``csv_path`` is given, the
     per-trial estimates are written as CSV with the settings echoed in a
     leading ``#`` comment line and a final summary row holding the
-    empirical standard deviation.
+    empirical standard deviation. A measurement with zero Fisher
+    information at ``true_lambda`` has no bound; it raises
+    :class:`FlatLikelihoodError` before any draw.
     """
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
@@ -378,6 +380,8 @@ def crb_experiment(
 
     sd = derivative(family, true_lambda)
     fisher = classical_fisher(povm, sd)
+    if not fisher > 0.0:
+        raise FlatLikelihoodError("classical Fisher information is zero at true_lambda")
     probs = _sampling_probs(povm, sd)
     counts = _trial_counts(n, probs, seed, trials)
     estimates = _mle(family, povm, counts, n, lo, hi)

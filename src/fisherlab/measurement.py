@@ -57,26 +57,20 @@ class Povm:
     ``rows`` has shape ``(K, r, d)``: outcome ``a`` has the effect
     ``E_a = rows[a]^H rows[a]``, positive semidefinite by construction,
     and all-zero rows pad outcomes of rank below ``r``. The effects must
-    sum to the identity to 1e-9 in max-entry deviation. Labels identify
-    outcomes and survive every transformation the package applies.
+    sum to the identity to 1e-9 in max-entry deviation.
     """
 
     rows: np.ndarray
-    labels: tuple = ()
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=complex)
         if rows.ndim != 3 or rows.shape[0] < 1 or rows.shape[2] < 1:
             raise DimMismatchError(f"POVM rows must have shape (K, r, d), got {rows.shape}")
         _check_complete(rows[None])
-        labels = tuple(self.labels) if self.labels else tuple(f"E{i}" for i in range(len(rows)))
-        if len(labels) != len(rows):
-            raise ValueError("label count does not match effect count")
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "labels", labels)
 
     @classmethod
-    def from_effects(cls, effects, labels=()) -> "Povm":
+    def from_effects(cls, effects) -> "Povm":
         """POVM from explicit effect matrices, each factored into amplitude rows.
 
         Effects must be Hermitian and positive semidefinite to rounding
@@ -93,12 +87,7 @@ class Povm:
         if not lowest >= _PSD_TOL:
             raise ValueError(f"effect has negative eigenvalue {lowest:.3e}")
         rows = np.sqrt(np.maximum(weights, 0.0))[..., None] * vecs.conj().swapaxes(1, 2)
-        return cls(rows=rows, labels=labels)
-
-    @property
-    def effects(self) -> np.ndarray:
-        """Effect matrices ``E_a = rows[a]^H rows[a]``, shape ``(K, d, d)``."""
-        return self.rows.conj().swapaxes(1, 2) @ self.rows
+        return cls(rows=rows)
 
     @property
     def dim(self) -> int:
@@ -221,7 +210,7 @@ def _complement(bras: np.ndarray):
     return (np.eye(dim) - bras.conj().T @ bras)[None]
 
 
-def _complete(bras: np.ndarray, labels: tuple) -> Povm:
+def _complete(bras: np.ndarray) -> Povm:
     """Projective POVM with one orthonormal bra row per outcome.
 
     When the bras leave part of the space uncovered, a lumped "rest"
@@ -229,12 +218,12 @@ def _complete(bras: np.ndarray, labels: tuple) -> Povm:
     """
     rest = _complement(bras)
     if rest is None:
-        return Povm(rows=bras[:, None, :], labels=labels)
+        return Povm(rows=bras[:, None, :])
     count, dim = bras.shape
     rows = np.zeros((count + 1, dim, dim), dtype=complex)
     rows[:count, 0] = bras
     rows[count] = rest[0]
-    return Povm(rows=rows, labels=labels + ("rest",))
+    return Povm(rows=rows)
 
 
 def sld_measurement(sldd: SldData) -> Povm:
@@ -245,7 +234,7 @@ def sld_measurement(sldd: SldData) -> Povm:
     complement annihilates both the state and its derivative, so its
     probability and its Fisher contribution are zero.
     """
-    return _complete(np.stack([sldd.plus_state, sldd.minus_state]).conj(), ("+", "-"))
+    return _complete(np.stack([sldd.plus_state, sldd.minus_state]).conj())
 
 
 def _q_bras(sldd: SldData, state, q_values) -> np.ndarray:
@@ -273,7 +262,7 @@ def q_family_measurement(sldd: SldData, state, q: float) -> Povm:
     full quantum Fisher information while the outcome distribution is
     ``(q, 1-q)``, so the entropy sweeps the whole range [0, ln 2].
     """
-    return _complete(_q_bras(sldd, state, [q])[0], ("q", "qbar"))
+    return _complete(_q_bras(sldd, state, [q])[0])
 
 
 def _rotated_bras(phi_values) -> np.ndarray:
@@ -291,4 +280,4 @@ def rotated_qubit_measurement(phi: float) -> Povm:
     Projects onto ``(|0> +- e^{i phi}|1>)/sqrt(2)``, the eigenstates of
     ``cos(phi) sigma_x + sin(phi) sigma_y``.
     """
-    return _complete(_rotated_bras([phi])[0], ("+", "-"))
+    return _complete(_rotated_bras([phi])[0])

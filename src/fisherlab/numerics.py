@@ -2,8 +2,8 @@
 
 Everything here assumes Hermitian operators on spaces of dimension up to
 a few dozen, stored as dense ``numpy`` arrays. The eigensolver is the
-single primitive; the matrix exponential and the seminorm are derived
-from it so that unitarity and spectrum ordering hold by construction.
+single primitive; the state families' evolution and the seminorm are
+derived from it, so unitarity and spectrum ordering hold by construction.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "as_state_vector",
     "require_hermitian",
     "hermitian_eig",
-    "unitary_exp",
     "seminorm",
 ]
 
@@ -100,18 +99,6 @@ def hermitian_eig(op) -> EigenDecomposition:
     mat = require_hermitian(op)
     eigenvalues, eigenvectors = np.linalg.eigh(mat)
     return EigenDecomposition(eigenvalues, _fix_phases(eigenvectors))
-
-
-def unitary_exp(gen, lam: float) -> np.ndarray:
-    """Return ``exp(-i * lam * gen)`` for a Hermitian generator.
-
-    Computed through the eigendecomposition rather than a generic matrix
-    exponential: the dimensions are small and the result is unitary to
-    rounding by construction.
-    """
-    dec = hermitian_eig(gen)
-    phases = np.exp(-1j * lam * dec.eigenvalues)
-    return (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T
 
 
 def seminorm(op) -> float:

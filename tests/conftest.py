@@ -22,6 +22,11 @@ def paper_qubit_family() -> StateFamily:
     )
 
 
+def povm_effects(povm) -> np.ndarray:
+    """Effect matrices ``E_a = rows[a]^H rows[a]`` of a POVM, shape ``(K, d, d)``."""
+    return povm.rows.conj().swapaxes(1, 2) @ povm.rows
+
+
 def random_hermitian(dim: int, rng: np.random.Generator, spectral_radius: float = 1.0) -> np.ndarray:
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     herm = (raw + raw.conj().T) / 2.0

@@ -125,6 +125,59 @@ class TestAudit:
             assert report.measurement_optimal == (abs(report.fisher - report.qfi) <= 1e-8)
 
 
+def audit_band_edge_q() -> float:
+    """The q above 1/2 where the binary entropy equals ``ln 2 - TOL_AUDIT``, by bisection."""
+    below, above = 0.5, 0.6
+    for _ in range(100):
+        mid = 0.5 * (below + above)
+        if binary_entropy(mid) > LN2 - TOL_AUDIT:
+            below = mid
+        else:
+            above = mid
+    return below
+
+
+class TestAuditBandEdge:
+    """``violated`` flips where ``S`` crosses ``rhs - TOL_AUDIT``, not elsewhere.
+
+    On the paper qubit at its optimal input, ``rhs = ln 2`` and every
+    q-family member is optimal, so ``S(q)`` is the binary entropy. The
+    edge sits near ``q - 1/2 = sqrt(TOL_AUDIT / 2)``; stepping ``1e-7``
+    to either side moves ``S`` by about ``9e-12``, far above rounding.
+    """
+
+    LAM = 0.7
+    STEP = 1e-7
+
+    def grid(self) -> np.ndarray:
+        edge = audit_band_edge_q()
+        assert edge - 0.5 == pytest.approx(math.sqrt(TOL_AUDIT / 2.0), rel=1e-3)
+        return np.array([edge - self.STEP, edge + self.STEP])
+
+    def test_audit_flips_across_the_edge(self):
+        family = paper_qubit_family()
+        sd = derivative(family, self.LAM)
+        sldd = sld(sd)
+        povms = [q_family_measurement(sldd, sd.state, q) for q in self.grid()]
+        reports = [audit(family, self.LAM, povm) for povm in povms]
+        assert [r.rhs for r in reports] == pytest.approx([LN2, LN2], abs=1e-15)
+        margins = [r.entropy - (r.rhs - TOL_AUDIT) for r in reports]
+        assert 5e-12 < margins[0] < 2e-11 and -2e-11 < margins[1] < -5e-12
+        assert [r.violated for r in reports] == [False, True]
+        assert all(r.measurement_optimal for r in reports)
+
+    def test_sweep_and_csv_flip_across_the_edge(self, tmp_path):
+        grid = self.grid()
+        result = sweep_q(paper_qubit_family(), self.LAM, grid)
+        assert result.violated.tolist() == [False, True]
+        path = tmp_path / "edge.csv"
+        write_sweep_csv(path, grid, result)
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        column = SWEEP_CSV_COLUMNS.index("violated")
+        assert [row[column] for row in rows[1:]] == ["false", "true"]
+
+
 class TestSweepQ:
     def test_endpoint_entropies(self):
         family = paper_qubit_family()

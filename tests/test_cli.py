@@ -4,16 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
+from conftest import povm_effects
 import fisherlab.cli
 import fisherlab.metrology
 import fisherlab.state_family
 from fisherlab import derivative, qfi_report, sld
 from fisherlab.cli import (
-    _complex_matrix,
-    _complex_scalar,
-    _read_floats,
-    _real_number,
     build_family,
     build_povm,
     main,
@@ -83,8 +81,8 @@ class TestConfigParsing:
         from fisherlab.cli import build_family
 
         povm = build_povm(config, build_family(config))
-        assert len(povm.effects) == 2
-        assert povm.labels == ("E0", "E1")
+        assert len(povm) == 2
+        assert_allclose(povm_effects(povm), np.array(effects).view(complex)[..., 0], atol=1e-15)
 
     def test_unknown_constructor_rejected(self):
         config = parse_config_text(json.dumps(qubit_config(measurement="bell")))
@@ -99,7 +97,11 @@ def sweep_config(grid) -> dict:
 
 
 class TestArrayReader:
-    """The one-shot array read of numeric fields against the per-entry walk."""
+    """The one-pass array read of numeric fields against a per-entry oracle.
+
+    The oracle converts each entry on its own, with ``float(v)`` or
+    ``complex(re, im)``, as a walk over the decoded JSON would.
+    """
 
     @pytest.mark.parametrize(
         "grid",
@@ -107,24 +109,37 @@ class TestArrayReader:
         ids=["mixed", "signed-zero", "tiny"],
     )
     def test_grid_reads_bit_for_bit_like_the_walk(self, grid):
-        walked = np.array([_real_number(v, "grid") for v in grid])
-        read = _read_floats(grid, 1)
-        assert read.dtype == walked.dtype and read.tobytes() == walked.tobytes()
+        walked = np.array([float(v) for v in grid])
         parsed = parse_config_text(json.dumps(sweep_config(grid))).sweep.grid
-        assert parsed.tobytes() == walked.tobytes()
+        assert parsed.dtype == walked.dtype and parsed.tobytes() == walked.tobytes()
 
     def test_complex_fields_read_bit_for_bit_like_the_walk(self):
         matrix = [[[0.5, -0.0], [0, 1]], [[-0.0, -1], [-0.5, 0]]]
-        walked = np.array([[_complex_scalar(p, "m") for p in row] for row in matrix])
-        read = _complex_matrix(matrix, "m")
-        assert read.dtype == walked.dtype and read.shape == (2, 2)
-        assert read.tobytes() == walked.tobytes()
+        walked = np.array([[complex(re, im) for re, im in row] for row in matrix])
+        state = [[-0.0, 1], [0.25, -0.0]]
+        sim = {"n": 10, "trials": 2, "seed": 1, "interval": [-1, 2.5]}
+        config = qubit_config(
+            generator=matrix, input_state=state, measurement=[matrix, matrix], sim=sim
+        )
+        text = json.dumps(config).replace('"lambda": 0.7', '"lambda": 3')
+        parsed = parse_config_text(text)
+        for read in (parsed.generator, *parsed.measurement):
+            assert read.dtype == walked.dtype and read.shape == (2, 2)
+            assert read.tobytes() == walked.tobytes()
+        oracle = np.array([complex(re, im) for re, im in state])
+        assert parsed.input_state.tobytes() == oracle.tobytes()
+        assert type(parsed.lam) is float and parsed.lam == 3.0
+        assert parsed.sim.interval == (-1.0, 2.5)
+        assert [type(end) for end in parsed.sim.interval] == [float, float]
 
     def test_tuples_from_python_callers_get_the_walks_verdict(self):
         # The walk takes tuple pairs but only list rows; the array read takes neither.
         config = qubit_config(input_state=[(INV_SQRT2, 0.0), (INV_SQRT2, 0.0)])
         state = parse_config(config).input_state
         assert state.tobytes() == np.array([INV_SQRT2, INV_SQRT2], dtype=complex).tobytes()
+        # Float subclasses are numbers to the walk too.
+        config = qubit_config(**{"lambda": np.float64(0.7)})
+        assert type(parse_config(config).lam) is float
         config = qubit_config(generator=[((0.5, 0.0), (0.0, 0.0)), [[0.0, 0.0], [-0.5, 0.0]]])
         with pytest.raises(ConfigError, match=r"generator\[0\]'"):
             parse_config(config)
@@ -337,6 +352,24 @@ class TestCmdSimulate:
         assert main(["simulate", "--config", path]) == 2
         assert "trials" in capsys.readouterr().err
 
+    def test_zero_fisher_information_exits_three(self, tmp_path, capsys):
+        # Effects (I +- sigma_x/2)/2 at lambda = 0: <sigma_x> = cos(lambda) is stationary
+        # there, so F = 0, though the likelihood still varies over the search grid.
+        effects = [
+            [[[0.5, 0.0], [sign, 0.0]], [[sign, 0.0], [0.5, 0.0]]] for sign in (0.25, -0.25)
+        ]
+        config = qubit_config(**{"lambda": 0.0, "measurement": effects})
+        path = write_config(tmp_path, config, name="audit.json")
+        assert main(["audit", "--config", path]) == 0
+        assert "fisher F    = 0\n" in capsys.readouterr().out
+        path = write_config(tmp_path, {**config, "sim": {"n": 1000, "trials": 5, "seed": 1}})
+        out = tmp_path / "trials.csv"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "FlatLikelihoodError: classical Fisher information is zero" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_flat_likelihood_exits_three(self, tmp_path, capsys):
         identity = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
         config = qubit_config(measurement=identity, sim={"n": 100, "trials": 4, "seed": 1})
@@ -490,6 +523,22 @@ class TestExitCodes:
         assert "config error" in captured.err and f"'{field}'" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ("q_family:q=0.1,q=0.9", "q"),
+            ("rotated:phi=0.3,phi=2", "phi"),
+            ("rotated:phi=0.3,phi=0.3", "phi"),
+            ("q_family:x=1,q=0.5,x=1", "x"),
+        ],
+    )
+    def test_repeated_spec_key_exits_two(self, tmp_path, capsys, spec, key):
+        path = write_config(tmp_path, qubit_config(measurement=spec))
+        assert main(["audit", "--config", path, "--fail-on-violation"]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: ConfigError: measurement spec {spec!r}: key {key!r}" in captured.err
+        assert captured.out == ""
 
     def test_boolean_state_entries_exit_two_without_output(self, tmp_path, capsys):
         # JSON true/false are not numbers, although Python's bool is an int.

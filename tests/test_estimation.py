@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import haar_basis, paper_qubit_family, random_family
+from conftest import SIGMA_X, haar_basis, paper_qubit_family, random_family
 from fisherlab import (
     Povm,
     SampleRecord,
@@ -353,6 +353,22 @@ class TestCrbExperiment:
                 trials=4,
                 seed=1,
             )
+
+    def test_zero_fisher_information_raises_before_any_draw(self, monkeypatch):
+        # (I +- sigma_x/2)/2 at lambda = 0: <sigma_x> = cos(lambda) is stationary, so
+        # F = 0 and the bound 1/sqrt(n F) does not exist, yet the likelihood is not flat.
+        effects = tuple((np.eye(2) + sign * SIGMA_X / 2.0) / 2.0 for sign in (1.0, -1.0))
+        povm = Povm.from_effects(effects)
+        assert classical_fisher(povm, derivative(paper_qubit_family(), 0.0)) == 0.0
+        record = SampleRecord(counts=np.array([700, 300]), n=1000, seed=1)
+        assert math.isfinite(mle_estimate(paper_qubit_family(), povm, record, (-1.5, 1.5)))
+
+        def no_draws(*args):
+            raise AssertionError("counts were drawn")
+
+        monkeypatch.setattr(estimation, "_trial_counts", no_draws)
+        with pytest.raises(FlatLikelihoodError, match="Fisher information is zero"):
+            crb_experiment(paper_qubit_family(), povm, 0.0, n=1000, trials=5, seed=1)
 
     @pytest.mark.parametrize(
         "settings",

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import haar_basis, paper_qubit_family, random_family
+from conftest import haar_basis, paper_qubit_family, povm_effects, random_family
 from fisherlab import (
     OutcomeDistribution,
     Povm,
@@ -64,7 +64,7 @@ class TestPovmValidation:
         povm = projective_povm(np.eye(3, dtype=complex))
         assert povm.dim == 3
         assert len(povm) == 3
-        assert povm.labels == ("E0", "E1", "E2")
+        assert_allclose(povm_effects(povm), [np.diag(row) for row in np.eye(3)], atol=1e-14)
 
     def test_rejects_incomplete_effects(self):
         e0 = np.diag([1.0, 0.0]).astype(complex)
@@ -268,7 +268,10 @@ class TestSldMeasurement:
         sd = derivative(family, 0.4)
         povm = sld_measurement(sld(sd))
         assert len(povm) == 3
-        assert povm.labels == ("+", "-", "rest")
+        # The lumped "rest" outcome projects onto the SLD's null space.
+        rest = povm_effects(povm)[2]
+        assert_allclose(rest @ rest, rest, atol=1e-12)
+        assert np.trace(rest).real == pytest.approx(1.0, abs=1e-12)
         dist = outcome_distribution(povm, sd)
         assert_allclose(dist.probs, [0.5, 0.5, 0.0], atol=1e-12)
 
@@ -285,7 +288,7 @@ class TestSldMeasurement:
         for dim in (2, 4, 6):
             sd = derivative(random_family(dim, rng), 0.9)
             povm = sld_measurement(sld(sd))
-            total = sum(povm.effects)
+            total = povm_effects(povm).sum(0)
             assert np.max(np.abs(total - np.eye(dim))) <= 1e-9
 
 
@@ -295,8 +298,7 @@ class TestQFamilyMeasurement:
         sldd = sld(sd)
         q_povm = q_family_measurement(sldd, sd.state, 0.5)
         sld_povm = sld_measurement(sldd)
-        assert_allclose(q_povm.effects[0], sld_povm.effects[0], atol=1e-12)
-        assert_allclose(q_povm.effects[1], sld_povm.effects[1], atol=1e-12)
+        assert_allclose(povm_effects(q_povm), povm_effects(sld_povm), atol=1e-12)
 
     def test_zero_mixing_is_deterministic_yet_optimal(self, rng):
         sd = derivative(random_family(3, rng), 0.6)
@@ -325,12 +327,12 @@ class TestRotatedQubitMeasurement:
     def test_zero_angle_is_sigma_x_basis(self):
         povm = rotated_qubit_measurement(0.0)
         plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        assert_allclose(povm.effects[0], np.outer(plus, plus.conj()), atol=1e-14)
+        assert_allclose(povm_effects(povm)[0], np.outer(plus, plus.conj()), atol=1e-14)
 
     def test_quarter_turn_is_sigma_y_basis(self):
         povm = rotated_qubit_measurement(np.pi / 2.0)
         plus = np.array([1.0, 1.0j]) / np.sqrt(2.0)
-        assert_allclose(povm.effects[0], np.outer(plus, plus.conj()), atol=1e-14)
+        assert_allclose(povm_effects(povm)[0], np.outer(plus, plus.conj()), atol=1e-14)
 
     def test_cosine_law_on_phase_family(self):
         family = paper_qubit_family()
@@ -353,7 +355,7 @@ class TestSldWeightIdentity:
                 q_family_measurement(sldd, sd.state, 0.37),
             ):
                 dist = outcome_distribution(povm, sd)
-                for eff, dp in zip(povm.effects, dist.dprobs):
+                for eff, dp in zip(povm_effects(povm), dist.dprobs):
                     trace_weight = 0.25 * np.trace(sldd.sld @ eff).real ** 2
                     assert trace_weight == pytest.approx(dp**2, abs=1e-10)
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import SIGMA_X, SIGMA_Z, random_hermitian
-from fisherlab import hermitian_eig, seminorm, unitary_exp
+from fisherlab import StateFamily, evaluate, hermitian_eig, seminorm
 from fisherlab.errors import NonHermitianError
 from fisherlab.numerics import _fix_phases, require_hermitian
 
@@ -128,31 +128,39 @@ class TestFixPhasesOracle:
         assert fixed[0, 1] == 1.0
 
 
+def evolution(gen, lam: float) -> np.ndarray:
+    """``exp(-i lam gen)`` as families compute it from ``hermitian_eig``: evolved basis states."""
+    basis = np.eye(len(gen), dtype=complex)
+    return np.column_stack([evaluate(StateFamily(gen, state), lam) for state in basis])
+
+
 class TestUnitaryExp:
+    """The spectral matrix exponential behind ``evaluate`` against the Taylor series."""
+
     def test_diagonal_generator(self):
         lam = 0.83
         expected = np.diag([np.exp(-0.5j * lam), np.exp(0.5j * lam)])
-        assert_allclose(unitary_exp(SIGMA_Z / 2.0, lam), expected, atol=1e-12)
+        assert_allclose(evolution(SIGMA_Z / 2.0, lam), expected, atol=1e-12)
 
     def test_zero_parameter_is_identity(self, rng):
         mat = random_hermitian(5, rng)
-        assert_allclose(unitary_exp(mat, 0.0), np.eye(5), atol=1e-14)
+        assert_allclose(evolution(mat, 0.0), np.eye(5), atol=1e-14)
 
     def test_sigma_x_half_turn_matches_taylor_series(self):
-        got = unitary_exp(SIGMA_X, np.pi)
+        got = evolution(SIGMA_X, np.pi)
         oracle = taylor_expm(-1j * np.pi * SIGMA_X)
         assert_allclose(got, oracle, atol=5e-15)
         assert_allclose(got, -np.eye(2), atol=1e-13)
 
     def test_sigma_x_quarter_turn_matches_taylor_series(self):
-        got = unitary_exp(SIGMA_X, np.pi / 2.0)
+        got = evolution(SIGMA_X, np.pi / 2.0)
         oracle = taylor_expm(-0.5j * np.pi * SIGMA_X)
         assert_allclose(got, oracle, atol=5e-15)
         assert_allclose(got, -1j * SIGMA_X, atol=1e-13)
 
     def test_result_is_unitary(self, rng):
         for dim in (2, 3, 8):
-            u = unitary_exp(random_hermitian(dim, rng, spectral_radius=4.0), 1.7)
+            u = evolution(random_hermitian(dim, rng, spectral_radius=4.0), 1.7)
             assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= 1e-10
 
     @settings(max_examples=30, deadline=None)
@@ -162,8 +170,8 @@ class TestUnitaryExp:
     )
     def test_group_property(self, a, b):
         gen = random_hermitian(4, np.random.default_rng(7), spectral_radius=2.0)
-        combined = unitary_exp(gen, a + b)
-        split = unitary_exp(gen, a) @ unitary_exp(gen, b)
+        combined = evolution(gen, a + b)
+        split = evolution(gen, a) @ evolution(gen, b)
         assert_allclose(combined, split, atol=1e-9)
 
 
