@@ -23,13 +23,15 @@ import numpy as np
 
 from .errors import DegenerateGeneratorError, DimMismatchError
 from .measurement import (
+    _COMPLETENESS_TOL,
     OutcomeDistribution,
     Povm,
     _born_terms,
     _check_complete,
     _complement,
     _fisher_sum,
-    _q_bras,
+    _q_basis,
+    _q_coeffs,
     _rotated_bras,
     rotated_qubit_measurement,
     shannon_entropy,
@@ -114,9 +116,7 @@ class SweepResult(Sequence):
         return len(self.entropy)
 
     def __getitem__(self, index) -> AuditReport:
-        index = operator.index(index)
-        if not -len(self) <= index < len(self):
-            raise IndexError(f"grid index {index} out of range for {len(self)} points")
+        index = operator.index(index)  # NumPy raises IndexError out of range
         return AuditReport(
             entropy=float(self.entropy[index]),
             fisher=float(self.fisher[index]),
@@ -128,12 +128,12 @@ class SweepResult(Sequence):
         )
 
 
-def _audit_grid(family: StateFamily, sd: StateAndDerivative, rows, common=None) -> SweepResult:
+def _audit_grid(family: StateFamily, sd: StateAndDerivative, rows, common=None, plane=None):
     """Audit the G measurements with amplitude rows ``rows`` (``(G, K, r, d)``) at once.
 
     ``common`` (``(K0, r0, d)``) holds outcome rows every measurement
-    shares; their Born terms are computed once and broadcast. Columns
-    come back in grid order.
+    shares; their Born terms are computed once and broadcast. ``rows``
+    act on ``plane`` if given, else on ``sd``. Columns are in grid order.
     """
     seminorm_sq = seminorm_bound(family)
     if seminorm_sq <= 0.0:
@@ -143,7 +143,7 @@ def _audit_grid(family: StateFamily, sd: StateAndDerivative, rows, common=None) 
     if len(rows) == 0:
         entropy = fisher = np.zeros(0)
     else:
-        terms = _born_terms(rows, sd)
+        terms = _born_terms(rows, sd if plane is None else plane)
         if common is not None:
             shared = _born_terms(common, sd)
             terms = [
@@ -164,14 +164,29 @@ def _audit_grid(family: StateFamily, sd: StateAndDerivative, rows, common=None) 
     )
 
 
-def _audit_bras(family: StateFamily, sd: StateAndDerivative, bras: np.ndarray) -> SweepResult:
-    """Audit the projective measurements with bras ``bras[g]``, which all span one subspace."""
-    rows = bras[:, :, None, :]
-    common = None
-    if len(bras):
-        common = _complement(bras[0])
-        _check_complete(rows, common)
-    return _audit_grid(family, sd, rows, common)
+def _audit_plane(family: StateFamily, sd: StateAndDerivative, coeffs, basis=None):
+    """Audit the projective measurements with bras ``coeffs[g] @ basis`` (``(G, 2, 2)``).
+
+    ``basis`` (``(2, d)``) has orthonormal rows; with none, ``coeffs`` are
+    a qubit's bras, checked as one :class:`Povm`. The state pair is
+    projected once, so Born terms are taken in C^2, and the complement
+    ``P`` of the plane is one outcome every point shares. Point g's effect
+    sum minus I is ``V^H (C^H C - I) V + (V^H V + P^H P - I)`` (``V = basis``,
+    ``C = coeffs[g]``). If ``eps`` and ``delta`` bound the entries of
+    ``C^H C - I`` and of the second term, entry (i, j) of the first is at
+    most ``eps (|V_0i| + |V_1i|)(|V_0j| + |V_1j|) <= 2 (1 + delta) eps``, as
+    ``|V_0i|^2 + |V_1i|^2 <= (V^H V + P^H P)_ii <= 1 + delta``. Checks at
+    1e-9/4 apiece keep each point within ``2 (1 + delta) eps + delta < 1e-9``.
+    """
+    rows = coeffs[:, :, None, :]
+    if basis is None:
+        _check_complete(rows)
+        return _audit_grid(family, sd, rows)
+    common = _complement(basis)
+    _check_complete(basis[None, :, None, :], common, tol=_COMPLETENESS_TOL / 4.0)
+    _check_complete(rows, tol=_COMPLETENESS_TOL / 4.0)
+    plane = StateAndDerivative(state=basis @ sd.state, dstate=basis @ sd.dstate, lam=sd.lam)
+    return _audit_grid(family, sd, rows, common, plane)
 
 
 def audit(family: StateFamily, lam: float, povm: Povm) -> AuditReport:
@@ -182,18 +197,18 @@ def audit(family: StateFamily, lam: float, povm: Povm) -> AuditReport:
 def sweep_q(family: StateFamily, lam: float, q_grid) -> SweepResult:
     """Audit the tunable-bias measurement family over a grid of q values.
 
-    The whole grid is one batch; the result holds one entry per grid
-    point, in grid order.
+    Every member projects in span{psi, perp}: the grid is one batch of
+    2x2 coefficient matrices in that plane, one result entry per point.
     """
     sd = derivative(family, lam)
-    return _audit_bras(family, sd, _q_bras(sld(sd), sd.state, q_grid))
+    return _audit_plane(family, sd, _q_coeffs(q_grid), _q_basis(sld(sd), sd.state))
 
 
 def sweep_phi(family: StateFamily, lam: float, phi_grid) -> SweepResult:
     """Audit the equatorial qubit measurement over a grid of angles, as one batch."""
     if family.dim != 2:
         raise DimMismatchError(f"angle sweep needs a qubit family, got dim {family.dim}")
-    return _audit_bras(family, derivative(family, lam), _rotated_bras(phi_grid))
+    return _audit_plane(family, derivative(family, lam), _rotated_bras(phi_grid))
 
 
 def reproduce_counterexample(lam: float = 0.7) -> AuditReport:
@@ -213,27 +228,28 @@ def reproduce_counterexample(lam: float = 0.7) -> AuditReport:
     return audit(family, lam, rotated_qubit_measurement(lam))
 
 
+def _formatted(column) -> list:
+    """``.17g`` text of a float column, formatting each distinct bit pattern (so -0.0 too) once."""
+    bits, inverse = np.unique(np.asarray(column, dtype=float).view(np.uint64), return_inverse=True)
+    texts = np.array([f"{value:.17g}" for value in bits.view(float).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
 def write_sweep_csv(path, param_values, result: SweepResult) -> None:
     """Write one sweep as CSV with a header row and 17-significant-digit floats.
 
     Rows end in ``\\r\\n``, as the ``csv`` module writes them; no field
-    needs quoting. The three scalars every row shares are formatted once.
+    needs quoting. Float columns are formatted once per distinct value.
     """
-    values = np.asarray(param_values, dtype=float).tolist()
+    values = np.asarray(param_values, dtype=float)
     if len(values) != len(result):
         raise ValueError("one parameter value per grid point required")
-    shared = f"{result.qfi:.17g},{result.seminorm_sq:.17g},{result.rhs:.17g}"
-    verdict = ("false", "true")
-    lines = [
-        f"{value:.17g},{entropy:.17g},{fisher:.17g},{shared},{verdict[bad]},{verdict[optimal]}\r\n"
-        for value, entropy, fisher, bad, optimal in zip(
-            values,
-            result.entropy.tolist(),
-            result.fisher.tolist(),
-            result.violated.tolist(),
-            result.measurement_optimal.tolist(),
-        )
-    ]
+    shared = f",{result.qfi:.17g},{result.seminorm_sq:.17g},{result.rhs:.17g},"
+    verdicts = ("false", "true")
+    tails = np.array([f"{shared}{bad},{ok}\r\n" for bad in verdicts for ok in verdicts])
+    columns = [_formatted(values), _formatted(result.entropy), _formatted(result.fisher)]
+    columns.append(tails[2 * result.violated + result.measurement_optimal].tolist())
+    lines = [f"{value},{entropy},{fisher}{tail}" for value, entropy, fisher, tail in zip(*columns)]
     with open(path, "w", newline="") as handle:
         handle.write(",".join(SWEEP_CSV_COLUMNS) + "\r\n")
         handle.write("".join(lines))

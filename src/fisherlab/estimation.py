@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import DimMismatchError, FlatLikelihoodError
 from .measurement import Povm, classical_fisher, outcome_distribution
+from .metrology import EPS_QFI, seminorm_bound
 from .state_family import StateAndDerivative, StateFamily, derivative
 
 __all__ = [
@@ -364,9 +365,11 @@ def crb_experiment(
     against NumPy's ``default_rng``. When ``csv_path`` is given, the
     per-trial estimates are written as CSV with the settings echoed in a
     leading ``#`` comment line and a final summary row holding the
-    empirical standard deviation. A measurement with zero Fisher
-    information at ``true_lambda`` has no bound; it raises
-    :class:`FlatLikelihoodError` before any draw.
+    empirical standard deviation. A Fisher information at ``true_lambda``
+    of at most ``EPS_QFI * ||h||^2`` (the SLD's stationarity threshold
+    relative to the ceiling in ``F <= F_Q <= ||h||^2``) is zero to
+    rounding and has no bound: it raises :class:`FlatLikelihoodError`
+    before any draw.
     """
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
@@ -380,8 +383,9 @@ def crb_experiment(
 
     sd = derivative(family, true_lambda)
     fisher = classical_fisher(povm, sd)
-    if not fisher > 0.0:
-        raise FlatLikelihoodError("classical Fisher information is zero at true_lambda")
+    if not fisher > EPS_QFI * seminorm_bound(family):
+        message = f"classical Fisher information is zero at true_lambda: F = {fisher:.3e}"
+        raise FlatLikelihoodError(message)
     probs = _sampling_probs(povm, sd)
     counts = _trial_counts(n, probs, seed, trials)
     estimates = _mle(family, povm, counts, n, lo, hi)
@@ -399,12 +403,10 @@ def crb_experiment(
 
 
 def _write_trials_csv(path, estimates, report, true_lambda, n, seed, interval) -> None:
+    rows = "".join([f"{i},{value:.17g}\n" for i, value in enumerate(estimates.tolist())])
     with open(path, "w", newline="") as handle:
         handle.write(
             f"# true_lambda={true_lambda:.17g} n={n} trials={report.trials} seed={seed} "
             f"interval=({interval[0]:.17g},{interval[1]:.17g})\n"
+            f"trial,estimate\n{rows}summary,{report.empirical_std:.17g}\n"
         )
-        handle.write("trial,estimate\n")
-        for i, value in enumerate(estimates):
-            handle.write(f"{i},{value:.17g}\n")
-        handle.write(f"summary,{report.empirical_std:.17g}\n")

@@ -1,11 +1,13 @@
 import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import paper_qubit_family, random_family
+from conftest import SIGMA_X, paper_qubit_family, random_family
 from fisherlab import (
+    Povm,
     StateFamily,
     audit,
     derivative,
@@ -18,9 +20,17 @@ from fisherlab import (
     sweep_phi,
     sweep_q,
 )
-from fisherlab.audit import SWEEP_CSV_COLUMNS, TOL_AUDIT, SweepResult, write_sweep_csv
+from fisherlab.audit import (
+    OPTIMALITY_TOL,
+    SWEEP_CSV_COLUMNS,
+    TOL_AUDIT,
+    SweepResult,
+    _audit_plane,
+    write_sweep_csv,
+)
+from fisherlab.cli import main
 from fisherlab.errors import DegenerateGeneratorError, DimMismatchError, InvalidQError
-from fisherlab.measurement import _check_complete
+from fisherlab.measurement import EPS_PROB, _check_complete, _complement, _q_coeffs
 from test_measurement import binary_entropy
 
 LN2 = math.log(2.0)
@@ -254,6 +264,18 @@ class TestSweepOracle:
             batched = sweep_phi(family, lam, grid)
             assert_reports_agree(batched, per_point_sweep_phi(family, lam, grid))
 
+    def test_empty_q_grid_keeps_the_shared_scalars_of_an_audit(self, rng):
+        family = random_family(8, rng)
+        result = sweep_q(family, 0.3, [])
+        sd = derivative(family, 0.3)
+        report = audit(family, 0.3, q_family_measurement(sld(sd), sd.state, 0.5))
+        assert len(result) == 0 and result.entropy.shape == result.fisher.shape == (0,)
+        assert (result.qfi, result.seminorm_sq, result.rhs) == (
+            report.qfi,
+            report.seminorm_sq,
+            report.rhs,
+        )
+
     @pytest.mark.parametrize("where", [0, 1000, -1])
     def test_nan_anywhere_in_q_grid_raises(self, where):
         grid = np.linspace(0.0, 1.0, 2001)
@@ -290,6 +312,183 @@ class TestSweepPerPointChecks:
         else:
             with pytest.raises(ValueError, match="identity"):
                 _check_complete(rows, common)
+
+
+def plane_qubit_in_eight_dims() -> StateFamily:
+    """d = 8 family whose state and derivative stay in span{|0>, |1>}: sigma_x/2 on |0>."""
+    generator = np.zeros((8, 8), dtype=complex)
+    generator[:2, :2] = SIGMA_X / 2.0
+    return StateFamily(generator=generator, input_state=np.eye(8)[0])
+
+
+class TestPlaneCompleteness:
+    """The plane path gives its basis check and each point's check 1e-9/4 apiece.
+
+    The family's plane is span{|0>, |1>}, so the basis is two rows of the
+    identity. Grid point 1500 is q = 0, whose coefficients are a swap, so
+    scaling its first row by ``sqrt(1 + x)`` makes its 2x2 deviation
+    exactly ``x``; scaling the basis's second row the same way makes the
+    basis deviation ``x + x^2``.
+    """
+
+    BUDGET = 1e-9 / 4.0
+    LAM = 0.0
+
+    def coeffs(self) -> np.ndarray:
+        grid = np.linspace(0.0, 1.0, 2001)
+        grid[1500] = 0.0
+        return _q_coeffs(grid)
+
+    def basis(self) -> np.ndarray:
+        return np.eye(8, dtype=complex)[:2]
+
+    def audit_plane(self, coeffs, basis):
+        family = plane_qubit_in_eight_dims()
+        return _audit_plane(family, derivative(family, self.LAM), coeffs, basis)
+
+    @pytest.mark.parametrize("offset, complete", [(-1e-11, True), (1e-11, False)])
+    def test_coefficient_band_edge_at_one_point_deep_in_the_grid(self, offset, complete):
+        coeffs = self.coeffs()
+        coeffs[1500, 0] *= np.sqrt(1.0 + self.BUDGET + offset)
+        if complete:
+            assert len(self.audit_plane(coeffs, self.basis())) == 2001
+        else:
+            with pytest.raises(ValueError, match="identity"):
+                self.audit_plane(coeffs, self.basis())
+
+    @pytest.mark.parametrize("offset, complete", [(-1e-11, True), (1e-11, False)])
+    def test_basis_band_edge(self, offset, complete):
+        basis = self.basis()
+        basis[1] *= np.sqrt(1.0 + self.BUDGET + offset)
+        if complete:
+            assert len(self.audit_plane(self.coeffs(), basis)) == 2001
+        else:
+            with pytest.raises(ValueError, match="identity"):
+                self.audit_plane(self.coeffs(), basis)
+
+    def test_both_checks_at_their_edge_keep_the_point_within_its_budget(self):
+        # The derived bound 2 (1 + delta) eps + delta <= 1e-9 on an instance:
+        # the point's d-dimensional effects, built from the scaled bras and
+        # complement, pass the single-POVM check at 1e-9.
+        scale = np.sqrt(1.0 + self.BUDGET - 1e-11)
+        coeffs, basis = self.coeffs(), self.basis()
+        coeffs[1500, 0] *= scale
+        basis[1] *= scale
+        assert len(self.audit_plane(coeffs, basis)) == 2001
+        rows = (coeffs[1500] @ basis)[None, :, None, :]
+        _check_complete(rows, _complement(basis))
+
+
+class TestEpsProbBandEdge:
+    """The small q-family outcome switches to its vanishing-probability limit at EPS_PROB.
+
+    That outcome has ``p = min(q, 1 - q)``. Its limit term ``4 |M dpsi|^2``
+    exceeds ``dp^2 / p`` by ``4 p <psi|h|psi>^2``, so F is continuous
+    across the switch to that amount, and ``F - F_Q`` stays below it plus
+    rounding of the terms' size ``4 <psi|h^2|psi> = 4 ||dpsi||^2``.
+    """
+
+    SIDES = np.array([1.0 - 1e-6, 1.0 + 1e-6])
+
+    def grid(self) -> np.ndarray:
+        small = EPS_PROB * self.SIDES
+        grid = np.concatenate([small, 1.0 - small])
+        # 1 - q is exact here, so the small outcome sits on the side asked for.
+        assert ((np.minimum(grid, 1.0 - grid) > EPS_PROB) == [False, True, False, True]).all()
+        return grid
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_both_paths_are_continuous_across_the_switch(self, dim, rng):
+        grid = self.grid()
+        small = np.minimum(grid, 1.0 - grid)
+        for _ in range(5):
+            family = random_family(dim, rng)
+            lam = float(rng.uniform(0.0, 2.0 * np.pi))
+            sd = derivative(family, lam)
+            sldd = sld(sd)
+            mean_h = np.vdot(sd.state, family.generator @ sd.state).real
+            scale = 4.0 * np.vdot(sd.dstate, sd.dstate).real
+            plane = sweep_q(family, lam, grid).fisher
+            rows = np.array(
+                [audit(family, lam, q_family_measurement(sldd, sd.state, q)).fisher for q in grid]
+            )
+            overshoot = np.where(small <= EPS_PROB, 4.0 * small * mean_h**2, 0.0)
+            for fisher in (plane, rows):
+                excess = fisher - qfi(sd) - overshoot
+                assert np.abs(excess).max() <= 1e-14 * scale
+                assert (fisher - qfi(sd) <= 4.0 * small * mean_h**2 + 1e-14 * scale).all()
+                jump = 4.0 * EPS_PROB * mean_h**2 + 1e-14 * scale
+                assert abs(fisher[0] - fisher[1]) <= jump
+                assert abs(fisher[2] - fisher[3]) <= jump
+            assert np.abs(plane - rows).max() <= 1e-12
+
+    def test_overshoot_is_visible_on_a_shifted_generator(self):
+        # sigma_z/2 + 3 I on the paper qubit: <psi|h|psi> = 3, so the limit
+        # term adds 36 p, far above rounding; just above EPS_PROB it is gone.
+        family = StateFamily(
+            generator=np.diag([3.5, 2.5]).astype(complex),
+            input_state=np.array([1.0, 1.0]) / np.sqrt(2.0),
+        )
+        grid = self.grid()
+        small = np.minimum(grid, 1.0 - grid)
+        result = sweep_q(family, 0.7, grid)
+        expected = np.where(small <= EPS_PROB, 36.0 * small, 0.0)
+        assert result.fisher - result.qfi == pytest.approx(expected, abs=1e-14)
+
+
+def phased_sld_effects(sd, theta: float) -> list:
+    """Effects on ``(psi +- e^{i theta} perp)/sqrt(2)``, which give ``F = F_Q cos^2 theta``."""
+    tangent = sld(sd).tangent
+    kets = [(sd.state + sign * np.exp(1j * theta) * tangent) / np.sqrt(2.0) for sign in (1, -1)]
+    return [np.outer(ket, ket.conj()) for ket in kets]
+
+
+class TestOptimalityBandEdge:
+    """``measurement_optimal`` flips where ``F_Q - F`` crosses OPTIMALITY_TOL.
+
+    On the paper qubit ``F_Q = 1``; the relative phase ``theta`` costs
+    ``F_Q sin^2 theta``, set to ``OPTIMALITY_TOL -+ 1e-11``, far above the
+    ~1e-16 rounding of F.
+    """
+
+    LAM = 0.7
+    DELTA = 1e-11
+
+    def thetas(self) -> list:
+        return [math.asin(math.sqrt(OPTIMALITY_TOL + side * self.DELTA)) for side in (-1, 1)]
+
+    def test_audit_flips_across_the_edge(self):
+        family = paper_qubit_family()
+        sd = derivative(family, self.LAM)
+        reports = [
+            audit(family, self.LAM, Povm.from_effects(phased_sld_effects(sd, theta)))
+            for theta in self.thetas()
+        ]
+        gaps = [r.qfi - r.fisher for r in reports]
+        assert gaps == pytest.approx(
+            [OPTIMALITY_TOL - self.DELTA, OPTIMALITY_TOL + self.DELTA], abs=1e-14
+        )
+        assert [r.measurement_optimal for r in reports] == [True, False]
+
+    def test_printed_table_flips_across_the_edge(self, tmp_path, capsys):
+        sd = derivative(paper_qubit_family(), self.LAM)
+        printed = []
+        for theta in self.thetas():
+            effects = [
+                np.stack([e.real, e.imag], axis=-1).tolist() for e in phased_sld_effects(sd, theta)
+            ]
+            config = {
+                "generator": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]],
+                "input_state": [[1.0 / math.sqrt(2.0), 0.0], [1.0 / math.sqrt(2.0), 0.0]],
+                "lambda": self.LAM,
+                "measurement": effects,
+            }
+            path = tmp_path / "edge.json"
+            path.write_text(json.dumps(config))
+            assert main(["audit", "--config", str(path)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert "measurement_optimal = true\n" in printed[0]
+        assert "measurement_optimal = false\n" in printed[1]
 
 
 class TestSweepPhi:
@@ -392,6 +591,31 @@ class TestSweepCsv:
         written = (tmp_path / "columns.csv").read_bytes()
         assert written == (tmp_path / "rows.csv").read_bytes()
         assert written.count(b"\r\n") == len(grid) + 1
+
+
+    def test_each_distinct_value_formats_as_the_per_value_oracle(self, tmp_path):
+        # Signed zeros, repeats, infinities and subnormals, shuffled so that
+        # equal values sit apart; every verdict pair occurs.
+        values = [0.0, -0.0, 1.0, 1.0, 0.1, 1.0 / 3.0, 5e-324, -5e-324, 2.2250738585072014e-308]
+        values += [math.inf, -math.inf, 1e300, -0.0, 0.0, 0.1]
+        order = np.random.default_rng(3).permutation(len(values))
+        column = np.array(values)[order]
+        result = SweepResult(
+            entropy=column.copy(),
+            fisher=column[::-1].copy(),
+            violated=np.arange(len(values)) % 2 == 0,
+            measurement_optimal=np.arange(len(values)) % 4 < 2,
+            qfi=-0.0,
+            seminorm_sq=5e-324,
+            rhs=1.0 / 3.0,
+        )
+        grid = np.array(values)
+        write_sweep_csv(tmp_path / "columns.csv", grid, result)
+        csv_writer_sweep_csv(tmp_path / "rows.csv", grid, list(result))
+        written = (tmp_path / "columns.csv").read_bytes()
+        assert written == (tmp_path / "rows.csv").read_bytes()
+        fields = set(written.decode().replace("\r\n", ",").split(","))
+        assert {"0", "-0", "inf", "-inf", "4.9406564584124654e-324"} <= fields
 
 
 class TestSweepResult:

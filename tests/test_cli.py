@@ -370,6 +370,22 @@ class TestCmdSimulate:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_rounding_level_fisher_information_exits_three(self, tmp_path, capsys):
+        # The same effects at lambda = pi: sin(pi) != 0 leaves F ~ 5e-33, zero to
+        # rounding, which has no Cramer-Rao bound either.
+        effects = [
+            [[[0.5, 0.0], [sign, 0.0]], [[sign, 0.0], [0.5, 0.0]]] for sign in (0.25, -0.25)
+        ]
+        sim = {"n": 1000, "trials": 5, "seed": 1}
+        config = qubit_config(**{"lambda": math.pi, "measurement": effects, "sim": sim})
+        path = write_config(tmp_path, config)
+        out = tmp_path / "trials.csv"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "FlatLikelihoodError: classical Fisher information is zero" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_flat_likelihood_exits_three(self, tmp_path, capsys):
         identity = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
         config = qubit_config(measurement=identity, sim={"n": 100, "trials": 4, "seed": 1})

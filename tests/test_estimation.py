@@ -22,8 +22,9 @@ from fisherlab import (
     sld,
     sld_measurement,
 )
-from fisherlab import estimation
+from fisherlab import estimation, seminorm_bound
 from fisherlab.errors import FlatLikelihoodError
+from fisherlab.metrology import EPS_QFI
 
 TRUE_LAMBDA = 0.7
 QUBIT_INTERVAL = (TRUE_LAMBDA - np.pi / 2.0, TRUE_LAMBDA + np.pi / 2.0)
@@ -121,6 +122,25 @@ ORACLE_CASES = {
     "rotated-1.2": lambda: qubit_case(1.2),
     "d8-sld": d8_sld_case,
 }
+
+
+def row_loop_trials_csv(path, estimates, report, true_lambda, n, seed, interval) -> None:
+    """The per-row writer that the one-write trials CSV replaced, as an oracle."""
+    with open(path, "w", newline="") as handle:
+        handle.write(
+            f"# true_lambda={true_lambda:.17g} n={n} trials={report.trials} seed={seed} "
+            f"interval=({interval[0]:.17g},{interval[1]:.17g})\n"
+        )
+        handle.write("trial,estimate\n")
+        for i, value in enumerate(estimates):
+            handle.write(f"{i},{value:.17g}\n")
+        handle.write(f"summary,{report.empirical_std:.17g}\n")
+
+
+def sigma_x_effects() -> Povm:
+    """Effects ``(I +- sigma_x/2)/2``: on the paper qubit ``F = s / (3 + s)``, ``s = sin^2 lam``."""
+    effects = tuple((np.eye(2) + sign * SIGMA_X / 2.0) / 2.0 for sign in (1.0, -1.0))
+    return Povm.from_effects(effects)
 
 
 def balanced_measurement() -> Povm:
@@ -357,8 +377,7 @@ class TestCrbExperiment:
     def test_zero_fisher_information_raises_before_any_draw(self, monkeypatch):
         # (I +- sigma_x/2)/2 at lambda = 0: <sigma_x> = cos(lambda) is stationary, so
         # F = 0 and the bound 1/sqrt(n F) does not exist, yet the likelihood is not flat.
-        effects = tuple((np.eye(2) + sign * SIGMA_X / 2.0) / 2.0 for sign in (1.0, -1.0))
-        povm = Povm.from_effects(effects)
+        povm = sigma_x_effects()
         assert classical_fisher(povm, derivative(paper_qubit_family(), 0.0)) == 0.0
         record = SampleRecord(counts=np.array([700, 300]), n=1000, seed=1)
         assert math.isfinite(mle_estimate(paper_qubit_family(), povm, record, (-1.5, 1.5)))
@@ -369,6 +388,37 @@ class TestCrbExperiment:
         monkeypatch.setattr(estimation, "_trial_counts", no_draws)
         with pytest.raises(FlatLikelihoodError, match="Fisher information is zero"):
             crb_experiment(paper_qubit_family(), povm, 0.0, n=1000, trials=5, seed=1)
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_fisher_floor_band_edge(self, side, monkeypatch):
+        # F = EPS_QFI * ||h||^2 * (1 -+ 1e-3): at lam ~ 1.7e-6, F ~ lam^2 / 3
+        # carries ~1e-10 relative rounding, far inside the 1e-3 step.
+        family = paper_qubit_family()
+        target = EPS_QFI * seminorm_bound(family) * (1.0 + side * 1e-3)
+        lam = math.asin(math.sqrt(3.0 * target / (1.0 - target)))
+        povm = sigma_x_effects()
+        fisher = classical_fisher(povm, derivative(family, lam))
+        assert fisher == pytest.approx(target, rel=1e-8)
+        if side < 0:
+
+            def no_draws(*args):
+                raise AssertionError("counts were drawn")
+
+            monkeypatch.setattr(estimation, "_trial_counts", no_draws)
+            with pytest.raises(FlatLikelihoodError, match="Fisher information is zero"):
+                crb_experiment(family, povm, lam, n=100, trials=2, seed=1)
+        else:
+            report = crb_experiment(family, povm, lam, n=100, trials=2, seed=1)
+            assert report.crb == 1.0 / math.sqrt(100 * fisher)
+
+    def test_rounding_level_fisher_information_raises(self):
+        # At lam = pi, sin(pi) ~ 1.2e-16 leaves F ~ 5e-33 instead of 0.
+        fisher = classical_fisher(sigma_x_effects(), derivative(paper_qubit_family(), math.pi))
+        assert 0.0 < fisher < 1e-30
+        with pytest.raises(FlatLikelihoodError, match="Fisher information is zero"):
+            crb_experiment(
+                paper_qubit_family(), sigma_x_effects(), math.pi, n=100, trials=2, seed=1
+            )
 
     @pytest.mark.parametrize(
         "settings",
@@ -423,6 +473,25 @@ class TestCrbExperiment:
                 csv_path=path,
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+    def test_csv_bytes_match_the_row_loop_oracle(self, tmp_path):
+        path = tmp_path / "trials.csv"
+        settings = dict(n=200, trials=50, seed=21, search_interval=QUBIT_INTERVAL, csv_path=path)
+        report = crb_experiment(
+            paper_qubit_family(), balanced_measurement(), TRUE_LAMBDA, **settings
+        )
+        rows = path.read_text().splitlines()[2:-1]
+        estimates = np.array([float(row.split(",")[1]) for row in rows])
+        oracle = tmp_path / "oracle.csv"
+        row_loop_trials_csv(oracle, estimates, report, TRUE_LAMBDA, 200, 21, QUBIT_INTERVAL)
+        assert path.read_bytes() == oracle.read_bytes()
+        # Signed zeros, subnormals, infinities and odd settings, written both ways.
+        odd = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 0.1, 1.0 / 3.0, 1e300, -math.inf]
+        args = (np.array(odd), report, -0.0, 7, 2**64, (-math.pi, 5e-324))
+        estimation._write_trials_csv(tmp_path / "odd.csv", *args)
+        row_loop_trials_csv(tmp_path / "odd-oracle.csv", *args)
+        assert (tmp_path / "odd.csv").read_bytes() == (tmp_path / "odd-oracle.csv").read_bytes()
 
 
 class TestScalarOracle:
