@@ -23,13 +23,11 @@ import numpy as np
 
 from .errors import DegenerateGeneratorError, DimMismatchError
 from .measurement import (
-    _COMPLETENESS_TOL,
     OutcomeDistribution,
     Povm,
     _born_terms,
-    _check_complete,
-    _complement,
     _fisher_sum,
+    _plane_terms,
     _q_basis,
     _q_coeffs,
     _rotated_bras,
@@ -128,31 +126,16 @@ class SweepResult(Sequence):
         )
 
 
-def _audit_grid(family: StateFamily, sd: StateAndDerivative, rows, common=None, plane=None):
-    """Audit the G measurements with amplitude rows ``rows`` (``(G, K, r, d)``) at once.
-
-    ``common`` (``(K0, r0, d)``) holds outcome rows every measurement
-    shares; their Born terms are computed once and broadcast. ``rows``
-    act on ``plane`` if given, else on ``sd``. Columns are in grid order.
-    """
+def _audit_grid(family: StateFamily, sd: StateAndDerivative, terms) -> SweepResult:
+    """Audit G measurements from their ``(G, K)`` Born terms, ``terms()``, once ``||h||^2 > 0``."""
     seminorm_sq = seminorm_bound(family)
     if seminorm_sq <= 0.0:
         raise DegenerateGeneratorError("generator seminorm is zero; inequality is undefined")
     fisher_q = qfi(sd)
     rhs = math.log(2.0) * fisher_q / seminorm_sq
-    if len(rows) == 0:
-        entropy = fisher = np.zeros(0)
-    else:
-        terms = _born_terms(rows, sd if plane is None else plane)
-        if common is not None:
-            shared = _born_terms(common, sd)
-            terms = [
-                np.concatenate([t, np.broadcast_to(c, t.shape[:-1] + c.shape)], axis=-1)
-                for t, c in zip(terms, shared)
-            ]
-        probs, dprobs, limits = terms
-        entropy = shannon_entropy(OutcomeDistribution(probs=np.minimum(probs, 1.0), dprobs=dprobs))
-        fisher = _fisher_sum(probs, dprobs, limits)
+    probs, dprobs, limits = terms()
+    entropy = shannon_entropy(OutcomeDistribution(probs=np.minimum(probs, 1.0), dprobs=dprobs))
+    fisher = _fisher_sum(probs, dprobs, limits)
     return SweepResult(
         entropy=entropy,
         fisher=fisher,
@@ -164,34 +147,10 @@ def _audit_grid(family: StateFamily, sd: StateAndDerivative, rows, common=None, 
     )
 
 
-def _audit_plane(family: StateFamily, sd: StateAndDerivative, coeffs, basis=None):
-    """Audit the projective measurements with bras ``coeffs[g] @ basis`` (``(G, 2, 2)``).
-
-    ``basis`` (``(2, d)``) has orthonormal rows; with none, ``coeffs`` are
-    a qubit's bras, checked as one :class:`Povm`. The state pair is
-    projected once, so Born terms are taken in C^2, and the complement
-    ``P`` of the plane is one outcome every point shares. Point g's effect
-    sum minus I is ``V^H (C^H C - I) V + (V^H V + P^H P - I)`` (``V = basis``,
-    ``C = coeffs[g]``). If ``eps`` and ``delta`` bound the entries of
-    ``C^H C - I`` and of the second term, entry (i, j) of the first is at
-    most ``eps (|V_0i| + |V_1i|)(|V_0j| + |V_1j|) <= 2 (1 + delta) eps``, as
-    ``|V_0i|^2 + |V_1i|^2 <= (V^H V + P^H P)_ii <= 1 + delta``. Checks at
-    1e-9/4 apiece keep each point within ``2 (1 + delta) eps + delta < 1e-9``.
-    """
-    rows = coeffs[:, :, None, :]
-    if basis is None:
-        _check_complete(rows)
-        return _audit_grid(family, sd, rows)
-    common = _complement(basis)
-    _check_complete(basis[None, :, None, :], common, tol=_COMPLETENESS_TOL / 4.0)
-    _check_complete(rows, tol=_COMPLETENESS_TOL / 4.0)
-    plane = StateAndDerivative(state=basis @ sd.state, dstate=basis @ sd.dstate, lam=sd.lam)
-    return _audit_grid(family, sd, rows, common, plane)
-
-
 def audit(family: StateFamily, lam: float, povm: Povm) -> AuditReport:
     """Evaluate the inequality for one family, parameter value and POVM."""
-    return _audit_grid(family, derivative(family, lam), povm.rows[None])[0]
+    sd = derivative(family, lam)
+    return _audit_grid(family, sd, lambda: _born_terms(povm.rows[None], sd))[0]
 
 
 def sweep_q(family: StateFamily, lam: float, q_grid) -> SweepResult:
@@ -201,14 +160,16 @@ def sweep_q(family: StateFamily, lam: float, q_grid) -> SweepResult:
     2x2 coefficient matrices in that plane, one result entry per point.
     """
     sd = derivative(family, lam)
-    return _audit_plane(family, sd, _q_coeffs(q_grid), _q_basis(sld(sd), sd.state))
+    coeffs, basis = _q_coeffs(q_grid), _q_basis(sld(sd), sd.state)
+    return _audit_grid(family, sd, lambda: _plane_terms(sd, coeffs, basis))
 
 
 def sweep_phi(family: StateFamily, lam: float, phi_grid) -> SweepResult:
-    """Audit the equatorial qubit measurement over a grid of angles, as one batch."""
+    """Audit the equatorial qubit measurement over a grid of angles, in the qubit's own basis."""
     if family.dim != 2:
         raise DimMismatchError(f"angle sweep needs a qubit family, got dim {family.dim}")
-    return _audit_plane(family, derivative(family, lam), _rotated_bras(phi_grid))
+    sd = derivative(family, lam)
+    return _audit_grid(family, sd, lambda: _plane_terms(sd, _rotated_bras(phi_grid), np.eye(2)))
 
 
 def reproduce_counterexample(lam: float = 0.7) -> AuditReport:

@@ -186,18 +186,19 @@ def _trial_counts(n: int, probs: np.ndarray, seed: int, trials: int) -> np.ndarr
 def sample_outcomes(
     povm: Povm, family: StateFamily, true_lambda: float, n: int, seed: int
 ) -> SampleRecord:
-    """Draw ``n`` outcomes from the POVM at the true parameter value.
+    """Draw ``n`` (an integer) outcomes from the POVM at the true parameter value.
 
     The counts are ``default_rng(seed).multinomial(n, probs)`` bit for
     bit: this is the one-trial case of the draws :func:`crb_experiment`
     makes, which derive every trial's stream in one pass. Tests pin it
     against NumPy's ``default_rng``.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     probs = _sampling_probs(povm, derivative(family, true_lambda))
     counts = _trial_counts(n, probs, seed, 1)[0]
-    return SampleRecord(counts=counts, n=int(n), seed=int(seed))
+    return SampleRecord(counts=counts, n=n, seed=int(seed))
 
 
 def _finite_interval(search_interval) -> tuple:
@@ -356,7 +357,7 @@ def crb_experiment(
     search_interval=None,
     csv_path=None,
 ) -> CrbReport:
-    """Run independent sample/estimate rounds and compare spread to the bound.
+    """Run ``trials`` sample/estimate rounds of ``n`` shots (both integers); compare to the bound.
 
     Trial ``i`` draws its counts from exactly the ``default_rng(seed + i)``
     stream, as :func:`sample_outcomes` would, and its estimate equals
@@ -371,6 +372,7 @@ def crb_experiment(
     rounding and has no bound: it raises :class:`FlatLikelihoodError`
     before any draw.
     """
+    n, trials = operator.index(n), operator.index(trials)
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
     if n < 1:
@@ -395,7 +397,7 @@ def crb_experiment(
         empirical_std=empirical_std,
         crb=crb,
         ratio=empirical_std / crb,
-        trials=int(trials),
+        trials=trials,
     )
     if csv_path is not None:
         _write_trials_csv(csv_path, estimates, report, true_lambda, n, seed, search_interval)

@@ -127,14 +127,15 @@ class OutcomeDistribution:
         dprobs = np.asarray(self.dprobs, dtype=float)
         if probs.shape != dprobs.shape or probs.ndim < 1:
             raise DimMismatchError("probs and dprobs must be arrays of equal shape")
-        # Negated comparisons, so that NaN entries fail the checks too.
-        lowest = probs.min()
+        # Negated comparisons, so that NaN entries fail the checks too; an
+        # empty (0, K) stack passes them, as it passes _check_complete.
+        lowest = probs.min(initial=0.0)
         if not lowest >= -1e-12:
             raise ValueError(f"negative probability {lowest:.3e}")
-        deviation = abs(probs.sum(-1) - 1.0).max()
+        deviation = abs(probs.sum(-1) - 1.0).max(initial=0.0)
         if not deviation <= 1e-9:
             raise ValueError(f"probabilities sum to 1 only within {deviation:.3e}")
-        drift = abs(dprobs.sum(-1)).max()
+        drift = abs(dprobs.sum(-1)).max(initial=0.0)
         if not drift <= 1e-9:
             raise ValueError(f"probability derivatives sum to 0 only within {drift:.3e}")
         object.__setattr__(self, "probs", probs)
@@ -199,13 +200,38 @@ def shannon_entropy(dist):
 def _complement(bras: np.ndarray):
     """Rows ``(1, d, d)`` of the projector onto the complement of span(``bras^H``).
 
-    A projector is its own amplitude row set, since ``P^H P = P``.
-    ``None`` when the bras span the space (dimension <= 2).
+    A projector is its own amplitude row set, since ``P^H P = P``. No rows,
+    ``(0, d, d)``, when the bras span the space (dimension <= 2).
     """
     dim = bras.shape[-1]
     if dim <= 2:
-        return None
+        return np.zeros((0, dim, dim), dtype=complex)
     return (np.eye(dim) - bras.conj().T @ bras)[None]
+
+
+def _plane_terms(sd: StateAndDerivative, coeffs: np.ndarray, basis: np.ndarray):
+    """Born terms ``(G, K)`` of the projective measurements with bras ``coeffs[g] @ basis``.
+
+    ``basis`` (``(2, d)``) has orthonormal rows; ``coeffs`` is ``(G, 2, 2)``. The
+    state pair is projected once, so Born terms are taken in C^2, and the
+    :func:`_complement` ``P`` of the plane, an outcome every point shares
+    when ``d > 2``, is evaluated once in ``d`` dimensions and appended.
+    Point g's effect sum minus I is ``V^H (C^H C - I) V + (V^H V + P^H P - I)``
+    (``V = basis``, ``C = coeffs[g]``). If ``eps`` and ``delta`` bound the
+    entries of ``C^H C - I`` and of the second term, entry (i, j) of the
+    first is at most ``eps (|V_0i| + |V_1i|)(|V_0j| + |V_1j|) <= 2 (1 + delta) eps``,
+    as ``|V_0i|^2 + |V_1i|^2 <= (V^H V + P^H P)_ii <= 1 + delta``. Checks at
+    1e-9/4 apiece keep each point within ``2 (1 + delta) eps + delta < 1e-9``.
+    """
+    rows = coeffs[:, :, None, :]
+    common = _complement(basis)
+    _check_complete(basis[None, :, None, :], common, tol=_COMPLETENESS_TOL / 4.0)
+    _check_complete(rows, tol=_COMPLETENESS_TOL / 4.0)
+    plane = StateAndDerivative(state=basis @ sd.state, dstate=basis @ sd.dstate, lam=sd.lam)
+    return tuple(
+        np.concatenate([t, np.broadcast_to(c, t.shape[:-1] + c.shape)], axis=-1)
+        for t, c in zip(_born_terms(rows, plane), _born_terms(common, sd))
+    )
 
 
 def _complete(bras: np.ndarray) -> Povm:
@@ -215,7 +241,7 @@ def _complete(bras: np.ndarray) -> Povm:
     outcome with the :func:`_complement` rows is appended.
     """
     rest = _complement(bras)
-    if rest is None:
+    if not len(rest):
         return Povm(rows=bras[:, None, :])
     count, dim = bras.shape
     rows = np.zeros((count + 1, dim, dim), dtype=complex)

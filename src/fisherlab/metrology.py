@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeneratorError, StationaryStateError
-from .numerics import hermitian_eig
 from .state_family import StateAndDerivative, StateFamily, derivative
 
 __all__ = [
@@ -65,16 +64,22 @@ class QfiReport:
     ratio: float
 
 
-def qfi(sd: StateAndDerivative) -> float:
-    """Quantum Fisher information ``4<dpsi|dpsi> - 4|<dpsi|psi>|^2``.
+def _tangent(sd: StateAndDerivative) -> np.ndarray:
+    """Component ``t = dpsi - <psi|dpsi> psi`` of the derivative orthogonal to the state.
 
-    Clamped at zero: rounding can push the exact value below zero by
-    ~1e-16 for stationary states.
+    ``4 ||t||^2`` is the QFI ``4<dpsi|dpsi> - 4|<dpsi|psi>|^2`` without its
+    ~(c/gap)^2 eps cancellation for a generator ``c I + h``. One projection
+    leaves ``t`` a component of ~eps c along ``psi``; a second removes it
+    ("twice is enough", Parlett, The Symmetric Eigenvalue Problem).
     """
-    quad = np.vdot(sd.dstate, sd.dstate).real
-    overlap = np.vdot(sd.dstate, sd.state)
-    value = 4.0 * quad - 4.0 * (abs(overlap) ** 2)
-    return max(float(value), 0.0)
+    psi = sd.state
+    once = sd.dstate - np.vdot(psi, sd.dstate) * psi
+    return once - np.vdot(psi, once) * psi
+
+
+def qfi(sd: StateAndDerivative) -> float:
+    """Quantum Fisher information ``4 ||t||^2`` of the :func:`_tangent` ``t``."""
+    return 4.0 * float(np.linalg.norm(_tangent(sd))) ** 2
 
 
 def sld(sd: StateAndDerivative) -> SldData:
@@ -92,10 +97,10 @@ def sld(sd: StateAndDerivative) -> SldData:
             f"QFI = {fisher_q:.3e} <= {EPS_QFI:g}; SLD eigenbasis is undefined"
         )
     psi, dpsi = sd.state, sd.dstate
-    # Component of |dpsi> orthogonal to |psi>; its norm is 1/N. The
-    # tangent keeps this component's phase with no extra rotation, which
-    # pins down |+> and |-> completely.
-    raw_tangent = dpsi - np.vdot(psi, dpsi) * psi
+    # Component of |dpsi> orthogonal to |psi>, the one qfi measures; its
+    # norm is 1/N. The tangent keeps this component's phase with no extra
+    # rotation, which pins down |+> and |-> completely.
+    raw_tangent = _tangent(sd)
     inv_n = np.linalg.norm(raw_tangent)
     normalization = 1.0 / inv_n
     tangent = raw_tangent * normalization
@@ -137,16 +142,16 @@ def optimal_input_state(family: StateFamily) -> np.ndarray:
     DegenerateGeneratorError
         If the generator spectrum is constant (zero seminorm).
     """
-    dec = hermitian_eig(family.generator)
-    spread = float(dec.eigenvalues[-1] - dec.eigenvalues[0])
+    eigvals, eigvecs = family._eigvals, family._eigvecs
+    spread = float(eigvals[-1] - eigvals[0])
     top_tol = 1e-10 * max(1.0, spread)
-    top_index = int(np.flatnonzero(dec.eigenvalues >= dec.eigenvalues[-1] - top_tol)[0])
+    top_index = int(np.flatnonzero(eigvals >= eigvals[-1] - top_tol)[0])
     if spread <= 0.0 or top_index == 0:
         # top_index 0 means the whole spectrum sits within the degeneracy
         # tolerance of the maximum, i.e. it is constant for our purposes
         raise DegenerateGeneratorError("generator spectrum is constant; no optimal input")
-    v_min = dec.eigenvectors[:, 0]
-    v_max = dec.eigenvectors[:, top_index]
+    v_min = eigvecs[:, 0]
+    v_max = eigvecs[:, top_index]
     return (v_min + v_max) / np.sqrt(2.0)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatchError, InvalidStepError
-from .numerics import as_state_vector, hermitian_eig, require_hermitian
+from .numerics import as_state_vector, hermitian_eig
 
 __all__ = [
     "DEFAULT_FD_STEP",
@@ -43,7 +43,8 @@ class StateFamily:
     _eigvecs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        gen = require_hermitian(self.generator)
+        dec = hermitian_eig(self.generator)
+        gen = np.asarray(self.generator, dtype=complex)
         psi = as_state_vector(self.input_state)
         if gen.shape[0] != psi.size:
             raise DimMismatchError(
@@ -53,7 +54,6 @@ class StateFamily:
         # Negated comparisons here and below, so that NaN and Inf entries fail.
         if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"input state is not normalized: ||psi|| = {norm!r}")
-        dec = hermitian_eig(gen)
         object.__setattr__(self, "generator", gen)
         object.__setattr__(self, "input_state", psi)
         object.__setattr__(self, "_eigvals", dec.eigenvalues)

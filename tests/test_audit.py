@@ -25,13 +25,21 @@ from fisherlab.audit import (
     SWEEP_CSV_COLUMNS,
     TOL_AUDIT,
     SweepResult,
-    _audit_plane,
     write_sweep_csv,
 )
 from fisherlab.cli import main
 from fisherlab.errors import DegenerateGeneratorError, DimMismatchError, InvalidQError
-from fisherlab.measurement import EPS_PROB, _check_complete, _complement, _q_coeffs
+from fisherlab.measurement import (
+    EPS_PROB,
+    _born_terms,
+    _check_complete,
+    _complement,
+    _plane_terms,
+    _q_coeffs,
+    _rotated_bras,
+)
 from test_measurement import binary_entropy
+from test_metrology import offset_qubit_family
 
 LN2 = math.log(2.0)
 
@@ -119,6 +127,11 @@ class TestAudit:
         family = StateFamily(generator=np.eye(2), input_state=np.array([1.0, 0.0]))
         with pytest.raises(DegenerateGeneratorError):
             audit(family, 0.0, rotated_qubit_measurement(0.0))
+
+    def test_degenerate_generator_is_reported_before_a_dim_mismatch(self):
+        family = StateFamily(generator=np.eye(2), input_state=np.array([1.0, 0.0]))
+        with pytest.raises(DegenerateGeneratorError):
+            audit(family, 0.0, Povm.from_effects([np.eye(3)]))
 
     def test_rhs_never_exceeds_log_two(self, rng):
         for dim in (2, 3, 6):
@@ -264,6 +277,19 @@ class TestSweepOracle:
             batched = sweep_phi(family, lam, grid)
             assert_reports_agree(batched, per_point_sweep_phi(family, lam, grid))
 
+    def test_phi_plane_terms_equal_the_qubit_row_path_bit_for_bit(self, rng):
+        # The path sweep_phi took before the plane evaluator: the rotated
+        # bras as the qubit's amplitude rows, each point checked at 1e-9.
+        grid = np.concatenate([np.linspace(-np.pi, np.pi, 1997), [0.0, -0.0, 1e-300, -1e-300]])
+        bras = _rotated_bras(grid)
+        rows = bras[:, :, None, :]
+        _check_complete(rows)
+        for family in (paper_qubit_family(), random_family(2, rng)):
+            sd = derivative(family, float(rng.uniform(-np.pi, np.pi)))
+            for old, new in zip(_born_terms(rows, sd), _plane_terms(sd, bras, np.eye(2))):
+                assert new.shape == (2001, 2)
+                assert (new.view(np.uint64) == old.view(np.uint64)).all()
+
     def test_empty_q_grid_keeps_the_shared_scalars_of_an_audit(self, rng):
         family = random_family(8, rng)
         result = sweep_q(family, 0.3, [])
@@ -284,6 +310,33 @@ class TestSweepOracle:
             sweep_q(paper_qubit_family(), 0.7, grid)
 
 
+class TestOffsetGeneratorVerdicts:
+    """``|+>`` under ``diag(c, c + gap)`` with ``c/gap`` of 1e5 and 1e6 sits at the optimal input.
+
+    The SLD measurement has entropy ``ln 2 = rhs`` and ``F = F_Q``, so it
+    neither violates nor misses optimality, and every q-family member is
+    optimal; all three hold only while ``F_Q`` keeps the gap's precision.
+    """
+
+    def sld_report(self, offset, gap):
+        family = offset_qubit_family(offset, gap)
+        return audit(family, 0.7, sld_measurement(sld(derivative(family, 0.7))))
+
+    def test_sld_measurement_does_not_violate(self):
+        report = self.sld_report(100.0, 0.001)
+        assert report.rhs <= LN2 + TOL_AUDIT and report.violated is False
+
+    def test_sld_measurement_is_optimal(self):
+        assert self.sld_report(1e4, 0.01).measurement_optimal is True
+
+    def test_q_sweep_passes_its_completeness_checks(self):
+        # A uniform grid: below EPS_PROB the limit branch's overshoot
+        # 4 q <psi|h|psi>^2 grows with the offset, as documented.
+        result = sweep_q(offset_qubit_family(1000.0, 0.001), 0.7, np.linspace(0.0, 1.0, 2001))
+        assert result.measurement_optimal.all()
+        assert np.flatnonzero(~result.violated).tolist() == [1000]
+
+
 class TestSweepPerPointChecks:
     def test_nan_angle_fails_its_completeness_check(self):
         grid = np.linspace(-np.pi, np.pi, 2001)
@@ -295,6 +348,11 @@ class TestSweepPerPointChecks:
         family = StateFamily(generator=np.eye(2), input_state=np.array([1.0, 0.0]))
         with pytest.raises(DegenerateGeneratorError):
             sweep_phi(family, 0.0, np.linspace(0.0, 1.0, 11))
+
+    def test_degenerate_generator_is_reported_before_completeness(self):
+        family = StateFamily(generator=np.eye(2), input_state=np.array([1.0, 0.0]))
+        with pytest.raises(DegenerateGeneratorError):
+            sweep_phi(family, 0.0, [0.0, np.nan])
 
     @pytest.mark.parametrize("excess, complete", [(0.9e-9, True), (1.1e-9, False)])
     def test_completeness_band_edge_at_one_point_deep_in_the_grid(self, excess, complete):
@@ -322,7 +380,7 @@ def plane_qubit_in_eight_dims() -> StateFamily:
 
 
 class TestPlaneCompleteness:
-    """The plane path gives its basis check and each point's check 1e-9/4 apiece.
+    """The plane evaluator gives its basis check and each point's check 1e-9/4 apiece.
 
     The family's plane is span{|0>, |1>}, so the basis is two rows of the
     identity. Grid point 1500 is q = 0, whose coefficients are a swap, so
@@ -342,29 +400,28 @@ class TestPlaneCompleteness:
     def basis(self) -> np.ndarray:
         return np.eye(8, dtype=complex)[:2]
 
-    def audit_plane(self, coeffs, basis):
-        family = plane_qubit_in_eight_dims()
-        return _audit_plane(family, derivative(family, self.LAM), coeffs, basis)
+    def plane_terms(self, coeffs, basis):
+        return _plane_terms(derivative(plane_qubit_in_eight_dims(), self.LAM), coeffs, basis)
 
     @pytest.mark.parametrize("offset, complete", [(-1e-11, True), (1e-11, False)])
     def test_coefficient_band_edge_at_one_point_deep_in_the_grid(self, offset, complete):
         coeffs = self.coeffs()
         coeffs[1500, 0] *= np.sqrt(1.0 + self.BUDGET + offset)
         if complete:
-            assert len(self.audit_plane(coeffs, self.basis())) == 2001
+            assert self.plane_terms(coeffs, self.basis())[0].shape == (2001, 3)
         else:
             with pytest.raises(ValueError, match="identity"):
-                self.audit_plane(coeffs, self.basis())
+                self.plane_terms(coeffs, self.basis())
 
     @pytest.mark.parametrize("offset, complete", [(-1e-11, True), (1e-11, False)])
     def test_basis_band_edge(self, offset, complete):
         basis = self.basis()
         basis[1] *= np.sqrt(1.0 + self.BUDGET + offset)
         if complete:
-            assert len(self.audit_plane(self.coeffs(), basis)) == 2001
+            assert self.plane_terms(self.coeffs(), basis)[0].shape == (2001, 3)
         else:
             with pytest.raises(ValueError, match="identity"):
-                self.audit_plane(self.coeffs(), basis)
+                self.plane_terms(self.coeffs(), basis)
 
     def test_both_checks_at_their_edge_keep_the_point_within_its_budget(self):
         # The derived bound 2 (1 + delta) eps + delta <= 1e-9 on an instance:
@@ -374,7 +431,7 @@ class TestPlaneCompleteness:
         coeffs, basis = self.coeffs(), self.basis()
         coeffs[1500, 0] *= scale
         basis[1] *= scale
-        assert len(self.audit_plane(coeffs, basis)) == 2001
+        assert self.plane_terms(coeffs, basis)[0].shape == (2001, 3)
         rows = (coeffs[1500] @ basis)[None, :, None, :]
         _check_complete(rows, _complement(basis))
 
@@ -639,8 +696,10 @@ class TestSweepResult:
                 column[0] = 0
 
     def test_empty_grid_gives_an_empty_result(self):
-        result = sweep_q(paper_qubit_family(), 0.7, [])
-        assert len(result) == 0 and list(result) == []
-        assert result.qfi == pytest.approx(1.0) and result.rhs == pytest.approx(LN2)
-        with pytest.raises(IndexError):
-            result[0]
+        for sweep in (sweep_q, sweep_phi):
+            result = sweep(paper_qubit_family(), 0.7, [])
+            assert len(result) == 0 and list(result) == []
+            assert result.entropy.shape == result.fisher.shape == (0,)
+            assert result.qfi == pytest.approx(1.0) and result.rhs == pytest.approx(LN2)
+            with pytest.raises(IndexError):
+                result[0]

@@ -172,6 +172,17 @@ class TestSampleOutcomes:
         with pytest.raises(ValueError):
             sample_outcomes(balanced_measurement(), paper_qubit_family(), TRUE_LAMBDA, 0, seed=1)
 
+    @pytest.mark.parametrize("n", [100.5, 100.0, np.float64(100.0)])
+    def test_rejects_non_integer_n(self, n):
+        with pytest.raises(TypeError):
+            sample_outcomes(balanced_measurement(), paper_qubit_family(), TRUE_LAMBDA, n, seed=1)
+
+    def test_accepts_numpy_integer_n(self):
+        args = (balanced_measurement(), paper_qubit_family(), TRUE_LAMBDA)
+        record = sample_outcomes(*args, np.int64(1000), seed=9)
+        assert record.counts.tolist() == sample_outcomes(*args, 1000, seed=9).counts.tolist()
+        assert type(record.n) is int
+
     def test_record_validates_counts(self):
         with pytest.raises(ValueError):
             SampleRecord(counts=np.array([3, 4]), n=10, seed=0)
@@ -441,6 +452,19 @@ class TestCrbExperiment:
             crb_experiment(
                 paper_qubit_family(), balanced_measurement(), TRUE_LAMBDA, n=10, trials=1, seed=1
             )
+
+    @pytest.mark.parametrize("settings", [dict(n=100.5, trials=3), dict(n=100, trials=3.0)])
+    def test_rejects_non_integer_counts(self, settings):
+        with pytest.raises(TypeError):
+            crb_experiment(
+                paper_qubit_family(), balanced_measurement(), TRUE_LAMBDA, seed=1, **settings
+            )
+
+    def test_accepts_numpy_integer_counts(self):
+        args = (paper_qubit_family(), balanced_measurement(), TRUE_LAMBDA)
+        report = crb_experiment(*args, n=np.int64(100), trials=np.int64(3), seed=1)
+        assert report == crb_experiment(*args, n=100, trials=3, seed=1)
+        assert type(report.trials) is int
 
     def test_csv_emission(self, tmp_path):
         path = tmp_path / "trials.csv"

@@ -158,6 +158,10 @@ class TestBatchedDistributions:
         with pytest.raises(ValueError, match="derivatives"):
             OutcomeDistribution(probs=probs, dprobs=dprobs)
 
+    def test_an_empty_stack_is_valid(self):
+        dist = OutcomeDistribution(probs=np.zeros((0, 3)), dprobs=np.zeros((0, 3)))
+        assert dist.probs.shape == (0, 3) and shannon_entropy(dist).shape == (0,)
+
     def test_entropy_of_a_stack_is_the_entropy_of_each_row(self):
         probs = np.array([[0.5, 0.5, 0.0], [0.3, 0.7, 0.0], [1.0, 0.0, 0.0]])
         stacked = shannon_entropy(probs)

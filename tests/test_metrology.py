@@ -58,6 +58,40 @@ class TestQfi:
             )
 
 
+
+def offset_qubit_family(offset: float, gap: float) -> StateFamily:
+    """``|+>`` under ``diag(offset, offset + gap)``: F_Q is the squared gap at every lam."""
+    generator = np.diag([offset, offset + gap])
+    return StateFamily(generator=generator, input_state=np.array([1.0, 1.0]) / np.sqrt(2.0))
+
+
+# (offset, gap) pairs with offset/gap from 1e5 to 1e6.
+OFFSET_GAPS = [(100.0, 0.001), (1000.0, 0.001), (1e4, 0.01), (3.0, 3e-6), (1e6, 1.0)]
+
+
+class TestOffsetGenerator:
+    """A generator ``c I + h`` moves the state only through ``h``.
+
+    ``4<dpsi|dpsi> - 4|<dpsi|psi>|^2`` cancels two terms of size ~c^2 and
+    loses ~(c/gap)^2 eps; the projected tangent keeps ~(c/gap) eps.
+    """
+
+    @pytest.mark.parametrize("offset, gap", OFFSET_GAPS)
+    def test_qfi_keeps_the_precision_of_the_gap(self, offset, gap):
+        family = offset_qubit_family(offset, gap)
+        squared_gap = float((family.generator[1, 1] - family.generator[0, 0]).real) ** 2
+        for lam in np.linspace(-3.0, 3.0, 13):
+            relative = abs(qfi(derivative(family, lam)) / squared_gap - 1.0)
+            assert relative <= 1e-15 * offset / gap
+
+    @pytest.mark.parametrize("offset, gap", OFFSET_GAPS)
+    def test_sld_tangent_is_orthogonal_and_sets_the_qfi(self, offset, gap):
+        sd = derivative(offset_qubit_family(offset, gap), 0.7)
+        sldd = sld(sd)
+        assert abs(np.vdot(sd.state, sldd.tangent)) <= 1e-15
+        assert qfi(sd) == pytest.approx(4.0 / sldd.normalization**2, rel=1e-15)
+
+
 class TestSld:
     def test_qubit_normalization_and_eigenvalues(self):
         sldd = sld(derivative(paper_qubit_family(), 0.0))
@@ -162,6 +196,13 @@ class TestOptimalInputState:
         family = StateFamily(generator=np.eye(2), input_state=np.array([1.0, 0.0]))
         with pytest.raises(DegenerateGeneratorError):
             optimal_input_state(family)
+
+    def test_reads_the_family_decomposition(self, monkeypatch, rng):
+        family = random_family(5, rng)
+        dec = hermitian_eig(family.generator)
+        expected = (dec.eigenvectors[:, 0] + dec.eigenvectors[:, -1]) / np.sqrt(2.0)
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        assert (optimal_input_state(family) == expected).all()
 
     def test_diagonal_generator_attains_bound(self):
         gen = np.diag([3.0, 1.0, 0.0])

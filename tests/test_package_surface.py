@@ -49,3 +49,4 @@ def test_test_only_names_are_gone():
         assert not hasattr(povm, attribute)
     with pytest.raises(TypeError):
         fisherlab.Povm.from_effects(tuple(povm.rows.conj().swapaxes(1, 2) @ povm.rows), ("+", "-"))
+    assert not hasattr(fisherlab.audit, "_audit_plane")

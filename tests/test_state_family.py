@@ -29,6 +29,21 @@ class TestConstruction:
         with pytest.raises(DimMismatchError):
             StateFamily(generator=np.eye(3), input_state=np.array([1.0, 0.0]))
 
+    def test_checks_and_decomposes_the_generator_once(self, monkeypatch, rng):
+        import fisherlab.numerics as numerics
+        import fisherlab.state_family as state_family
+
+        calls = []
+        check, eigh = numerics.require_hermitian, np.linalg.eigh
+        counted = lambda m: calls.append("check") or check(m)  # noqa: E731
+        for module in (numerics, state_family):
+            monkeypatch.setattr(module, "require_hermitian", counted, raising=False)
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append("eigh") or eigh(m))
+        state = rng.normal(size=4) + 1j * rng.normal(size=4)
+        state /= np.linalg.norm(state)
+        StateFamily(generator=np.diag([0.0, 1.0, 2.0, 3.0]), input_state=state)
+        assert calls == ["check", "eigh"]
+
     def test_rejects_non_hermitian_generator(self):
         with pytest.raises(NonHermitianError):
             StateFamily(
