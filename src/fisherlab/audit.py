@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import stat
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -192,8 +194,22 @@ def reproduce_counterexample(lam: float = 0.7) -> AuditReport:
 def _formatted(column) -> list:
     """``.17g`` text of a float column, formatting each distinct bit pattern (so -0.0 too) once."""
     bits, inverse = np.unique(np.asarray(column, dtype=float).view(np.uint64), return_inverse=True)
-    texts = np.array([f"{value:.17g}" for value in bits.view(float).tolist()], dtype=object)
-    return texts[inverse].tolist()
+    texts = ("%.17g," * len(bits) % tuple(bits.view(float).tolist())).split(",")
+    return np.array(texts[:-1], dtype=object)[inverse].tolist()
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` over the old bytes of ``path``, then trim a regular file to its length.
+
+    ``open(path, "w")`` would truncate to zero first, and on ext4 that makes
+    the close push the whole file to storage; an in-place overwrite stays
+    in the page cache. Devices and pipes, such as ``/dev/null``, are not trimmed.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", newline="") as handle:
+        handle.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            handle.truncate()
 
 
 def write_sweep_csv(path, param_values, result: SweepResult) -> None:
@@ -201,6 +217,7 @@ def write_sweep_csv(path, param_values, result: SweepResult) -> None:
 
     Rows end in ``\\r\\n``, as the ``csv`` module writes them; no field
     needs quoting. Float columns are formatted once per distinct value.
+    An existing file is overwritten in place and trimmed to the new length.
     """
     values = np.asarray(param_values, dtype=float)
     if len(values) != len(result):
@@ -211,6 +228,4 @@ def write_sweep_csv(path, param_values, result: SweepResult) -> None:
     columns = [_formatted(values), _formatted(result.entropy), _formatted(result.fisher)]
     columns.append(tails[2 * result.violated + result.measurement_optimal].tolist())
     lines = [f"{value},{entropy},{fisher}{tail}" for value, entropy, fisher, tail in zip(*columns)]
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(SWEEP_CSV_COLUMNS) + "\r\n")
-        handle.write("".join(lines))
+    _write_text(path, ",".join(SWEEP_CSV_COLUMNS) + "\r\n" + "".join(lines))

@@ -372,6 +372,8 @@ def cmd_audit(args) -> int:
         raise ConfigError("audit needs exactly one of 'measurement' or 'sweep'")
 
     if has_measurement:
+        if args.out is not None:
+            raise ConfigError("--out is for sweep audits; a single audit prints its table")
         report = audit(family, config.lam, build_povm(config, family))
         _print_audit_table(report, args.bits)
         if args.fail_on_violation and report.violated:
@@ -462,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser("audit", help="evaluate the entropy inequality")
     p_audit.add_argument("--config", required=True, help="path to JSON config")
-    p_audit.add_argument("--out", help="CSV output path (required for sweeps)")
+    p_audit.add_argument("--out", help="CSV output path (sweeps only; required there)")
     p_audit.add_argument(
         "--fail-on-violation",
         action="store_true",

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audit import _write_text
 from .errors import DimMismatchError, FlatLikelihoodError
 from .measurement import Povm, classical_fisher, outcome_distribution
 from .metrology import EPS_QFI, seminorm_bound
@@ -366,11 +367,12 @@ def crb_experiment(
     against NumPy's ``default_rng``. When ``csv_path`` is given, the
     per-trial estimates are written as CSV with the settings echoed in a
     leading ``#`` comment line and a final summary row holding the
-    empirical standard deviation. A Fisher information at ``true_lambda``
-    of at most ``EPS_QFI * ||h||^2`` (the SLD's stationarity threshold
-    relative to the ceiling in ``F <= F_Q <= ||h||^2``) is zero to
-    rounding and has no bound: it raises :class:`FlatLikelihoodError`
-    before any draw.
+    empirical standard deviation; an existing file is overwritten in
+    place and trimmed to the new length. A Fisher information at
+    ``true_lambda`` of at most ``EPS_QFI * ||h||^2`` (the SLD's
+    stationarity threshold relative to the ceiling in
+    ``F <= F_Q <= ||h||^2``) is zero to rounding and has no bound: it
+    raises :class:`FlatLikelihoodError` before any draw.
     """
     n, trials = operator.index(n), operator.index(trials)
     if trials < 2:
@@ -406,9 +408,9 @@ def crb_experiment(
 
 def _write_trials_csv(path, estimates, report, true_lambda, n, seed, interval) -> None:
     rows = "".join([f"{i},{value:.17g}\n" for i, value in enumerate(estimates.tolist())])
-    with open(path, "w", newline="") as handle:
-        handle.write(
-            f"# true_lambda={true_lambda:.17g} n={n} trials={report.trials} seed={seed} "
-            f"interval=({interval[0]:.17g},{interval[1]:.17g})\n"
-            f"trial,estimate\n{rows}summary,{report.empirical_std:.17g}\n"
-        )
+    _write_text(
+        path,
+        f"# true_lambda={true_lambda:.17g} n={n} trials={report.trials} seed={seed} "
+        f"interval=({interval[0]:.17g},{interval[1]:.17g})\n"
+        f"trial,estimate\n{rows}summary,{report.empirical_std:.17g}\n",
+    )

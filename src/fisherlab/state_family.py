@@ -83,9 +83,10 @@ class StateAndDerivative:
             raise DimMismatchError("state and dstate dims differ")
         if not abs(np.linalg.norm(state) - 1.0) <= _NORM_TOL:
             raise ValueError("state is not normalized")
-        # Norm preservation makes <state|dstate> purely imaginary.
-        overlap = np.vdot(state, dstate)
-        if not abs(overlap.real) <= 1e-9:
+        # Norm preservation makes <state|dstate> purely imaginary; rounding grows with
+        # ||dstate||. Negated and capped, so that NaN and Inf entries fail.
+        overlap, band = np.vdot(state, dstate), 1e-9 * max(1.0, np.linalg.norm(dstate))
+        if not abs(overlap.real) <= band < math.inf:
             raise ValueError(f"Re<state|dstate> = {overlap.real:.3e}, expected 0")
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "dstate", dstate)

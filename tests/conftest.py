@@ -4,6 +4,8 @@ Random generators are scaled to unit spectral radius so finite-difference
 truncation constants stay O(1) and tolerances hold uniformly across dims.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,25 @@ def paper_qubit_family() -> StateFamily:
 def povm_effects(povm) -> np.ndarray:
     """Effect matrices ``E_a = rows[a]^H rows[a]`` of a POVM, shape ``(K, d, d)``."""
     return povm.rows.conj().swapaxes(1, 2) @ povm.rows
+
+
+def assert_overwrites_in_place(path, write, expected: bytes) -> None:
+    """``write(path)`` over a longer, then a shorter, file leaves exactly ``expected``.
+
+    The file keeps its inode and mode, and a hard link to it sees the new bytes.
+    """
+    link = path.with_name(path.name + ".link")
+    path.write_bytes(b"#")
+    os.link(path, link)
+    path.chmod(0o640)
+    before = os.stat(path)
+    for old in (b"#" * (2 * len(expected) + 100), b"#" * (len(expected) // 2)):
+        path.write_bytes(old)
+        write(path)
+        assert path.read_bytes() == expected
+        assert link.read_bytes() == expected
+        after = os.stat(path)
+        assert (after.st_ino, after.st_mode, after.st_nlink) == (before.st_ino, before.st_mode, 2)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, spectral_radius: float = 1.0) -> np.ndarray:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SIGMA_X, paper_qubit_family, random_family
+from conftest import SIGMA_X, assert_overwrites_in_place, paper_qubit_family, random_family
 from fisherlab import (
     Povm,
     StateFamily,
@@ -25,6 +25,7 @@ from fisherlab.audit import (
     SWEEP_CSV_COLUMNS,
     TOL_AUDIT,
     SweepResult,
+    _formatted,
     write_sweep_csv,
 )
 from fisherlab.cli import main
@@ -649,14 +650,23 @@ class TestSweepCsv:
         assert written == (tmp_path / "rows.csv").read_bytes()
         assert written.count(b"\r\n") == len(grid) + 1
 
+    def test_overwrites_an_existing_file_in_place(self, tmp_path, rng):
+        grid = BENCH_Q_GRID[::10]
+        result = sweep_q(random_family(8, rng), 0.3, grid)
+        csv_writer_sweep_csv(tmp_path / "rows.csv", grid, list(result))
+        expected = (tmp_path / "rows.csv").read_bytes()
+        write = lambda path: write_sweep_csv(path, grid, result)  # noqa: E731
+        assert_overwrites_in_place(tmp_path / "sweep.csv", write, expected)
 
     def test_each_distinct_value_formats_as_the_per_value_oracle(self, tmp_path):
         # Signed zeros, repeats, infinities and subnormals, shuffled so that
         # equal values sit apart; every verdict pair occurs.
         values = [0.0, -0.0, 1.0, 1.0, 0.1, 1.0 / 3.0, 5e-324, -5e-324, 2.2250738585072014e-308]
-        values += [math.inf, -math.inf, 1e300, -0.0, 0.0, 0.1]
+        values += [math.inf, -math.inf, 1e300, -0.0, 0.0, 0.1, -2.225073858507201e-308]
         order = np.random.default_rng(3).permutation(len(values))
         column = np.array(values)[order]
+        assert _formatted(column) == [f"{value:.17g}" for value in column.tolist()]
+        assert _formatted(column[:0]) == []
         result = SweepResult(
             entropy=column.copy(),
             fisher=column[::-1].copy(),

@@ -1,13 +1,16 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import povm_effects
+import fisherlab.audit
 import fisherlab.cli
+import fisherlab.estimation
 import fisherlab.metrology
 import fisherlab.state_family
 from fisherlab import derivative, qfi_report, sld
@@ -308,6 +311,15 @@ class TestCmdAudit:
             assert float(row[1]) == pytest.approx(binary_entropy(q), abs=1e-9)
             assert row[7] == "true"
 
+    def test_single_audit_rejects_out(self, tmp_path, capsys):
+        path = write_config(tmp_path, qubit_config(measurement="rotated:phi=0.7"))
+        out = tmp_path / "single.csv"
+        assert main(["audit", "--config", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and "--out" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_sweep_without_out_path_exits_two(self, tmp_path):
         config = qubit_config(sweep={"param": "q", "grid": [0.5]})
         path = write_config(tmp_path, config)
@@ -418,6 +430,50 @@ class TestCmdSimulate:
         assert main(["simulate", "--config", path]) == 0
         assert "wrote" not in capsys.readouterr().out
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def csv_command(tmp_path, command):
+    """argv, without ``--out``, of a small sweep audit or simulation."""
+    if command == "audit":
+        config = qubit_config(sweep={"param": "q", "grid": [0.0, 0.3, 1.0]})
+    else:
+        config = qubit_config(measurement="sld", sim={"n": 100, "trials": 4, "seed": 1})
+    return [command, "--config", write_config(tmp_path, config)]
+
+
+@pytest.mark.parametrize("command", ["audit", "simulate"])
+class TestCsvOutputs:
+    def test_writes_in_place_without_truncating_first(self, tmp_path, monkeypatch, command):
+        flags, path_opens = [], []
+        os_open, builtin_open = os.open, open
+
+        def recording_os_open(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return os_open(path, flag, *args, **kwargs)
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if not isinstance(file, int):
+                path_opens.append((file, mode))
+            return builtin_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_os_open)
+        for module in (fisherlab.audit, fisherlab.estimation):
+            monkeypatch.setattr(module, "open", recording_open, raising=False)
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"#" * 100_000)
+        assert main(csv_command(tmp_path, command) + ["--out", str(out)]) == 0
+        assert flags and not any(flag & os.O_TRUNC for flag in flags)
+        assert path_opens == []
+        assert len(out.read_bytes()) < 100_000
+
+    def test_dev_null_is_accepted(self, tmp_path, capsys, command):
+        assert main(csv_command(tmp_path, command) + ["--out", os.devnull]) == 0
+        assert f"to {os.devnull}" in capsys.readouterr().out
+
+    def test_directory_exits_two(self, tmp_path, capsys, command):
+        assert main(csv_command(tmp_path, command) + ["--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and captured.out == ""
 
 
 class TestCmdGolden:

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SIGMA_X, haar_basis, paper_qubit_family, random_family
+from conftest import (
+    SIGMA_X,
+    assert_overwrites_in_place,
+    haar_basis,
+    paper_qubit_family,
+    random_family,
+)
 from fisherlab import (
     Povm,
     SampleRecord,
@@ -516,6 +522,15 @@ class TestCrbExperiment:
         estimation._write_trials_csv(tmp_path / "odd.csv", *args)
         row_loop_trials_csv(tmp_path / "odd-oracle.csv", *args)
         assert (tmp_path / "odd.csv").read_bytes() == (tmp_path / "odd-oracle.csv").read_bytes()
+
+    def test_csv_overwrites_an_existing_file_in_place(self, tmp_path):
+        family, povm = paper_qubit_family(), balanced_measurement()
+        report = crb_experiment(family, povm, TRUE_LAMBDA, n=200, trials=8, seed=21)
+        args = (np.linspace(0.6, 0.8, 8), report, TRUE_LAMBDA, 200, 21, QUBIT_INTERVAL)
+        row_loop_trials_csv(tmp_path / "oracle.csv", *args)
+        expected = (tmp_path / "oracle.csv").read_bytes()
+        write = lambda path: estimation._write_trials_csv(path, *args)  # noqa: E731
+        assert_overwrites_in_place(tmp_path / "trials.csv", write, expected)
 
 
 class TestScalarOracle:

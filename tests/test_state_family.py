@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from conftest import paper_qubit_family, random_family
 from fisherlab import (
+    StateAndDerivative,
     StateFamily,
     derivative,
     evaluate,
@@ -117,6 +118,43 @@ class TestDerivative:
         for dim in (2, 5):
             sd = derivative(random_family(dim, rng), 0.8)
             assert abs(np.vdot(sd.state, sd.dstate).real) <= 1e-9
+
+
+class TestStateAndDerivative:
+    @pytest.mark.parametrize("offset", [1e8, 1e10])
+    def test_large_generator_offsets_are_accepted(self, offset):
+        # |+> under diag(c, c + 1): Re<psi|dpsi> rounds to ~c * 4e-17, once
+        # over the old absolute band of 1e-9.
+        plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        family = StateFamily(generator=np.diag([offset, offset + 1.0]), input_state=plus)
+        sd = derivative(family, 0.7)
+        assert abs(np.vdot(sd.state, sd.dstate).real) <= 1e-15 * np.linalg.norm(sd.dstate)
+
+    @pytest.mark.parametrize(
+        "size, real, accepted",
+        [
+            (1e6, 0.999e-3, True),
+            (1e6, -0.999e-3, True),
+            (1e6, 1.001e-3, False),
+            (1e6, -1.001e-3, False),
+            (0.5, 0.999e-9, True),
+            (0.5, 1.001e-9, False),
+        ],
+    )
+    def test_overlap_band_edge(self, size, real, accepted):
+        # ||dstate|| = size to the last bit; the band is 1e-9 * max(1, size).
+        state, dstate = np.array([1.0, 0.0]), np.array([real, 1j * size])
+        if accepted:
+            StateAndDerivative(state=state, dstate=dstate, lam=0.0)
+        else:
+            with pytest.raises(ValueError, match=r"Re<state\|dstate>"):
+                StateAndDerivative(state=state, dstate=dstate, lam=0.0)
+
+    @pytest.mark.parametrize("dstate", [[math.inf, 1j], [math.nan, 1j], [1.7e308, 1.7e308]])
+    def test_non_finite_or_overflowing_dstate_is_rejected(self, dstate):
+        # The last overlap overflows to inf, and so does the band it is held to.
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"Re<state\|dstate>"):
+            StateAndDerivative(state=np.array([0.6, 0.8]), dstate=np.array(dstate), lam=0.0)
 
 
 class TestFiniteDifference:
