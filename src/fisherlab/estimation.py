@@ -271,6 +271,8 @@ def _mle(
     if povm.dim != family.dim:
         raise DimMismatchError("POVM dim does not match family dim")
     vecs, eigvals = family._eigvecs, family._eigvals
+    # From the spectrum's midpoint: an offset h + cI is a global phase.
+    eigvals = eigvals - 0.5 * (eigvals[0] + eigvals[-1])
     # Amplitude weights in the generator eigenbasis and their first two
     # lambda-derivatives, computed once.
     weights = (povm.rows @ vecs) * (vecs.conj().T @ family.input_state)

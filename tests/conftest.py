@@ -4,6 +4,7 @@ Random generators are scaled to unit spectral radius so finite-difference
 truncation constants stay O(1) and tolerances hold uniformly across dims.
 """
 
+import gc
 import os
 
 import numpy as np
@@ -87,3 +88,13 @@ def haar_basis(rng: np.random.Generator, dim: int = 2, count: int | None = None)
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260811)
+
+
+@pytest.fixture(autouse=True)
+def collector_left_as_found():
+    """Fail a test that ends with the cyclic garbage collector disabled when it began enabled."""
+    enabled = gc.isenabled()
+    yield
+    if enabled and not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import os
@@ -93,6 +94,64 @@ class TestConfigParsing:
 
         with pytest.raises(ConfigError, match="bell"):
             build_povm(config, build_family(config))
+
+
+def explicit_config_text(dim: int) -> str:
+    """A ``dim``-level config measured in the computational basis, given as explicit effects."""
+    effects = np.zeros((dim, dim, dim))
+    effects[np.arange(dim), np.arange(dim), np.arange(dim)] = 1.0
+    fields = {
+        "generator": np.diag(np.arange(dim, dtype=float)),
+        "input_state": np.full(dim, dim**-0.5),
+        "measurement": effects,
+    }
+    config = {key: np.stack([a, np.zeros_like(a)], axis=-1).tolist() for key, a in fields.items()}
+    return json.dumps({**config, "lambda": 0.7})
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            (json.dumps(qubit_config()), None),
+            ("{\n  broken\n}", "invalid JSON"),
+            (json.dumps(qubit_config(**{"lambda": "0.7"})), "lambda"),
+            ('{"generator": ' + "[" * 10**5 + "]" * 10**5 + "}", "nested too deeply"),
+        ],
+        ids=["valid", "json-syntax", "parse-config", "deep-nesting"],
+    )
+    def test_collector_state_is_restored(self, enabled, text, problem):
+        was_enabled = gc.isenabled()
+        gc.enable() if enabled else gc.disable()
+        try:
+            if problem is None:
+                parse_config_text(text)
+            else:
+                with pytest.raises(ConfigError, match=problem):
+                    parse_config_text(text)
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+
+    def test_no_collection_runs_while_a_large_config_is_read(self):
+        # d = 32 explicit effects decode to ~34,000 lists; with the
+        # collector running, reading them triggers ~50 collections.
+        text = explicit_config_text(32)
+        starts = []
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.callbacks.append(record)
+        try:
+            config = parse_config_text(text)
+        finally:
+            gc.callbacks.remove(record)
+        assert len(config.measurement) == 32
+        assert starts == []
 
 
 def sweep_config(grid) -> dict:
@@ -610,6 +669,17 @@ class TestExitCodes:
         assert main(["audit", "--config", path, "--fail-on-violation"]) == 2
         captured = capsys.readouterr()
         assert f"config error: ConfigError: measurement spec {spec!r}: key {key!r}" in captured.err
+        assert captured.out == ""
+
+    def test_deeply_nested_config_exits_two_without_output(self, tmp_path, capsys):
+        # The JSON decoder raises RecursionError on nesting this deep.
+        path = tmp_path / "config.json"
+        path.write_text('{"generator": ' + "[" * 10**5 + "]" * 10**5 + "}")
+        assert main(["qfi", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "config error: ConfigError: config is nested too deeply to decode\n"
+        )
         assert captured.out == ""
 
     def test_boolean_state_entries_exit_two_without_output(self, tmp_path, capsys):

@@ -643,6 +643,24 @@ class TestClosedForm:
             assert abs(estimate - closed_form_estimates(povm, record.counts)) <= CLOSED_FORM_TOL
 
 
+class TestGeneratorOffset:
+    @pytest.mark.parametrize("offset", [1e2, 1e4, 1e6, 1e8])
+    def test_estimates_ignore_an_offset_bit_for_bit(self, offset):
+        # h + cI multiplies the state by a global phase, so the likelihood
+        # of fixed counts, and with it every estimate, must not move.
+        family = paper_qubit_family()
+        povm = sld_measurement(sld(derivative(family, TRUE_LAMBDA)))
+        n, trials, seed = 10**4, 100, 11
+        counts = estimation._trial_counts(n, sampling_probs(family, povm), seed, trials)
+        shifted = StateFamily(
+            generator=np.diag([offset + 0.5, offset - 0.5]).astype(complex),
+            input_state=family.input_state,
+        )
+        want = estimation._mle(family, povm, counts, n, *QUBIT_INTERVAL)
+        got = estimation._mle(shifted, povm, counts, n, *QUBIT_INTERVAL)
+        assert got.tolist() == want.tolist()
+
+
 def count_score_calls(monkeypatch) -> list:
     """Record each call of the per-step score helper of the Newton iteration."""
     calls = []
