@@ -152,7 +152,7 @@ def _audit_grid(family: StateFamily, sd: StateAndDerivative, terms) -> SweepResu
 def audit(family: StateFamily, lam: float, povm: Povm) -> AuditReport:
     """Evaluate the inequality for one family, parameter value and POVM."""
     sd = derivative(family, lam)
-    return _audit_grid(family, sd, lambda: _born_terms(povm.rows[None], sd))[0]
+    return _audit_grid(family, sd, lambda: _born_terms(povm.rows[None], sd.state, sd.tangent))[0]
 
 
 def sweep_q(family: StateFamily, lam: float, q_grid) -> SweepResult:

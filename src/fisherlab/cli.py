@@ -282,6 +282,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
             data = _DECODER.decode(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        except ValueError as exc:  # an integer literal past Python's digit limit
+            raise ConfigError(f"config has a number that cannot be decoded: {exc}")
         except RecursionError:
             raise ConfigError("config is nested too deeply to decode")
         return parse_config(data)

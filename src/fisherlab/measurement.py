@@ -10,9 +10,10 @@ below is what keeps those cases correct.
 
 Every measurement is stored as amplitude rows ``M_a`` with
 ``E_a = M_a^H M_a``, and statistics come from the amplitudes ``M_a psi``
-and ``M_a dpsi``: ``p_a = |M_a psi|^2`` keeps full relative precision
-where ``<psi|E_a|psi>`` on a dense effect would lose it to cancellation,
-and the limit term is ``4 |M_a dpsi|^2``.
+and ``M_a t`` of the state and its tangent ``t`` (see
+:class:`~fisherlab.state_family.StateAndDerivative`): ``p_a = |M_a psi|^2``
+keeps full relative precision where ``<psi|E_a|psi>`` on a dense effect
+would lose it to cancellation, and the limit term is ``4 |M_a t|^2``.
 
 Shannon entropies are in nats throughout (natural log).
 """
@@ -142,22 +143,22 @@ class OutcomeDistribution:
         object.__setattr__(self, "dprobs", dprobs)
 
 
-def _born_terms(rows: np.ndarray, sd: StateAndDerivative):
-    """Per-outcome ``p``, ``dp`` and vanishing-probability limit ``4 |M_a dpsi|^2``.
+def _born_terms(rows: np.ndarray, state: np.ndarray, tangent: np.ndarray):
+    """Per-outcome ``p``, ``dp`` and vanishing-probability limit ``4 |M_a t|^2``.
 
     ``rows`` has shape ``(..., K, r, d)``; the results have shape
-    ``(..., K)``. With amplitudes ``A = M_a psi`` and ``dA = M_a dpsi``,
+    ``(..., K)``. With amplitudes ``A = M_a psi`` and ``dA = M_a t``,
     ``p = |A|^2`` and ``dp = 2 Re(conj(dA) A)``, each summed over the
     outcome's rows. Working on amplitudes keeps ``p`` accurate to
     relative rounding even when the state is nearly orthogonal to the
     outcome.
     """
-    if rows.shape[-1] != sd.dim:
-        raise DimMismatchError(f"POVM dim {rows.shape[-1]} does not match state dim {sd.dim}")
+    if rows.shape[-1] != state.size:
+        raise DimMismatchError(f"POVM dim {rows.shape[-1]} does not match state dim {state.size}")
     # Real views interleave (Re, Im), so row sums of products give
     # sum_r |A|^2, sum_r Re(conj(dA) A) and sum_r |dA|^2.
-    amps = (rows @ sd.state).view(float)
-    damps = (rows @ sd.dstate).view(float)
+    amps = (rows @ state).view(float)
+    damps = (rows @ tangent).view(float)
     return (amps * amps).sum(-1), 2.0 * (damps * amps).sum(-1), 4.0 * (damps * damps).sum(-1)
 
 
@@ -168,8 +169,8 @@ def _fisher_sum(probs, dprobs, limits):
 
 
 def outcome_distribution(povm: Povm, sd: StateAndDerivative) -> OutcomeDistribution:
-    """Born-rule probabilities ``<psi|E|psi>`` and derivatives ``2 Re<dpsi|E|psi>``."""
-    probs, dprobs, _ = _born_terms(povm.rows, sd)
+    """Born-rule probabilities ``<psi|E|psi>`` and derivatives ``2 Re<t|E|psi>``."""
+    probs, dprobs, _ = _born_terms(povm.rows, sd.state, sd.tangent)
     return OutcomeDistribution(probs=np.minimum(probs, 1.0), dprobs=dprobs)
 
 
@@ -177,11 +178,9 @@ def classical_fisher(povm: Povm, sd: StateAndDerivative) -> float:
     """Fisher information of the POVM's outcome distribution.
 
     Sums ``(dp_a)^2 / p_a``, replacing each vanishing-probability term
-    (``p_a <= EPS_PROB``) with its limit ``4 |M_a dpsi|^2 = 4 <dpsi|E_a|dpsi>``.
-    That exceeds ``(dp_a)^2 / p_a`` by ``4 p_a <psi|h|psi>^2``; on the q family,
-    ``F - F_Q <= 4 min(q, 1-q) <psi|h|psi>^2 + 1e-14 * 4 <psi|h^2|psi>``.
+    (``p_a <= EPS_PROB``) with its limit ``4 |M_a t|^2 = 4 <t|E_a|t>``.
     """
-    return float(_fisher_sum(*_born_terms(povm.rows, sd)))
+    return float(_fisher_sum(*_born_terms(povm.rows, sd.state, sd.tangent)))
 
 
 def shannon_entropy(dist):
@@ -213,7 +212,7 @@ def _plane_terms(sd: StateAndDerivative, coeffs: np.ndarray, basis: np.ndarray):
     """Born terms ``(G, K)`` of the projective measurements with bras ``coeffs[g] @ basis``.
 
     ``basis`` (``(2, d)``) has orthonormal rows; ``coeffs`` is ``(G, 2, 2)``. The
-    state pair is projected once, so Born terms are taken in C^2, and the
+    state and tangent are projected once, so Born terms are taken in C^2, and the
     :func:`_complement` ``P`` of the plane, an outcome every point shares
     when ``d > 2``, is evaluated once in ``d`` dimensions and appended.
     Point g's effect sum minus I is ``V^H (C^H C - I) V + (V^H V + P^H P - I)``
@@ -227,10 +226,10 @@ def _plane_terms(sd: StateAndDerivative, coeffs: np.ndarray, basis: np.ndarray):
     common = _complement(basis)
     _check_complete(basis[None, :, None, :], common, tol=_COMPLETENESS_TOL / 4.0)
     _check_complete(rows, tol=_COMPLETENESS_TOL / 4.0)
-    plane = StateAndDerivative(state=basis @ sd.state, dstate=basis @ sd.dstate, lam=sd.lam)
+    plane = _born_terms(rows, basis @ sd.state, basis @ sd.tangent)
     return tuple(
         np.concatenate([t, np.broadcast_to(c, t.shape[:-1] + c.shape)], axis=-1)
-        for t, c in zip(_born_terms(rows, plane), _born_terms(common, sd))
+        for t, c in zip(plane, _born_terms(common, sd.state, sd.tangent))
     )
 
 

@@ -2,13 +2,13 @@
 
 For a pure state ``|psi>`` with derivative ``|dpsi>`` the SLD is
 
-    L = 2 |psi><dpsi| + 2 |dpsi><psi|,
+    L = 2 |psi><dpsi| + 2 |dpsi><psi| = 2 |psi><t| + 2 |t><psi|,
 
-a rank-2 Hermitian operator supported on span{|psi>, |perp>}, where
-``|perp>`` is the normalized component of ``|dpsi>`` orthogonal to
-``|psi>``. Its nonzero eigenvalues are ``+-2/N`` with eigenstates
-``(|psi> +- |perp>)/sqrt(2)``, and the QFI satisfies ``F_Q = 4/N**2``
-for the normalization ``N = 1/||(1 - |psi><psi|) |dpsi>||``.
+with the tangent ``t = dpsi - <psi|dpsi> psi`` (``<psi|dpsi>`` is
+imaginary): a rank-2 Hermitian operator supported on span{|psi>, |perp>},
+where ``|perp> = t/||t||``. Its nonzero eigenvalues are ``+-2/N`` with
+eigenstates ``(|psi> +- |perp>)/sqrt(2)``, and the QFI satisfies
+``F_Q = 4/N**2`` for the normalization ``N = 1/||t||``.
 """
 
 from __future__ import annotations
@@ -64,22 +64,13 @@ class QfiReport:
     ratio: float
 
 
-def _tangent(sd: StateAndDerivative) -> np.ndarray:
-    """Component ``t = dpsi - <psi|dpsi> psi`` of the derivative orthogonal to the state.
-
-    ``4 ||t||^2`` is the QFI ``4<dpsi|dpsi> - 4|<dpsi|psi>|^2`` without its
-    ~(c/gap)^2 eps cancellation for a generator ``c I + h``. One projection
-    leaves ``t`` a component of ~eps c along ``psi``; a second removes it
-    ("twice is enough", Parlett, The Symmetric Eigenvalue Problem).
-    """
-    psi = sd.state
-    once = sd.dstate - np.vdot(psi, sd.dstate) * psi
-    return once - np.vdot(psi, once) * psi
-
-
 def qfi(sd: StateAndDerivative) -> float:
-    """Quantum Fisher information ``4 ||t||^2`` of the :func:`_tangent` ``t``."""
-    return 4.0 * float(np.linalg.norm(_tangent(sd))) ** 2
+    """Quantum Fisher information ``4 ||t||^2`` of the tangent ``t = sd.tangent``.
+
+    It equals ``4<dpsi|dpsi> - 4|<dpsi|psi>|^2`` without that form's
+    ~(c/gap)^2 eps cancellation for a generator ``c I + h``.
+    """
+    return 4.0 * float(np.linalg.norm(sd.tangent)) ** 2
 
 
 def sld(sd: StateAndDerivative) -> SldData:
@@ -96,16 +87,13 @@ def sld(sd: StateAndDerivative) -> SldData:
         raise StationaryStateError(
             f"QFI = {fisher_q:.3e} <= {EPS_QFI:g}; SLD eigenbasis is undefined"
         )
-    psi, dpsi = sd.state, sd.dstate
-    # Component of |dpsi> orthogonal to |psi>, the one qfi measures; its
-    # norm is 1/N. The tangent keeps this component's phase with no extra
-    # rotation, which pins down |+> and |-> completely.
-    raw_tangent = _tangent(sd)
-    inv_n = np.linalg.norm(raw_tangent)
-    normalization = 1.0 / inv_n
-    tangent = raw_tangent * normalization
+    psi, t = sd.state, sd.tangent
+    # ||t||, the norm qfi measures, is 1/N. The unit tangent keeps the phase
+    # of t with no extra rotation, which pins down |+> and |-> completely.
+    normalization = 1.0 / np.linalg.norm(t)
+    tangent = t * normalization
 
-    sld_matrix = 2.0 * np.outer(psi, dpsi.conj()) + 2.0 * np.outer(dpsi, psi.conj())
+    sld_matrix = 2.0 * np.outer(psi, t.conj()) + 2.0 * np.outer(t, psi.conj())
     plus_state = (psi + tangent) / np.sqrt(2.0)
     minus_state = (psi - tangent) / np.sqrt(2.0)
     eigenvalue = 2.0 / normalization

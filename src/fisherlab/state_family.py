@@ -68,13 +68,18 @@ class StateFamily:
 class StateAndDerivative:
     """A state ``|psi_lam>`` bundled with its parameter derivative.
 
-    Keeping the pair together prevents mismatched (state, dstate) bugs in
-    the information functionals, which always consume both.
+    The information functionals read ``tangent``, the component
+    ``t = dpsi - <psi|dpsi> psi`` of the derivative orthogonal to the
+    state, and never ``dstate``: a generator ``h + cI`` adds ``-ic psi``
+    to ``dpsi``, a global phase that ``t`` drops. ``dstate`` stays the raw
+    derivative, which acceptance criterion 7 checks against finite
+    differences.
     """
 
     state: np.ndarray
     dstate: np.ndarray
     lam: float
+    tangent: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         state = as_state_vector(self.state)
@@ -88,12 +93,13 @@ class StateAndDerivative:
         overlap, band = np.vdot(state, dstate), 1e-9 * max(1.0, np.linalg.norm(dstate))
         if not abs(overlap.real) <= band < math.inf:
             raise ValueError(f"Re<state|dstate> = {overlap.real:.3e}, expected 0")
+        # One projection leaves a component of ~eps c along the state for a
+        # generator h + cI; a second removes it ("twice is enough", Parlett,
+        # The Symmetric Eigenvalue Problem).
+        once = dstate - overlap * state
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "dstate", dstate)
-
-    @property
-    def dim(self) -> int:
-        return self.state.size
+        object.__setattr__(self, "tangent", once - np.vdot(state, once) * state)
 
 
 def evaluate(family: StateFamily, lam: float) -> np.ndarray:

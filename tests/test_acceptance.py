@@ -172,7 +172,7 @@ def test_criterion_8_brute_force_measurement_search():
         # Outcome a of a basis projects on column a, whose amplitude row is
         # its conjugate: one (10^4, 2, 1, 2) row stack for all bases.
         rows = bases.conj().transpose(0, 2, 1)[:, :, None, :]
-        fishers = _fisher_sum(*_born_terms(rows, sd))
+        fishers = _fisher_sum(*_born_terms(rows, sd.state, sd.tangent))
         best = float(fishers.max())
         elapsed = time.perf_counter() - start
         # The per-basis scalar path stays as the oracle on a prefix.

@@ -287,7 +287,8 @@ class TestSweepOracle:
         _check_complete(rows)
         for family in (paper_qubit_family(), random_family(2, rng)):
             sd = derivative(family, float(rng.uniform(-np.pi, np.pi)))
-            for old, new in zip(_born_terms(rows, sd), _plane_terms(sd, bras, np.eye(2))):
+            old_terms = _born_terms(rows, sd.state, sd.tangent)
+            for old, new in zip(old_terms, _plane_terms(sd, bras, np.eye(2))):
                 assert new.shape == (2001, 2)
                 assert (new.view(np.uint64) == old.view(np.uint64)).all()
 
@@ -331,11 +332,11 @@ class TestOffsetGeneratorVerdicts:
         assert self.sld_report(1e4, 0.01).measurement_optimal is True
 
     def test_q_sweep_passes_its_completeness_checks(self):
-        # A uniform grid: below EPS_PROB the limit branch's overshoot
-        # 4 q <psi|h|psi>^2 grows with the offset, as documented.
-        result = sweep_q(offset_qubit_family(1000.0, 0.001), 0.7, np.linspace(0.0, 1.0, 2001))
+        # The bench grid reaches q = 1e-12, deep in the limit branch.
+        result = sweep_q(offset_qubit_family(1000.0, 0.001), 0.7, BENCH_Q_GRID)
         assert result.measurement_optimal.all()
-        assert np.flatnonzero(~result.violated).tolist() == [1000]
+        assert np.flatnonzero(~result.violated).tolist() == [900]
+        assert BENCH_Q_GRID[900] == 0.5
 
 
 class TestSweepPerPointChecks:
@@ -440,10 +441,10 @@ class TestPlaneCompleteness:
 class TestEpsProbBandEdge:
     """The small q-family outcome switches to its vanishing-probability limit at EPS_PROB.
 
-    That outcome has ``p = min(q, 1 - q)``. Its limit term ``4 |M dpsi|^2``
-    exceeds ``dp^2 / p`` by ``4 p <psi|h|psi>^2``, so F is continuous
-    across the switch to that amount, and ``F - F_Q`` stays below it plus
-    rounding of the terms' size ``4 <psi|h^2|psi> = 4 ||dpsi||^2``.
+    That outcome has ``p = min(q, 1 - q)``. Its limit term ``4 |M t|^2`` of
+    the tangent ``t`` equals ``dp^2 / p`` on the q family, so F is
+    continuous across the switch and ``F - F_Q`` is rounding of the terms'
+    size ``4 ||dpsi||^2`` alone.
     """
 
     SIDES = np.array([1.0 - 1e-6, 1.0 + 1e-6])
@@ -458,40 +459,33 @@ class TestEpsProbBandEdge:
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_both_paths_are_continuous_across_the_switch(self, dim, rng):
         grid = self.grid()
-        small = np.minimum(grid, 1.0 - grid)
         for _ in range(5):
             family = random_family(dim, rng)
             lam = float(rng.uniform(0.0, 2.0 * np.pi))
             sd = derivative(family, lam)
             sldd = sld(sd)
-            mean_h = np.vdot(sd.state, family.generator @ sd.state).real
             scale = 4.0 * np.vdot(sd.dstate, sd.dstate).real
             plane = sweep_q(family, lam, grid).fisher
             rows = np.array(
                 [audit(family, lam, q_family_measurement(sldd, sd.state, q)).fisher for q in grid]
             )
-            overshoot = np.where(small <= EPS_PROB, 4.0 * small * mean_h**2, 0.0)
             for fisher in (plane, rows):
-                excess = fisher - qfi(sd) - overshoot
-                assert np.abs(excess).max() <= 1e-14 * scale
-                assert (fisher - qfi(sd) <= 4.0 * small * mean_h**2 + 1e-14 * scale).all()
-                jump = 4.0 * EPS_PROB * mean_h**2 + 1e-14 * scale
-                assert abs(fisher[0] - fisher[1]) <= jump
-                assert abs(fisher[2] - fisher[3]) <= jump
+                assert np.abs(fisher - qfi(sd)).max() <= 1e-14 * scale
+                assert abs(fisher[0] - fisher[1]) <= 1e-14 * scale
+                assert abs(fisher[2] - fisher[3]) <= 1e-14 * scale
             assert np.abs(plane - rows).max() <= 1e-12
 
-    def test_overshoot_is_visible_on_a_shifted_generator(self):
-        # sigma_z/2 + 3 I on the paper qubit: <psi|h|psi> = 3, so the limit
-        # term adds 36 p, far above rounding; just above EPS_PROB it is gone.
-        family = StateFamily(
-            generator=np.diag([3.5, 2.5]).astype(complex),
-            input_state=np.array([1.0, 1.0]) / np.sqrt(2.0),
-        )
+    def test_shifted_generator_gives_the_same_fisher_column(self):
+        # sigma_z/2 + 3 I on the paper qubit: the shift is a global phase,
+        # so both limit and regular terms match the unshifted family.
+        state = np.array([1.0, 1.0]) / np.sqrt(2.0)
         grid = self.grid()
-        small = np.minimum(grid, 1.0 - grid)
-        result = sweep_q(family, 0.7, grid)
-        expected = np.where(small <= EPS_PROB, 36.0 * small, 0.0)
-        assert result.fisher - result.qfi == pytest.approx(expected, abs=1e-14)
+        columns = [
+            sweep_q(StateFamily(generator=np.diag(diagonal), input_state=state), 0.7, grid).fisher
+            for diagonal in ([3.5, 2.5], [0.5, -0.5])
+        ]
+        assert np.abs(columns[0] - columns[1]).max() <= 1e-15
+        assert np.abs(columns[0] - 1.0).max() <= 1e-15
 
 
 def phased_sld_effects(sd, theta: float) -> list:

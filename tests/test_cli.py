@@ -682,6 +682,20 @@ class TestExitCodes:
         )
         assert captured.out == ""
 
+    def test_overlong_integer_config_exits_two_without_output(self, tmp_path, capsys):
+        # Python converts integer literals of at most 4,300 digits by default.
+        path = tmp_path / "config.json"
+        generator = [[["DIGITS", 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]
+        text = json.dumps(qubit_config(generator=generator))
+        path.write_text(text.replace('"DIGITS"', "1" * 5001))
+        assert main(["qfi", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "config error: ConfigError: config has a number that cannot be decoded: "
+        )
+        assert "4300 digits" in captured.err
+        assert captured.out == ""
+
     def test_boolean_state_entries_exit_two_without_output(self, tmp_path, capsys):
         # JSON true/false are not numbers, although Python's bool is an int.
         path = write_config(tmp_path, qubit_config(input_state=[[True, 0], [0, False]]))

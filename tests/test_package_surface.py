@@ -1,7 +1,9 @@
 """The public surface: every exported name resolves, and removed names stay gone."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -50,3 +52,16 @@ def test_test_only_names_are_gone():
     with pytest.raises(TypeError):
         fisherlab.Povm.from_effects(tuple(povm.rows.conj().swapaxes(1, 2) @ povm.rows), ("+", "-"))
     assert not hasattr(fisherlab.audit, "_audit_plane")
+
+
+def test_only_state_family_reads_the_raw_derivative():
+    # Every functional reads the gauge-fixed ``tangent``; ``dstate`` holds
+    # the global-phase part of a generator offset h + cI.
+    readers = [
+        path.name
+        for path in Path(fisherlab.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "dstate"
+    ]
+    assert set(readers) <= {"state_family.py"}
+    assert not hasattr(fisherlab.metrology, "_tangent")
