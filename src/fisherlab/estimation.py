@@ -7,13 +7,10 @@ compares the empirical spread of the estimates with the bound
 for large shot counts the ratio should hover just above 1.
 
 All trials run as one batch. The outcome distribution at the true
-parameter is computed once; trial ``i`` draws its counts from exactly
-the ``default_rng(seed + i)`` stream. Those streams are derived for all
-trials in one pass: NumPy's ``SeedSequence`` hash (NEP 19) runs over
-every trial's seed words at once in uint32 array arithmetic, PCG64's
-``setseq_128`` seeding step turns each result into a starting state,
-and one reused generator draws from each state in turn. Tests pin the
-counts against NumPy's own ``default_rng``.
+parameter is computed once, and every trial's counts come from one
+multinomial draw on the one ``default_rng(seed)`` stream: row ``i`` of
+that draw is trial ``i``. A longer run extends a shorter one, and
+adjacent seeds give independent runs.
 
 The likelihood and its first two derivatives are evaluated from
 amplitude weights in the generator eigenbasis, precomputed once per
@@ -22,7 +19,7 @@ safeguarded Newton iteration on the score refines every trial in
 lockstep. Each trial converges to the likelihood's
 maximum to rounding (1e-12 of the closed-form estimate on the paper
 qubit), in about four steps. Every reduction is per trial, so trial
-``i``'s estimate depends only on (settings, seed + i): it is the same
+``i``'s estimate depends only on (settings, seed, i): it is the same
 bit for bit whether it runs alone or in a batch of any size, and a
 report is a pure function of (settings, seed).
 
@@ -91,97 +88,26 @@ def _sampling_probs(povm: Povm, sd: StateAndDerivative) -> np.ndarray:
     return dist.probs / dist.probs.sum()
 
 
-# NumPy's SeedSequence hash (NEP 19): pool size, hash and mix constants.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_MASK32 = 0xFFFFFFFF
-# The 128-bit LCG multiplier of PCG64 (O'Neill's setseq_128).
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """``init * mult**k mod 2**32`` for ``k = 0..count``, as a uint32 column."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's ``hashmix`` under ``len(consts) - 1`` successive hash constants.
-
-    Call ``k`` xors with ``consts[k]`` and multiplies by ``consts[k + 1]``;
-    ``values`` broadcasts against the calls along the first axis.
-    """
-    values = (values ^ consts[:-1]) * consts[1:]
-    return values ^ values >> _XSHIFT
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    mixed = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return mixed ^ mixed >> _XSHIFT
-
-
-def _pcg64_states(seed: int, trials: int) -> list:
-    """PCG64 ``(state, inc)`` pairs that ``default_rng(seed + i)`` starts from, ``i < trials``.
-
-    Runs SeedSequence's ``mix_entropy`` and ``generate_state(4, uint64)``
-    for every trial at once in uint32 array arithmetic, one column per
-    trial, then PCG64's seeding step ``pcg_setseq_128_srandom_r``.
-    """
-    width = max(_POOL_SIZE, -(-(seed + trials - 1).bit_length() // 32))
-    raw = b"".join((seed + i).to_bytes(4 * width, "little") for i in range(trials))
-    words = np.frombuffer(raw, dtype="<u4").reshape(trials, width).T.astype(np.uint32)
-    consts = _hash_constants(_INIT_A, _MULT_A, 4 * width)
-    # SeedSequence hashes a 0 into each pool slot past a seed's last word,
-    # so zero padding to the pool size is exact.
-    pool = _hashmix(words[:_POOL_SIZE], consts[: _POOL_SIZE + 1])
-    used = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        dst = [slot for slot in range(_POOL_SIZE) if slot != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[used : used + len(dst) + 1]))
-        used += len(dst)
-    for k in range(_POOL_SIZE, width):
-        # A word past the pool mixes into every slot, for the seeds that have it.
-        mixed = _mix(pool, _hashmix(words[k], consts[used : used + _POOL_SIZE + 1]))
-        pool = np.where(words[k:].any(0), mixed, pool)
-        used += _POOL_SIZE
-    out = _hashmix(np.tile(pool, (2, 1)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
-    # uint64 word j is out[2j] | out[2j + 1] << 32, whatever the byte order.
-    out = out.astype(np.uint64)
-    state_hi, state_lo, seq_hi, seq_lo = (out[0::2] | out[1::2] << 32).tolist()
-    states = []
-    for a, b, c, d in zip(state_hi, state_lo, seq_hi, seq_lo):
-        inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        states.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128, inc))
-    return states
-
-
 def _trial_counts(n: int, probs: np.ndarray, seed: int, trials: int) -> np.ndarray:
     """Multinomial counts of ``trials`` trials, shape ``(trials, len(probs))``.
 
-    Row ``i`` is ``default_rng(seed + i).multinomial(n, probs)`` bit for
-    bit: the starting states of all those streams are derived in one
-    pass and set in turn on a single reused generator.
+    One draw from one stream: ``default_rng(seed).multinomial(n, probs,
+    size=trials)``, whose row ``i`` is trial ``i``. Rows are drawn in
+    order, so a longer run extends a shorter one and row 0 is the
+    ``trials = 1`` draw that :func:`sample_outcomes` makes. Adjacent seeds
+    give unrelated streams, so runs over seeds 1, 2, 3 ... are
+    independent.
+
+    NumPy's multinomial draws each count as a binomial, and for ``p > 1/2``
+    it draws the failures, so moving ``p`` by one ulp across 1/2 mirrors
+    every count about ``n/2``. The SLD measurement samples at exactly
+    ``p = (1/2, 1/2)``, so a rounding-level change of the state (such as
+    a global phase) can reflect every estimate about the truth.
     """
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    generator = np.random.Generator(np.random.PCG64(0))
-    rows = []
-    for state, inc in _pcg64_states(seed, trials):
-        generator.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        rows.append(generator.multinomial(n, probs))
-    return np.array(rows)
+    return np.random.default_rng(seed).multinomial(n, probs, size=trials)
 
 
 def sample_outcomes(
@@ -190,9 +116,8 @@ def sample_outcomes(
     """Draw ``n`` (an integer) outcomes from the POVM at the true parameter value.
 
     The counts are ``default_rng(seed).multinomial(n, probs)`` bit for
-    bit: this is the one-trial case of the draws :func:`crb_experiment`
-    makes, which derive every trial's stream in one pass. Tests pin it
-    against NumPy's ``default_rng``.
+    bit: the one-trial case of the draw :func:`crb_experiment` makes, so
+    they equal that experiment's trial 0 at the same seed.
     """
     n = operator.index(n)
     if n < 1:
@@ -362,11 +287,10 @@ def crb_experiment(
 ) -> CrbReport:
     """Run ``trials`` sample/estimate rounds of ``n`` shots (both integers); compare to the bound.
 
-    Trial ``i`` draws its counts from exactly the ``default_rng(seed + i)``
-    stream, as :func:`sample_outcomes` would, and its estimate equals
-    :func:`mle_estimate` on those counts. The streams of all trials are
-    derived in one pass (see the module docstring); tests pin them
-    against NumPy's ``default_rng``. When ``csv_path`` is given, the
+    Trial ``i``'s counts are row ``i`` of one
+    ``default_rng(seed).multinomial(n, probs, size=trials)`` draw (trial 0
+    is :func:`sample_outcomes` at ``seed``), and its estimate equals
+    :func:`mle_estimate` on those counts. When ``csv_path`` is given, the
     per-trial estimates are written as CSV with the settings echoed in a
     leading ``#`` comment line and a final summary row holding the
     empirical standard deviation; an existing file is overwritten in

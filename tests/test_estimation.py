@@ -81,10 +81,11 @@ def scalar_mle_estimate(family, povm, record, search_interval):
     return 0.5 * (a + b)
 
 
-def scalar_trial_estimates(family, povm, true_lambda, n, trials, seed, search_interval):
+def scalar_trial_estimates(family, povm, n, trials, seed, search_interval):
+    counts = stream_counts(n, sampling_probs(family, povm), seed, trials)
     estimates = np.empty(trials)
     for i in range(trials):
-        record = sample_outcomes(povm, family, true_lambda, n, seed + i)
+        record = SampleRecord(counts=counts[i], n=n, seed=seed)
         estimates[i] = scalar_mle_estimate(family, povm, record, search_interval)
     return estimates
 
@@ -194,9 +195,10 @@ class TestSampleOutcomes:
             SampleRecord(counts=np.array([3, 4]), n=10, seed=0)
 
 
-def reference_counts(n, probs, seed, trials):
-    """Counts from one freshly seeded ``default_rng(seed + i)`` per trial."""
-    return np.stack([np.random.default_rng(seed + i).multinomial(n, probs) for i in range(trials)])
+def stream_counts(n, probs, seed, trials):
+    """Counts of ``trials`` single multinomial draws in turn from one ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    return np.stack([rng.multinomial(n, probs) for _ in range(trials)])
 
 
 def sampling_probs(family, povm):
@@ -222,11 +224,11 @@ STREAM_PROBS = {"qubit-K2": qubit_probs, "haar-d8-K8": haar8_probs}
 
 
 class TestTrialStreams:
-    """Trial ``i`` draws exactly the ``default_rng(seed + i)`` stream.
+    """Trial ``i`` is the ``i``-th draw in turn from the one ``default_rng(seed)`` stream.
 
-    The windows cross the seeds' 1 -> 2, 2 -> 3 and 4 -> 5 word
-    boundaries of SeedSequence's 32-bit entropy words, and 2**200 runs
-    its loop over words past the 4-word pool.
+    The seeds cross the 1 -> 2, 2 -> 3 and 4 -> 5 word boundaries of
+    SeedSequence's 32-bit entropy words, and 2**200 goes past its 4-word
+    pool.
     """
 
     @pytest.mark.parametrize("n", [1, 10**4, 2**62], ids=["n1", "n1e4", "n2pow62"])
@@ -240,7 +242,7 @@ class TestTrialStreams:
         probs = STREAM_PROBS[case]()
         counts = estimation._trial_counts(n, probs, seed, 100)
         assert counts.dtype == np.int64
-        np.testing.assert_array_equal(counts, reference_counts(n, probs, seed, 100))
+        np.testing.assert_array_equal(counts, stream_counts(n, probs, seed, 100))
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**160), trials=st.integers(1, 6))
@@ -248,15 +250,25 @@ class TestTrialStreams:
         probs = np.array([0.25, 0.5, 0.25])
         np.testing.assert_array_equal(
             estimation._trial_counts(1000, probs, seed, trials),
-            reference_counts(1000, probs, seed, trials),
+            stream_counts(1000, probs, seed, trials),
         )
 
     def test_sample_outcomes_draws_the_seed_stream(self):
         family, povm, _ = qubit_case(None)
         record = sample_outcomes(povm, family, TRUE_LAMBDA, 10**4, seed=2**64 + 3)
         np.testing.assert_array_equal(
-            record.counts, reference_counts(10**4, qubit_probs(), 2**64 + 3, 1)[0]
+            record.counts, stream_counts(10**4, qubit_probs(), 2**64 + 3, 1)[0]
         )
+
+    @pytest.mark.parametrize("case", sorted(STREAM_PROBS))
+    @pytest.mark.parametrize("seed", [0, 11, 2**64 - 1])
+    def test_adjacent_seeds_give_independent_runs(self, seed, case):
+        # Trial i of seed s + 1 must not be trial i + 1 of seed s.
+        probs = STREAM_PROBS[case]()
+        n, trials = 10**4, 100
+        later = estimation._trial_counts(n, probs, seed + 1, trials)
+        earlier = estimation._trial_counts(n, probs, seed, trials)
+        assert not np.array_equal(later[:-1], earlier[1:])
 
     def test_rejects_negative_seed(self):
         family, povm, _ = qubit_case(None)
@@ -540,7 +552,7 @@ class TestScalarOracle:
         family, povm, interval = ORACLE_CASES[case]()
         trials, seed = 12, 31
         report, estimates = batched_run(tmp_path, family, povm, n, trials, seed, interval)
-        reference = scalar_trial_estimates(family, povm, TRUE_LAMBDA, n, trials, seed, interval)
+        reference = scalar_trial_estimates(family, povm, n, trials, seed, interval)
         assert np.max(np.abs(estimates - reference)) <= ORACLE_TOL
         crb = 1.0 / math.sqrt(n * classical_fisher(povm, derivative(family, TRUE_LAMBDA)))
         # Shifting each estimate by at most ORACLE_TOL moves the sample std
@@ -557,8 +569,9 @@ class TestBatchInvariance:
         family, povm, interval = ORACLE_CASES[case]()
         n, trials, seed = 10**4, 10, 404
         _, estimates = batched_run(tmp_path, family, povm, n, trials, seed, interval)
+        counts = stream_counts(n, sampling_probs(family, povm), seed, trials)
         for i, value in enumerate(estimates):
-            record = sample_outcomes(povm, family, TRUE_LAMBDA, n, seed + i)
+            record = SampleRecord(counts=counts[i], n=n, seed=seed)
             assert value == mle_estimate(family, povm, record, interval)
 
     def test_longer_run_extends_a_shorter_one(self, tmp_path):
@@ -592,11 +605,10 @@ class TestBatchInvariance:
         crb_experiment(family, povm, TRUE_LAMBDA, n=n, trials=trials, seed=seed)
         (counts,) = seen
         assert counts.shape == (trials, len(povm))
-        reference = reference_counts(n, sampling_probs(family, povm), seed, trials)
-        for i in range(trials):
-            want = sample_outcomes(povm, family, TRUE_LAMBDA, n, seed + i).counts
-            assert counts[i].tolist() == want.tolist()
-            assert counts[i].tolist() == reference[i].tolist()
+        reference = stream_counts(n, sampling_probs(family, povm), seed, trials)
+        assert counts.tolist() == reference.tolist()
+        want = sample_outcomes(povm, family, TRUE_LAMBDA, n, seed).counts
+        assert counts[0].tolist() == want.tolist()
 
 
 def closed_form_estimates(povm, counts):
@@ -626,10 +638,7 @@ class TestClosedForm:
         trials = 20
         for seed in (3, 1001, 52_117):
             _, estimates = batched_run(tmp_path, family, povm, n, trials, seed, QUBIT_INTERVAL)
-            counts = [
-                sample_outcomes(povm, family, TRUE_LAMBDA, n, seed + i).counts
-                for i in range(trials)
-            ]
+            counts = stream_counts(n, sampling_probs(family, povm), seed, trials)
             want = closed_form_estimates(povm, counts)
             assert np.max(np.abs(estimates - want)) <= CLOSED_FORM_TOL
 
