@@ -421,8 +421,8 @@ def cmd_simulate(args) -> int:
     config = load_config(args.config)
     if config.sim is None:
         raise ConfigError("missing required field 'sim'")
-    if config.measurement is None:
-        raise ConfigError("simulate needs a 'measurement' (sweeps are audit-only)")
+    if config.measurement is None or config.sweep is not None:
+        raise ConfigError("simulate needs a 'measurement' and no 'sweep' (sweeps are audit-only)")
     family = build_family(config)
     povm = build_povm(config, family)
     report = crb_experiment(

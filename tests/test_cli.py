@@ -417,6 +417,18 @@ class TestCmdSimulate:
         assert main(["simulate", "--config", path]) == 2
         assert "sim" in capsys.readouterr().err
 
+    def test_sweep_block_exits_two(self, tmp_path, capsys):
+        config = qubit_config(
+            measurement="sld",
+            sweep={"param": "q", "grid": [0.1, 0.5]},
+            sim={"n": 400, "trials": 12, "seed": 5},
+        )
+        path = write_config(tmp_path, config)
+        assert main(["simulate", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sweep" in captured.err
+
     def test_zero_trials_exits_two(self, tmp_path, capsys):
         config = qubit_config(measurement="sld", sim={"n": 10, "trials": 0, "seed": 1})
         path = write_config(tmp_path, config)
