@@ -191,9 +191,8 @@ def _mle(
     One grid scan shared by all trials, then the safeguarded Newton
     iteration :func:`mle_estimate` describes (``rtsafe``, Numerical
     Recipes 9.4), run in lockstep inside each trial's grid bracket
-    ``[grid[pick - 1], grid[pick + 1]]``, each trial dropped from the
-    live arrays once it has converged. Estimate ``t`` depends only on
-    ``counts[t]``.
+    ``[grid[pick - 1], grid[pick + 1]]``, each trial dropped once it has
+    converged. Estimate ``t`` depends only on ``counts[t]``.
     """
     if povm.dim != family.dim:
         raise DimMismatchError("POVM dim does not match family dim")
@@ -210,25 +209,27 @@ def _mle(
     amps = _amplitudes(weights, eigvals, grid)
     log_probs = np.log(np.maximum((amps * amps).sum(-1), _LOG_FLOOR))
     values = _outcome_sum(counts[:, None, :], log_probs)
-    rows = np.arange(len(counts))
-    pick = values.argmax(1)
+    rows, pick = np.arange(len(counts)), values.argmax(1)
     top = values[rows, pick]
     if np.any(top - values.min(1) < _FLAT_TOL * max(1.0, float(n))):
         raise FlatLikelihoodError("likelihood is flat over the search grid")
 
-    # Each trial's first grid maximum; where its last one differs (a tie),
-    # the tied point nearest the interval midpoint.
-    tied = np.flatnonzero(pick != _GRID_POINTS - 1 - values[:, ::-1].argmax(1))
+    # Each trial's first grid maximum; where another point reaches it too
+    # (a tie), the tied point nearest the interval midpoint.
+    values[rows, pick] = -np.inf
+    tied = np.flatnonzero(values.max(1) == top)
+    values[rows, pick] = top
     if tied.size:
         near = np.where(values[tied] == top[tied, None], np.abs(grid - 0.5 * (lo + hi)), np.inf)
         pick[tied] = near.argmin(1)
-    inner = np.clip(pick, 1, _GRID_POINTS - 2)
-    below, above = values[rows, inner - 1] - top, values[rows, inner + 1] - top
+    left, right = np.maximum(pick - 1, 0), np.minimum(pick + 1, _GRID_POINTS - 1)
+    below, above = values[rows, left] - top, values[rows, right] - top
     del values
-    a, b = grid[np.maximum(pick - 1, 0)], grid[np.minimum(pick + 1, _GRID_POINTS - 1)]
-    # below, above <= 0: the vertex is within half a grid step of the pick.
-    curve = np.where((pick == inner) & (below + above < 0.0), below + above, -np.inf)
-    x = grid[pick] + 0.5 * (grid[1] - grid[0]) * (below - above) / curve
+    a, b, curve = grid[left], grid[right], below + above
+    # below, above <= 0 put the vertex within half a grid step of the pick;
+    # on an interval end the clip to the bracket keeps the start on the pick.
+    vertex = 0.5 * (grid[1] - grid[0]) * (below - above) / np.where(curve < 0.0, curve, -np.inf)
+    x = np.minimum(np.maximum(grid[pick] + vertex, a), b)
 
     # The floor of a few float spacings keeps the stop reachable for
     # intervals far from the origin.
@@ -259,19 +260,18 @@ def mle_estimate(family: StateFamily, povm: Povm, record: SampleRecord, search_i
 
     Scans a 256-point grid over the search interval, then refines
     between the best grid point's neighbours by a safeguarded Newton
-    iteration on the score, started at the vertex of the parabola through
-    that point and its neighbours (Brent 1973, ch. 5), or at the point on
-    an interval end or where the three do not curve downward (estimates
-    agree with a start at the point to 4.4e-16). Each step is a Newton
-    step when the curvature is negative, the step stays in the bracket
-    and it at most halves the previous one, a bisection otherwise. With
-    ``tol = |interval| * 1e-10`` (at least four float spacings), it stops
-    once a step is at most ``tol / 2``, the bracket at most ``tol`` or the
-    slope exactly 0; a maximum on the interval's edge returns the edge.
-    Grid ties are broken toward the interval midpoint. The interval and
-    its length must be finite, and it must contain at most one likelihood
-    mode. This is the one-trial case of the batched search
-    :func:`crb_experiment` runs, and gives the same estimate bit for bit.
+    iteration on the score, from the vertex of the parabola through the
+    three (Brent 1973, ch. 5) or, on an interval end or where they do
+    not curve downward, from the point (4.4e-16 from a start there).
+    Each step is a Newton step when the curvature is negative, the step
+    stays in the bracket and it at most halves the previous one, a
+    bisection otherwise. With ``tol = |interval| * 1e-10`` (at least four
+    float spacings), it stops once a step is at most ``tol / 2``, the
+    bracket at most ``tol`` or the slope exactly 0; a maximum on the
+    interval's edge returns the edge. Grid ties go to the point nearest
+    the interval midpoint. The interval and its length must be finite
+    and hold at most one likelihood mode. This is the one-trial case of
+    the batched search :func:`crb_experiment` runs, bit for bit.
 
     The estimate is the likelihood's maximum to rounding: on the paper
     qubit it equals the closed form ``lambda_0 + asin((c_+ - c_-)/n)``

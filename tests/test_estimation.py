@@ -749,7 +749,7 @@ class TestNewtonIteration:
 
 
 def tie_case():
-    """Paper qubit, ``rotated(0)`` over ``(-pi/2, pi/2)``: ``p_0 = cos^2(lam/2)`` is even in lambda."""
+    """Paper qubit, ``rotated(0)``, ``(-pi/2, pi/2)``: ``p_0 = cos^2(lam/2)`` is even in lambda."""
     return paper_qubit_family(), rotated_qubit_measurement(0.0), (-np.pi / 2.0, np.pi / 2.0)
 
 
