@@ -756,8 +756,9 @@ def tie_case():
 class TestGridTies:
     # The grid mirrors about the midpoint, so these counts give a grid
     # maximum that ties bit for bit between two points; the tie goes to
-    # the point nearest the midpoint.
-    TIES = {(9999, 1): [126, 129], (6000, 4000): [16, 239]}
+    # the point nearest the midpoint. Rounding puts point 249 nearer than
+    # point 6, so (5350, 4650) is the case where that is not the first.
+    TIES = {(9999, 1): [126, 129], (6000, 4000): [16, 239], (5350, 4650): [6, 249]}
 
     @pytest.mark.parametrize("counts", sorted(TIES))
     def test_tied_grid_matches_scalar_oracle(self, counts):
@@ -771,7 +772,8 @@ class TestGridTies:
 
     def test_tied_and_untied_trials_batch_bit_for_bit(self):
         family, povm, interval = tie_case()
-        counts = np.array([(9999, 1), (9900, 100), (6000, 4000), (9000, 1000), (7000, 3000)])
+        counts = [(9999, 1), (9900, 100), (6000, 4000), (9000, 1000), (5350, 4650), (7000, 3000)]
+        counts = np.array(counts)
         estimates = estimation._mle(family, povm, counts, 10**4, *interval)
         for row, value in zip(counts, estimates):
             record = SampleRecord(counts=row, n=10**4, seed=0)
