@@ -40,7 +40,7 @@ from itertools import chain
 
 import numpy as np
 
-from .audit import audit, reproduce_counterexample, sweep_phi, sweep_q, write_sweep_csv
+from .audit import _write_text, audit, reproduce_counterexample, sweep_phi, sweep_q, write_sweep_csv
 from .errors import (
     ConfigError,
     DegenerateGeneratorError,
@@ -48,7 +48,7 @@ from .errors import (
     FlatLikelihoodError,
     StationaryStateError,
 )
-from .estimation import crb_experiment
+from .estimation import _MAX_SHOTS, CrbReport, crb_experiment
 from .measurement import (
     Povm,
     q_family_measurement,
@@ -72,8 +72,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-# The multinomial draw takes the shot count as a 64-bit signed integer.
-_MAX_SHOTS = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -194,10 +192,8 @@ def _parse_sim(data) -> SimSpec:
     n = _integer(data.get("n"), "sim.n")
     trials = _integer(data.get("trials"), "sim.trials")
     seed = _integer(data.get("seed"), "sim.seed")
-    if n < 1:
-        raise ConfigError(f"field 'sim.n': must be >= 1, got {n}")
-    if n > _MAX_SHOTS:
-        raise ConfigError(f"field 'sim.n': must be <= {_MAX_SHOTS}, got {n}")
+    if not 1 <= n <= _MAX_SHOTS:
+        raise ConfigError(f"field 'sim.n': must be in [1, {_MAX_SHOTS}], got {n}")
     if trials < 2:
         raise ConfigError(f"field 'sim.trials': must be >= 2, got {trials}")
     if seed < 0:
@@ -423,18 +419,11 @@ def cmd_simulate(args) -> int:
         raise ConfigError("missing required field 'sim'")
     if config.measurement is None or config.sweep is not None:
         raise ConfigError("simulate needs a 'measurement' and no 'sweep' (sweeps are audit-only)")
-    family = build_family(config)
+    family, sim = build_family(config), config.sim
     povm = build_povm(config, family)
-    report = crb_experiment(
-        family,
-        povm,
-        config.lam,
-        config.sim.n,
-        config.sim.trials,
-        config.sim.seed,
-        search_interval=config.sim.interval,
-        csv_path=args.out,
-    )
+    report = crb_experiment(family, povm, config.lam, sim.n, sim.trials, sim.seed, sim.interval)
+    if args.out is not None:
+        _write_trials_csv(args.out, report, config.lam, sim.n, sim.seed)
     print(f"empirical_std = {_fmt(report.empirical_std)}")
     print(f"crb           = {_fmt(report.crb)}")
     print(f"ratio         = {_fmt(report.ratio)}")
@@ -442,6 +431,17 @@ def cmd_simulate(args) -> int:
     if args.out is not None:
         print(f"wrote per-trial estimates to {args.out}")
     return 0
+
+
+def _write_trials_csv(path, report: CrbReport, true_lambda: float, n: int, seed: int) -> None:
+    """Write a ``#`` settings line, ``trial,estimate`` rows and a ``summary`` std row."""
+    rows = "".join([f"{i},{value:.17g}\n" for i, value in enumerate(report.estimates)])
+    _write_text(
+        path,
+        f"# true_lambda={true_lambda:.17g} n={n} trials={report.trials} seed={seed} "
+        f"interval=({report.interval[0]:.17g},{report.interval[1]:.17g})\n"
+        f"trial,estimate\n{rows}summary,{report.empirical_std:.17g}\n",
+    )
 
 
 def cmd_golden(args) -> int:

@@ -653,10 +653,11 @@ class TestExitCodes:
         "sim, field",
         [
             ({"n": 10**20, "trials": 4, "seed": 1}, "sim.n"),
+            ({"n": 2**63, "trials": 4, "seed": 1}, "sim.n"),
             ({"n": 100, "trials": 4, "seed": -1}, "sim.seed"),
             ({"n": 100, "trials": 4, "seed": 1, "interval": [-1e308, 1e308]}, "sim.interval"),
         ],
-        ids=["n-overflows-int64", "seed-negative", "interval-length-overflows"],
+        ids=["n-overflows-int64", "n-one-past-int64", "seed-negative", "interval-length-overflows"],
     )
     def test_out_of_range_sim_field_exits_two(self, tmp_path, capsys, sim, field):
         path = write_config(tmp_path, qubit_config(measurement="sld", sim=sim))

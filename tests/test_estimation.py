@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -28,8 +29,8 @@ from fisherlab import (
     sld,
     sld_measurement,
 )
-from fisherlab import estimation, seminorm_bound
-from fisherlab.errors import FlatLikelihoodError
+from fisherlab import cli, estimation, seminorm_bound
+from fisherlab.errors import DimMismatchError, FlatLikelihoodError
 from fisherlab.metrology import EPS_QFI
 
 TRUE_LAMBDA = 0.7
@@ -90,21 +91,12 @@ def scalar_trial_estimates(family, povm, n, trials, seed, search_interval):
     return estimates
 
 
-def batched_run(tmp_path, family, povm, n, trials, seed, interval):
-    """Report and per-trial estimates of one crb_experiment, read back from its CSV."""
-    path = tmp_path / f"trials-{n}-{trials}-{seed}.csv"
+def batched_run(family, povm, n, trials, seed, interval):
+    """Report and per-trial estimates of one crb_experiment."""
     report = crb_experiment(
-        family,
-        povm,
-        TRUE_LAMBDA,
-        n=n,
-        trials=trials,
-        seed=seed,
-        search_interval=interval,
-        csv_path=path,
+        family, povm, TRUE_LAMBDA, n=n, trials=trials, seed=seed, search_interval=interval
     )
-    rows = path.read_text().splitlines()[2:-1]
-    return report, np.array([float(row.split(",")[1]) for row in rows])
+    return report, np.array(report.estimates)
 
 
 def d8_sld_case():
@@ -193,6 +185,28 @@ class TestSampleOutcomes:
     def test_record_validates_counts(self):
         with pytest.raises(ValueError):
             SampleRecord(counts=np.array([3, 4]), n=10, seed=0)
+        # Unsigned counts are read as int64 before the checks, so this wrapped
+        # sum of 0 does not pass as a zero-shot record.
+        with pytest.raises(ValueError):
+            SampleRecord(counts=np.array([2**64 - 1, 1], dtype=np.uint64), n=0, seed=0)
+        # Like n, counts must be integers: 1.7 is not truncated to 1, nor 1.0 read as 1.
+        for counts in ([1.7, 0.3], [1.0, 0.0]):
+            with pytest.raises(TypeError, match="integers"):
+                SampleRecord(counts=counts, n=1, seed=0)
+
+    @pytest.mark.parametrize("entry", ["sample_outcomes", "crb_experiment"])
+    def test_shot_cap_is_the_largest_int64(self, entry):
+        # NumPy's multinomial takes n as a C long; one past it is a ValueError,
+        # not an OverflowError from inside the draw.
+        family, povm, _ = qubit_case(None)
+        runs = {
+            "sample_outcomes": lambda n: sample_outcomes(povm, family, TRUE_LAMBDA, n, seed=1),
+            "crb_experiment": lambda n: crb_experiment(family, povm, TRUE_LAMBDA, n, 2, seed=1),
+        }
+        assert estimation._MAX_SHOTS == 2**63 - 1
+        runs[entry](2**63 - 1)
+        with pytest.raises(ValueError, match="n must be in"):
+            runs[entry](2**63)
 
 
 def stream_counts(n, probs, seed, trials):
@@ -313,6 +327,15 @@ class TestMleEstimate:
         with pytest.raises(ValueError):
             mle_estimate(family, balanced_measurement(), record, (1.0, 1.0))
 
+    @pytest.mark.parametrize("outcomes", [2, 4])
+    def test_count_vector_must_match_the_povm(self, outcomes):
+        family = random_family(3, np.random.default_rng(3))
+        povm = sld_measurement(sld(derivative(family, TRUE_LAMBDA)))
+        assert len(povm) == 3
+        record = SampleRecord(counts=np.full(outcomes, 5), n=5 * outcomes, seed=0)
+        with pytest.raises(DimMismatchError, match=f"{outcomes} counts for a 3-outcome POVM"):
+            mle_estimate(family, povm, record, (TRUE_LAMBDA - 0.3, TRUE_LAMBDA + 0.3))
+
     @pytest.mark.parametrize(
         "interval", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (-1e308, 1e308)]
     )
@@ -371,6 +394,9 @@ class TestCrbExperiment:
         a = crb_experiment(paper_qubit_family(), balanced_measurement(), **settings)
         b = crb_experiment(paper_qubit_family(), balanced_measurement(), **settings)
         assert a == b
+        # Equality compares every estimate, not only the summary.
+        moved = a.estimates[:-1] + (np.nextafter(a.estimates[-1], np.inf),)
+        assert a != dataclasses.replace(a, estimates=moved)
 
     def test_error_shrinks_like_inverse_sqrt_n(self):
         stds = []
@@ -484,74 +510,69 @@ class TestCrbExperiment:
         assert report == crb_experiment(*args, n=100, trials=3, seed=1)
         assert type(report.trials) is int
 
+    # The CSV tests write each report with the simulate command's writer.
     def test_csv_emission(self, tmp_path):
         path = tmp_path / "trials.csv"
         report = crb_experiment(
-            paper_qubit_family(),
-            balanced_measurement(),
-            TRUE_LAMBDA,
-            n=200,
-            trials=8,
-            seed=21,
-            csv_path=path,
+            paper_qubit_family(), balanced_measurement(), TRUE_LAMBDA, n=200, trials=8, seed=21
         )
+        assert report.interval == QUBIT_INTERVAL
+        cli._write_trials_csv(path, report, TRUE_LAMBDA, 200, 21)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("#")
         assert "seed=21" in lines[0] and "trials=8" in lines[0]
+        assert f"interval=({QUBIT_INTERVAL[0]:.17g},{QUBIT_INTERVAL[1]:.17g})" in lines[0]
         assert lines[1] == "trial,estimate"
         assert len(lines) == 2 + 8 + 1
+        assert [float(line.split(",")[1]) for line in lines[2:-1]] == list(report.estimates)
         assert lines[-1] == f"summary,{report.empirical_std:.17g}"
 
     def test_csv_bytes_reproducible(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
-            crb_experiment(
-                paper_qubit_family(),
-                balanced_measurement(),
-                TRUE_LAMBDA,
-                n=200,
-                trials=8,
-                seed=21,
-                csv_path=path,
+            report = crb_experiment(
+                paper_qubit_family(), balanced_measurement(), TRUE_LAMBDA, n=200, trials=8, seed=21
             )
+            cli._write_trials_csv(path, report, TRUE_LAMBDA, 200, 21)
         assert paths[0].read_bytes() == paths[1].read_bytes()
-
 
     def test_csv_bytes_match_the_row_loop_oracle(self, tmp_path):
         path = tmp_path / "trials.csv"
-        settings = dict(n=200, trials=50, seed=21, search_interval=QUBIT_INTERVAL, csv_path=path)
+        settings = dict(n=200, trials=50, seed=21, search_interval=QUBIT_INTERVAL)
         report = crb_experiment(
             paper_qubit_family(), balanced_measurement(), TRUE_LAMBDA, **settings
         )
-        rows = path.read_text().splitlines()[2:-1]
-        estimates = np.array([float(row.split(",")[1]) for row in rows])
+        cli._write_trials_csv(path, report, TRUE_LAMBDA, 200, 21)
         oracle = tmp_path / "oracle.csv"
-        row_loop_trials_csv(oracle, estimates, report, TRUE_LAMBDA, 200, 21, QUBIT_INTERVAL)
+        args = (report.estimates, report, TRUE_LAMBDA, 200, 21, QUBIT_INTERVAL)
+        row_loop_trials_csv(oracle, *args)
         assert path.read_bytes() == oracle.read_bytes()
         # Signed zeros, subnormals, infinities and odd settings, written both ways.
         odd = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 0.1, 1.0 / 3.0, 1e300, -math.inf]
-        args = (np.array(odd), report, -0.0, 7, 2**64, (-math.pi, 5e-324))
-        estimation._write_trials_csv(tmp_path / "odd.csv", *args)
-        row_loop_trials_csv(tmp_path / "odd-oracle.csv", *args)
+        odd_report = dataclasses.replace(report, estimates=tuple(odd), interval=(-math.pi, 5e-324))
+        cli._write_trials_csv(tmp_path / "odd.csv", odd_report, -0.0, 7, 2**64)
+        odd_args = (odd, odd_report, -0.0, 7, 2**64, odd_report.interval)
+        row_loop_trials_csv(tmp_path / "odd-oracle.csv", *odd_args)
         assert (tmp_path / "odd.csv").read_bytes() == (tmp_path / "odd-oracle.csv").read_bytes()
 
     def test_csv_overwrites_an_existing_file_in_place(self, tmp_path):
         family, povm = paper_qubit_family(), balanced_measurement()
         report = crb_experiment(family, povm, TRUE_LAMBDA, n=200, trials=8, seed=21)
-        args = (np.linspace(0.6, 0.8, 8), report, TRUE_LAMBDA, 200, 21, QUBIT_INTERVAL)
+        report = dataclasses.replace(report, estimates=tuple(np.linspace(0.6, 0.8, 8).tolist()))
+        args = (report.estimates, report, TRUE_LAMBDA, 200, 21, QUBIT_INTERVAL)
         row_loop_trials_csv(tmp_path / "oracle.csv", *args)
         expected = (tmp_path / "oracle.csv").read_bytes()
-        write = lambda path: estimation._write_trials_csv(path, *args)  # noqa: E731
+        write = lambda path: cli._write_trials_csv(path, report, TRUE_LAMBDA, 200, 21)  # noqa: E731
         assert_overwrites_in_place(tmp_path / "trials.csv", write, expected)
 
 
 class TestScalarOracle:
     @pytest.mark.parametrize("n", [1, 100, 10**4, 10**6])
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-    def test_batched_estimates_match_scalar_loop(self, tmp_path, case, n):
+    def test_batched_estimates_match_scalar_loop(self, case, n):
         family, povm, interval = ORACLE_CASES[case]()
         trials, seed = 12, 31
-        report, estimates = batched_run(tmp_path, family, povm, n, trials, seed, interval)
+        report, estimates = batched_run(family, povm, n, trials, seed, interval)
         reference = scalar_trial_estimates(family, povm, n, trials, seed, interval)
         assert np.max(np.abs(estimates - reference)) <= ORACLE_TOL
         crb = 1.0 / math.sqrt(n * classical_fisher(povm, derivative(family, TRUE_LAMBDA)))
@@ -565,31 +586,19 @@ class TestScalarOracle:
 
 class TestBatchInvariance:
     @pytest.mark.parametrize("case", ["sld", "rotated-1.2", "d8-sld"])
-    def test_each_trial_equals_its_single_trial_estimate(self, tmp_path, case):
+    def test_each_trial_equals_its_single_trial_estimate(self, case):
         family, povm, interval = ORACLE_CASES[case]()
         n, trials, seed = 10**4, 10, 404
-        _, estimates = batched_run(tmp_path, family, povm, n, trials, seed, interval)
+        _, estimates = batched_run(family, povm, n, trials, seed, interval)
         counts = stream_counts(n, sampling_probs(family, povm), seed, trials)
         for i, value in enumerate(estimates):
             record = SampleRecord(counts=counts[i], n=n, seed=seed)
             assert value == mle_estimate(family, povm, record, interval)
 
-    def test_longer_run_extends_a_shorter_one(self, tmp_path):
+    def test_longer_run_extends_a_shorter_one(self):
         family, povm, interval = ORACLE_CASES["rotated-1.2"]()
-        paths = [tmp_path / "eight.csv", tmp_path / "twelve.csv"]
-        for path, trials in zip(paths, (8, 12)):
-            crb_experiment(
-                family,
-                povm,
-                TRUE_LAMBDA,
-                n=500,
-                trials=trials,
-                seed=77,
-                search_interval=interval,
-                csv_path=path,
-            )
-        eight, twelve = (path.read_bytes().splitlines() for path in paths)
-        assert twelve[2:10] == eight[2:10]
+        runs = [batched_run(family, povm, 500, trials, 77, interval)[0] for trials in (8, 12)]
+        assert runs[1].estimates[:8] == runs[0].estimates
 
     def test_batched_counts_equal_sample_outcomes(self, monkeypatch):
         family, povm, _ = ORACLE_CASES["d8-sld"]()
@@ -633,11 +642,11 @@ CLOSED_FORM_CASES = {"sld": lambda: qubit_case(None)[1], "balanced": balanced_me
 class TestClosedForm:
     @pytest.mark.parametrize("n", [10**2, 10**4, 10**6])
     @pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
-    def test_batched_estimates_equal_closed_form(self, tmp_path, case, n):
+    def test_batched_estimates_equal_closed_form(self, case, n):
         family, povm = paper_qubit_family(), CLOSED_FORM_CASES[case]()
         trials = 20
         for seed in (3, 1001, 52_117):
-            _, estimates = batched_run(tmp_path, family, povm, n, trials, seed, QUBIT_INTERVAL)
+            _, estimates = batched_run(family, povm, n, trials, seed, QUBIT_INTERVAL)
             counts = stream_counts(n, sampling_probs(family, povm), seed, trials)
             want = closed_form_estimates(povm, counts)
             assert np.max(np.abs(estimates - want)) <= CLOSED_FORM_TOL
@@ -721,11 +730,11 @@ class TestNewtonIteration:
         assert estimate == interval[end]
 
     @pytest.mark.parametrize("counts, end", [([1, 0], 1), ([0, 1], 0)])
-    def test_single_shot_maximum_sits_on_the_interval_edge(self, tmp_path, counts, end):
+    def test_single_shot_maximum_sits_on_the_interval_edge(self, counts, end):
         family, povm = paper_qubit_family(), balanced_measurement()
         record = SampleRecord(counts=np.array(counts), n=1, seed=0)
         assert mle_estimate(family, povm, record, QUBIT_INTERVAL) == QUBIT_INTERVAL[end]
-        _, estimates = batched_run(tmp_path, family, povm, 1, 20, 3, QUBIT_INTERVAL)
+        _, estimates = batched_run(family, povm, 1, 20, 3, QUBIT_INTERVAL)
         assert sorted(set(estimates.tolist())) == list(QUBIT_INTERVAL)
 
     def test_interval_far_from_origin_stops_within_float_spacings(self, monkeypatch):

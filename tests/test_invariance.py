@@ -9,9 +9,6 @@ rounding of the phases ``lam (e_j + c)`` by ``|c|``, so each bound is a
 multiple of ``max(1, |c|)``.
 """
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,12 +139,10 @@ def test_crb_experiment(change, dim, seed, amount, q):
     family, lam, other, unitary, scale = changed(dim, seed, change, amount)
     sd = derivative(family, lam)
     povm = q_family_measurement(sld(sd), sd.state, q)
-    with tempfile.TemporaryDirectory() as folder:
-        estimates, reports = [], []
-        for index, (fam, rows) in enumerate([(family, povm), (other, rotated(povm, unitary))]):
-            path = Path(folder) / f"{index}.csv"
-            reports.append(crb_experiment(fam, rows, lam, 1000, 10, seed, csv_path=path))
-            lines = path.read_text().splitlines()[2:-1]
-            estimates.append(np.array([float(line.split(",")[1]) for line in lines]))
+    reports = [
+        crb_experiment(fam, rows, lam, 1000, 10, seed)
+        for fam, rows in [(family, povm), (other, rotated(povm, unitary))]
+    ]
+    estimates = [np.array(report.estimates) for report in reports]
     assert np.abs(estimates[0] - estimates[1]).max() <= ESTIMATE_BOUND * scale
     assert abs(reports[0].crb - reports[1].crb) <= CRB_BOUND * scale * reports[0].crb

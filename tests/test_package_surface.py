@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -65,3 +66,16 @@ def test_only_state_family_reads_the_raw_derivative():
     ]
     assert set(readers) <= {"state_family.py"}
     assert not hasattr(fisherlab.metrology, "_tangent")
+
+
+def test_estimation_returns_estimates_and_writes_no_file():
+    # The simulate command writes the trials CSV from the report.
+    assert "csv_path" not in inspect.signature(fisherlab.crb_experiment).parameters
+    assert not hasattr(fisherlab.estimation, "_write_trials_csv")
+    tree = ast.parse(Path(fisherlab.estimation.__file__).read_text())
+    imported = [
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    ]
+    assert imported and "audit" not in imported
