@@ -72,44 +72,56 @@ SWEEP_CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    """Every scalar entering the inequality, plus the verdicts.
+class _Inequality:
+    """``rhs`` and the verdicts, derived from ``entropy``, ``fisher``, ``qfi`` and ``seminorm_sq``.
 
-    ``violated`` and ``measurement_optimal`` are pure functions of the
-    four scalars, so a report (or a CSV row) is enough to re-derive the
-    verdict without recomputing anything.
+    Each works on one report's scalars or, entry by entry, on a sweep's columns.
+    """
+
+    @property
+    def rhs(self):
+        return math.log(2.0) * self.qfi / self.seminorm_sq
+
+    @property
+    def violated(self):
+        return self.entropy < self.rhs - TOL_AUDIT
+
+    @property
+    def measurement_optimal(self):
+        return abs(self.fisher - self.qfi) <= OPTIMALITY_TOL
+
+
+@dataclass(frozen=True)
+class AuditReport(_Inequality):
+    """The four scalars entering the inequality; ``rhs`` and the verdicts derive from them.
+
+    A report (or a CSV row) is therefore enough to re-derive the verdict
+    without recomputing anything.
     """
 
     entropy: float
     fisher: float
     qfi: float
     seminorm_sq: float
-    rhs: float
-    violated: bool
-    measurement_optimal: bool
 
 
 @dataclass(frozen=True, eq=False)
-class SweepResult(Sequence):
+class SweepResult(_Inequality, Sequence):
     """Audits of one ``(family, lam)`` over a grid, kept as columns.
 
-    ``entropy``, ``fisher``, ``violated`` and ``measurement_optimal``
-    hold one read-only entry per grid point; ``qfi``, ``seminorm_sq``
-    and ``rhs`` are shared by every point. As a sequence, ``result[i]``
-    is the :class:`AuditReport` of grid point ``i``.
+    ``entropy`` and ``fisher`` hold one read-only entry per grid point;
+    ``qfi``, ``seminorm_sq`` and ``rhs`` are shared by every point. Each
+    read of ``violated`` or ``measurement_optimal`` derives a new column.
+    As a sequence, ``result[i]`` is the :class:`AuditReport` of grid point ``i``.
     """
 
     entropy: np.ndarray
     fisher: np.ndarray
-    violated: np.ndarray
-    measurement_optimal: np.ndarray
     qfi: float
     seminorm_sq: float
-    rhs: float
 
     def __post_init__(self):
-        for column in (self.entropy, self.fisher, self.violated, self.measurement_optimal):
+        for column in (self.entropy, self.fisher):
             column.flags.writeable = False
 
     def __len__(self) -> int:
@@ -117,15 +129,8 @@ class SweepResult(Sequence):
 
     def __getitem__(self, index) -> AuditReport:
         index = operator.index(index)  # NumPy raises IndexError out of range
-        return AuditReport(
-            entropy=float(self.entropy[index]),
-            fisher=float(self.fisher[index]),
-            qfi=self.qfi,
-            seminorm_sq=self.seminorm_sq,
-            rhs=self.rhs,
-            violated=bool(self.violated[index]),
-            measurement_optimal=bool(self.measurement_optimal[index]),
-        )
+        entropy, fisher = float(self.entropy[index]), float(self.fisher[index])
+        return AuditReport(entropy, fisher, self.qfi, self.seminorm_sq)
 
 
 def _audit_grid(family: StateFamily, sd: StateAndDerivative, terms) -> SweepResult:
@@ -134,19 +139,10 @@ def _audit_grid(family: StateFamily, sd: StateAndDerivative, terms) -> SweepResu
     if seminorm_sq <= 0.0:
         raise DegenerateGeneratorError("generator seminorm is zero; inequality is undefined")
     fisher_q = qfi(sd)
-    rhs = math.log(2.0) * fisher_q / seminorm_sq
     probs, dprobs, limits = terms()
     entropy = shannon_entropy(OutcomeDistribution(probs=np.minimum(probs, 1.0), dprobs=dprobs))
     fisher = _fisher_sum(probs, dprobs, limits)
-    return SweepResult(
-        entropy=entropy,
-        fisher=fisher,
-        violated=entropy < rhs - TOL_AUDIT,
-        measurement_optimal=np.abs(fisher - fisher_q) <= OPTIMALITY_TOL,
-        qfi=fisher_q,
-        seminorm_sq=seminorm_sq,
-        rhs=rhs,
-    )
+    return SweepResult(entropy=entropy, fisher=fisher, qfi=fisher_q, seminorm_sq=seminorm_sq)
 
 
 def audit(family: StateFamily, lam: float, povm: Povm) -> AuditReport:
@@ -162,7 +158,7 @@ def sweep_q(family: StateFamily, lam: float, q_grid) -> SweepResult:
     2x2 coefficient matrices in that plane, one result entry per point.
     """
     sd = derivative(family, lam)
-    coeffs, basis = _q_coeffs(q_grid), _q_basis(sld(sd), sd.state)
+    coeffs, basis = _q_coeffs(q_grid), _q_basis(sld(sd))
     return _audit_grid(family, sd, lambda: _plane_terms(sd, coeffs, basis))
 
 

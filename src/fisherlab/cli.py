@@ -335,8 +335,7 @@ def build_povm(config: ExperimentConfig, family: StateFamily) -> Povm:
     if name == "q_family":
         if set(args) != {"q"}:
             raise ConfigError("measurement spec 'q_family' needs exactly q=<value>")
-        sd = derivative(family, config.lam)
-        return q_family_measurement(sld(sd), sd.state, args["q"])
+        return q_family_measurement(sld(derivative(family, config.lam)), args["q"])
     if name == "rotated":
         if set(args) != {"phi"}:
             raise ConfigError("measurement spec 'rotated' needs exactly phi=<value>")

@@ -33,6 +33,7 @@ the paper qubit (n = 1e4), the q family at q = 0.1, 0.01 and 0.001 puts
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -63,30 +64,42 @@ _LOG_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class SampleRecord:
-    """Outcome counts from one batch of identical measurements."""
+    """Outcome counts from one batch of identical measurements; ``n`` is their sum."""
 
     counts: np.ndarray
-    n: int
     seed: int
 
     def __post_init__(self):
         if np.asarray(self.counts).dtype.kind not in "iu":
             raise TypeError("counts must be integers")
         counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.min() < 0 or counts.sum() != self.n:
-            raise ValueError("counts must be non-negative and sum to n")
+        if counts.min() < 0:
+            raise ValueError("counts must be non-negative")
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "seed", _seed(self.seed))
+        _shots(self.n)
+
+    @property
+    def n(self) -> int:
+        return sum(self.counts.tolist())
 
 
 @dataclass(frozen=True)
 class CrbReport:
     """Estimator spread against the Cramer-Rao bound; trial ``i``'s estimate is ``estimates[i]``."""
 
-    empirical_std: float
     crb: float
-    ratio: float
     estimates: tuple
     interval: tuple
+
+    @functools.cached_property
+    def empirical_std(self) -> float:
+        """Sample standard deviation (``ddof=1``) of the estimates, computed on first read."""
+        return float(np.std(self.estimates, ddof=1))
+
+    @property
+    def ratio(self) -> float:
+        return self.empirical_std / self.crb
 
     @property
     def trials(self) -> int:
@@ -105,6 +118,13 @@ def _shots(n) -> int:
     return n
 
 
+def _seed(seed) -> int:
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _trial_counts(n: int, probs: np.ndarray, seed: int, trials: int) -> np.ndarray:
     """Multinomial counts of ``trials`` trials, shape ``(trials, len(probs))``.
 
@@ -121,10 +141,7 @@ def _trial_counts(n: int, probs: np.ndarray, seed: int, trials: int) -> np.ndarr
     ``p = (1/2, 1/2)``, so a rounding-level change of the state (such as
     a global phase) can reflect every estimate about the truth.
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return np.random.default_rng(seed).multinomial(n, probs, size=trials)
+    return np.random.default_rng(_seed(seed)).multinomial(n, probs, size=trials)
 
 
 def sample_outcomes(
@@ -139,7 +156,7 @@ def sample_outcomes(
     n = _shots(n)
     probs = _sampling_probs(povm, derivative(family, true_lambda))
     counts = _trial_counts(n, probs, seed, 1)[0]
-    return SampleRecord(counts=counts, n=n, seed=int(seed))
+    return SampleRecord(counts=counts, seed=seed)
 
 
 def _finite_interval(search_interval) -> tuple:
@@ -347,11 +364,4 @@ def crb_experiment(
     counts = _trial_counts(n, probs, seed, trials)
     estimates = _mle(family, povm, counts, n, lo, hi)
     crb = 1.0 / math.sqrt(n * fisher)
-    empirical_std = float(np.std(estimates, ddof=1))
-    return CrbReport(
-        empirical_std=empirical_std,
-        crb=crb,
-        ratio=empirical_std / crb,
-        estimates=tuple(estimates.tolist()),
-        interval=(lo, hi),
-    )
+    return CrbReport(crb=crb, estimates=tuple(estimates.tolist()), interval=(lo, hi))

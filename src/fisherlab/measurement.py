@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimMismatchError, InvalidQError
 from .metrology import SldData
-from .numerics import as_state_vector, require_hermitian
+from .numerics import require_hermitian
 from .state_family import StateAndDerivative
 
 __all__ = [
@@ -270,15 +270,12 @@ def _q_coeffs(q_values) -> np.ndarray:
     return np.stack([root_q, root_qbar, root_qbar, -root_q], axis=-1).reshape(q.shape + (2, 2))
 
 
-def _q_basis(sldd: SldData, state) -> np.ndarray:
+def _q_basis(sldd: SldData) -> np.ndarray:
     """Orthonormal bras ``[<psi|; <perp|]`` (``(2, d)``) of the q family's plane."""
-    psi = as_state_vector(state)
-    if psi.size != sldd.tangent.size:
-        raise DimMismatchError("state dim does not match SLD data dim")
-    return np.stack([psi, sldd.tangent]).conj()
+    return np.stack([sldd.state, sldd.tangent]).conj()
 
 
-def q_family_measurement(sldd: SldData, state, q: float) -> Povm:
+def q_family_measurement(sldd: SldData, q: float) -> Povm:
     """Optimal projective measurement with tunable outcome bias ``q``.
 
     Projects onto ``sqrt(q)|psi> + sqrt(1-q)|perp>`` and its orthogonal
@@ -286,7 +283,7 @@ def q_family_measurement(sldd: SldData, state, q: float) -> Povm:
     full quantum Fisher information while the outcome distribution is
     ``(q, 1-q)``, so the entropy sweeps the whole range [0, ln 2].
     """
-    return _complete(_q_coeffs([q])[0] @ _q_basis(sldd, state))
+    return _complete(_q_coeffs([q])[0] @ _q_basis(sldd))
 
 
 def _rotated_bras(phi_values) -> np.ndarray:

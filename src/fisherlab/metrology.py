@@ -38,30 +38,51 @@ EPS_QFI = 1e-12
 
 @dataclass(frozen=True)
 class SldData:
-    """SLD operator together with its analytic eigenstructure.
+    """A moving pure state's SLD, stored as its analytic eigenstructure.
 
-    ``tangent`` is the unit state orthogonal to ``|psi>`` along which the
-    family moves; ``normalization`` is the constant N with
-    ``F_Q = 4/N**2``; ``plus_state``/``minus_state`` are the eigenstates
-    with eigenvalues ``+-2/N``.
+    ``state`` is ``|psi>``; ``tangent`` is the unit state orthogonal to
+    it along which the family moves; ``normalization`` is the constant N
+    with ``F_Q = 4/N**2``. The SLD matrix and its eigenpairs, the
+    eigenstates ``plus_state``/``minus_state`` with eigenvalues ``+-2/N``,
+    are derived from these three on each read.
     """
 
-    sld: np.ndarray
+    state: np.ndarray
     tangent: np.ndarray
     normalization: float
-    plus_state: np.ndarray
-    minus_state: np.ndarray
-    eigenvalue_plus: float
-    eigenvalue_minus: float
+
+    @property
+    def sld(self) -> np.ndarray:
+        psi, unit = self.state, self.tangent
+        return self.eigenvalue_plus * (np.outer(psi, unit.conj()) + np.outer(unit, psi.conj()))
+
+    @property
+    def plus_state(self) -> np.ndarray:
+        return (self.state + self.tangent) / np.sqrt(2.0)
+
+    @property
+    def minus_state(self) -> np.ndarray:
+        return (self.state - self.tangent) / np.sqrt(2.0)
+
+    @property
+    def eigenvalue_plus(self) -> float:
+        return 2.0 / self.normalization
+
+    @property
+    def eigenvalue_minus(self) -> float:
+        return -self.eigenvalue_plus
 
 
 @dataclass(frozen=True)
 class QfiReport:
-    """QFI next to its generator ceiling for one family."""
+    """QFI next to its generator ceiling for one family; ``ratio`` is their quotient."""
 
     qfi: float
     seminorm_sq: float
-    ratio: float
+
+    @property
+    def ratio(self) -> float:
+        return self.qfi / self.seminorm_sq
 
 
 def qfi(sd: StateAndDerivative) -> float:
@@ -74,7 +95,7 @@ def qfi(sd: StateAndDerivative) -> float:
 
 
 def sld(sd: StateAndDerivative) -> SldData:
-    """Build the SLD, tangent state and eigenpairs for a moving pure state.
+    """The state, unit tangent and normalization that fix a moving pure state's SLD.
 
     Raises
     ------
@@ -87,25 +108,10 @@ def sld(sd: StateAndDerivative) -> SldData:
         raise StationaryStateError(
             f"QFI = {fisher_q:.3e} <= {EPS_QFI:g}; SLD eigenbasis is undefined"
         )
-    psi, t = sd.state, sd.tangent
     # ||t||, the norm qfi measures, is 1/N. The unit tangent keeps the phase
     # of t with no extra rotation, which pins down |+> and |-> completely.
-    normalization = 1.0 / np.linalg.norm(t)
-    tangent = t * normalization
-
-    sld_matrix = 2.0 * np.outer(psi, t.conj()) + 2.0 * np.outer(t, psi.conj())
-    plus_state = (psi + tangent) / np.sqrt(2.0)
-    minus_state = (psi - tangent) / np.sqrt(2.0)
-    eigenvalue = 2.0 / normalization
-    return SldData(
-        sld=sld_matrix,
-        tangent=tangent,
-        normalization=float(normalization),
-        plus_state=plus_state,
-        minus_state=minus_state,
-        eigenvalue_plus=float(eigenvalue),
-        eigenvalue_minus=float(-eigenvalue),
-    )
+    normalization = 1.0 / float(np.linalg.norm(sd.tangent))
+    return SldData(state=sd.state, tangent=sd.tangent * normalization, normalization=normalization)
 
 
 def seminorm_bound(family: StateFamily) -> float:
@@ -153,5 +159,4 @@ def _qfi_report(family: StateFamily, sd: StateAndDerivative) -> QfiReport:
     bound = seminorm_bound(family)
     if bound <= 0.0:
         raise DegenerateGeneratorError("generator spectrum is constant; ratio undefined")
-    value = qfi(sd)
-    return QfiReport(qfi=value, seminorm_sq=bound, ratio=value / bound)
+    return QfiReport(qfi=qfi(sd), seminorm_sq=bound)

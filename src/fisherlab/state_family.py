@@ -78,7 +78,6 @@ class StateAndDerivative:
 
     state: np.ndarray
     dstate: np.ndarray
-    lam: float
     tangent: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -117,7 +116,7 @@ def derivative(family: StateFamily, lam: float) -> StateAndDerivative:
     """
     state = evaluate(family, lam)
     dstate = -1j * (family.generator @ state)
-    return StateAndDerivative(state=state, dstate=dstate, lam=float(lam))
+    return StateAndDerivative(state=state, dstate=dstate)
 
 
 def finite_difference_derivative(

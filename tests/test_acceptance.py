@@ -85,14 +85,14 @@ def test_criterion_3_q_family_optimality():
             sldd = sld(sd)
             target = qfi(sd)
             for q in grid:
-                povm = q_family_measurement(sldd, sd.state, q)
+                povm = q_family_measurement(sldd, q)
                 assert abs(classical_fisher(povm, sd) - target) <= 1e-9
                 entropy = shannon_entropy(outcome_distribution(povm, sd))
                 expected = 0.0
                 if 0.0 < q < 1.0:
                     expected = -q * math.log(q) - (1.0 - q) * math.log(1.0 - q)
                 assert entropy == pytest.approx(expected, abs=1e-9)
-            skewed = q_family_measurement(sldd, sd.state, 0.001)
+            skewed = q_family_measurement(sldd, 0.001)
             assert shannon_entropy(outcome_distribution(skewed, sd)) < 0.01
 
 

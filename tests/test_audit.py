@@ -53,7 +53,7 @@ def per_point_sweep_q(family, lam, q_grid):
     """The per-point loop that the batched ``sweep_q`` replaced, as an oracle."""
     sd = derivative(family, lam)
     sldd = sld(sd)
-    return [audit(family, lam, q_family_measurement(sldd, sd.state, q)) for q in q_grid]
+    return [audit(family, lam, q_family_measurement(sldd, q)) for q in q_grid]
 
 
 def per_point_sweep_phi(family, lam, phi_grid):
@@ -119,7 +119,7 @@ class TestAudit:
         family = paper_qubit_family()
         lam = 0.7
         sd = derivative(family, lam)
-        povm = q_family_measurement(sld(sd), sd.state, 0.5)
+        povm = q_family_measurement(sld(sd), 0.5)
         report = audit(family, lam, povm)
         assert report.entropy == pytest.approx(LN2, abs=1e-9)
         assert report.violated is False
@@ -182,7 +182,7 @@ class TestAuditBandEdge:
         family = paper_qubit_family()
         sd = derivative(family, self.LAM)
         sldd = sld(sd)
-        povms = [q_family_measurement(sldd, sd.state, q) for q in self.grid()]
+        povms = [q_family_measurement(sldd, q) for q in self.grid()]
         reports = [audit(family, self.LAM, povm) for povm in povms]
         assert [r.rhs for r in reports] == pytest.approx([LN2, LN2], abs=1e-15)
         margins = [r.entropy - (r.rhs - TOL_AUDIT) for r in reports]
@@ -296,7 +296,7 @@ class TestSweepOracle:
         family = random_family(8, rng)
         result = sweep_q(family, 0.3, [])
         sd = derivative(family, 0.3)
-        report = audit(family, 0.3, q_family_measurement(sld(sd), sd.state, 0.5))
+        report = audit(family, 0.3, q_family_measurement(sld(sd), 0.5))
         assert len(result) == 0 and result.entropy.shape == result.fisher.shape == (0,)
         assert (result.qfi, result.seminorm_sq, result.rhs) == (
             report.qfi,
@@ -467,7 +467,7 @@ class TestEpsProbBandEdge:
             scale = 4.0 * np.vdot(sd.dstate, sd.dstate).real
             plane = sweep_q(family, lam, grid).fisher
             rows = np.array(
-                [audit(family, lam, q_family_measurement(sldd, sd.state, q)).fisher for q in grid]
+                [audit(family, lam, q_family_measurement(sldd, q)).fisher for q in grid]
             )
             for fisher in (plane, rows):
                 assert np.abs(fisher - qfi(sd)).max() <= 1e-14 * scale
@@ -661,15 +661,13 @@ class TestSweepCsv:
         column = np.array(values)[order]
         assert _formatted(column) == [f"{value:.17g}" for value in column.tolist()]
         assert _formatted(column[:0]) == []
+        # Subnormal shared scalars put rhs at 1, and only F ~ 0 is optimal.
         result = SweepResult(
-            entropy=column.copy(),
-            fisher=column[::-1].copy(),
-            violated=np.arange(len(values)) % 2 == 0,
-            measurement_optimal=np.arange(len(values)) % 4 < 2,
-            qfi=-0.0,
-            seminorm_sq=5e-324,
-            rhs=1.0 / 3.0,
+            entropy=column.copy(), fisher=column[::-1].copy(), qfi=5e-324, seminorm_sq=5e-324
         )
+        assert result.rhs == 1.0
+        pairs = set(zip(result.violated.tolist(), result.measurement_optimal.tolist()))
+        assert pairs == {(False, False), (False, True), (True, False), (True, True)}
         grid = np.array(values)
         write_sweep_csv(tmp_path / "columns.csv", grid, result)
         csv_writer_sweep_csv(tmp_path / "rows.csv", grid, list(result))
@@ -695,9 +693,14 @@ class TestSweepResult:
 
     def test_columns_are_read_only(self):
         result = sweep_phi(paper_qubit_family(), 0.7, [0.7, 1.2])
-        for column in (result.entropy, result.fisher, result.violated, result.measurement_optimal):
+        for column in (result.entropy, result.fisher):
             with pytest.raises(ValueError):
                 column[0] = 0
+        # The verdicts are derived on each read: writing into one leaves the next read as it was.
+        for name in ("violated", "measurement_optimal"):
+            before = getattr(result, name).tolist()
+            getattr(result, name)[:] = [not entry for entry in before]
+            assert getattr(result, name).tolist() == before
 
     def test_empty_grid_gives_an_empty_result(self):
         for sweep in (sweep_q, sweep_phi):

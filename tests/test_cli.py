@@ -30,6 +30,10 @@ LN2 = math.log(2.0)
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+SIM = {"n": 9, "trials": 4, "seed": 1}
+
+SWEEP = {"param": "q", "grid": [0.5]}
+
 STATE_FIELD = '"input_state": [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]'
 
 
@@ -572,6 +576,16 @@ class TestCmdGolden:
         assert "FAIL rhs" in out
         assert "PASS entropy" in out
 
+    def test_deliberate_bug_wide_audit_margin_fails_on_violated(self, capsys, monkeypatch):
+        # a build whose audit margin exceeds ln 2 can never flag the violation
+        import sys
+
+        monkeypatch.setattr(sys.modules["fisherlab.audit"], "TOL_AUDIT", 1.0)
+        assert main(["golden"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL violated: expected true, got false" in out
+        assert out.count("PASS ") == 5
+
     def test_deliberate_bug_dropped_zero_prob_terms_fails_on_fisher(self, capsys, monkeypatch):
         # a build that skips p ~ 0 outcomes reports F = 0 instead of F = 1
         # for the deterministic-outcome measurement
@@ -683,6 +697,64 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert f"config error: ConfigError: measurement spec {spec!r}: key {key!r}" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command, fields, named",
+        [
+            ("simulate", {"sim": {**SIM, "n": 1.5}}, "field 'sim.n': expected an integer"),
+            ("audit", {"sweep": [0.1, 0.5]}, "field 'sweep': expected an object"),
+            ("audit", {"sweep": {"param": "x", "grid": [0.5]}}, "field 'sweep.param'"),
+            ("audit", {"sweep": {**SWEEP, "step": 1}}, "field 'sweep': unknown keys ['step']"),
+            ("simulate", {"sim": 5}, "field 'sim': expected an object"),
+            ("simulate", {"sim": {**SIM, "interval": [0.0]}}, "'sim.interval': expected [low, high]"),
+            ("simulate", {"sim": {**SIM, "interval": [1.0, 0.0]}}, "'sim.interval': high must"),
+            ("simulate", {"sim": {**SIM, "shots": 9}}, "field 'sim': unknown keys ['shots']"),
+            ("qfi", None, "config root must be a JSON object"),
+            ("qfi", {"lam": 0.7}, "unknown top-level keys ['lam']"),
+            ("audit", {"measurement": 5}, "field 'measurement': expected a constructor"),
+            ("audit", {"measurement": "rotated:phi"}, "'rotated:phi': expected name:key=value"),
+            ("audit", {"measurement": "rotated:phi=east"}, "'east' is not a number"),
+            ("audit", {"measurement": "sld:x=1"}, "spec 'sld' takes no arguments"),
+            ("audit", {"measurement": "q_family:p=0.3"}, "spec 'q_family' needs exactly q="),
+            ("audit", {"measurement": "rotated:q=0.3"}, "spec 'rotated' needs exactly phi="),
+        ],
+        ids=[
+            "sim-n-not-integer",
+            "sweep-not-object",
+            "sweep-param-unknown",
+            "sweep-key-unknown",
+            "sim-not-object",
+            "interval-not-pair",
+            "interval-reversed",
+            "sim-key-unknown",
+            "root-not-object",
+            "top-level-key-unknown",
+            "measurement-not-list",
+            "spec-without-value",
+            "spec-value-not-number",
+            "sld-with-argument",
+            "q-family-without-q",
+            "rotated-without-phi",
+        ],
+    )
+    def test_config_error_names_its_field(self, tmp_path, capsys, command, fields, named):
+        # Each case reaches its own config-error raise; None stands for a JSON array root.
+        if fields is None:
+            config = [qubit_config()]
+        else:
+            config = qubit_config(**fields)
+            if command == "simulate":
+                config["measurement"] = "sld"
+        assert main([command, "--config", write_config(tmp_path, config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ConfigError: ") and named in captured.err
+        assert captured.out == ""
+
+    def test_build_povm_requires_a_measurement(self):
+        # The commands check for a measurement before they build one.
+        config = parse_config(qubit_config())
+        with pytest.raises(ConfigError, match="missing required field 'measurement'"):
+            build_povm(config, build_family(config))
 
     def test_deeply_nested_config_exits_two_without_output(self, tmp_path, capsys):
         # The JSON decoder raises RecursionError on nesting this deep.

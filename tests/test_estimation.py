@@ -86,7 +86,7 @@ def scalar_trial_estimates(family, povm, n, trials, seed, search_interval):
     counts = stream_counts(n, sampling_probs(family, povm), seed, trials)
     estimates = np.empty(trials)
     for i in range(trials):
-        record = SampleRecord(counts=counts[i], n=n, seed=seed)
+        record = SampleRecord(counts=counts[i], seed=seed)
         estimates[i] = scalar_mle_estimate(family, povm, record, search_interval)
     return estimates
 
@@ -183,16 +183,29 @@ class TestSampleOutcomes:
         assert type(record.n) is int
 
     def test_record_validates_counts(self):
-        with pytest.raises(ValueError):
-            SampleRecord(counts=np.array([3, 4]), n=10, seed=0)
-        # Unsigned counts are read as int64 before the checks, so this wrapped
-        # sum of 0 does not pass as a zero-shot record.
-        with pytest.raises(ValueError):
-            SampleRecord(counts=np.array([2**64 - 1, 1], dtype=np.uint64), n=0, seed=0)
-        # Like n, counts must be integers: 1.7 is not truncated to 1, nor 1.0 read as 1.
+        with pytest.raises(ValueError, match="non-negative"):
+            SampleRecord(counts=np.array([-3, 4]), seed=0)
+        # Unsigned counts are read as int64 before the checks, so 2**64 - 1 reads
+        # as -1 and is rejected; its uint64 sum would wrap to 0.
+        with pytest.raises(ValueError, match="non-negative"):
+            SampleRecord(counts=np.array([2**64 - 1, 1], dtype=np.uint64), seed=0)
+        # Counts must be integers: 1.7 is not truncated to 1, nor 1.0 read as 1.
         for counts in ([1.7, 0.3], [1.0, 0.0]):
             with pytest.raises(TypeError, match="integers"):
-                SampleRecord(counts=counts, n=1, seed=0)
+                SampleRecord(counts=counts, seed=0)
+        # n is the exact sum of the counts and meets the sampler's shot checks:
+        # no shots at all, or more than an int64 holds (this int64 sum wraps).
+        for counts in ([0, 0], [2**62] * 3):
+            with pytest.raises(ValueError, match="n must be in"):
+                SampleRecord(counts=counts, seed=0)
+        # The seed meets the sampler's check too.
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SampleRecord(counts=[1, 0], seed=-3)
+        with pytest.raises(TypeError):
+            SampleRecord(counts=[1, 0], seed=1.0)
+        record = SampleRecord(counts=[2**62, 2**62 - 1], seed=np.int64(7))
+        assert record.n == 2**63 - 1 and type(record.n) is int
+        assert record.seed == 7 and type(record.seed) is int
 
     @pytest.mark.parametrize("entry", ["sample_outcomes", "crb_experiment"])
     def test_shot_cap_is_the_largest_int64(self, entry):
@@ -298,7 +311,7 @@ class TestMleEstimate:
         # at the true parameter (Gibbs' inequality).
         family = paper_qubit_family()
         povm = balanced_measurement()
-        record = SampleRecord(counts=np.array([5000, 5000]), n=10000, seed=0)
+        record = SampleRecord(counts=np.array([5000, 5000]), seed=0)
         interval = (TRUE_LAMBDA - np.pi / 2.0, TRUE_LAMBDA + np.pi / 2.0)
         estimate = mle_estimate(family, povm, record, interval)
         # accuracy is limited by the float-noise plateau of the likelihood
@@ -308,7 +321,7 @@ class TestMleEstimate:
     def test_skewed_counts_move_the_estimate(self):
         family = paper_qubit_family()
         povm = balanced_measurement()
-        record = SampleRecord(counts=np.array([6000, 4000]), n=10000, seed=0)
+        record = SampleRecord(counts=np.array([6000, 4000]), seed=0)
         interval = (TRUE_LAMBDA - np.pi / 2.0, TRUE_LAMBDA + np.pi / 2.0)
         estimate = mle_estimate(family, povm, record, interval)
         # p_+ (lam) = (1 + sin(lam - TRUE_LAMBDA))/2 = 0.6 at the argmax
@@ -317,13 +330,13 @@ class TestMleEstimate:
 
     def test_flat_likelihood_raises(self):
         family = paper_qubit_family()
-        record = SampleRecord(counts=np.array([100]), n=100, seed=0)
+        record = SampleRecord(counts=np.array([100]), seed=0)
         with pytest.raises(FlatLikelihoodError):
             mle_estimate(family, Povm.from_effects((np.eye(2),)), record, (0.0, 1.0))
 
     def test_rejects_empty_interval(self):
         family = paper_qubit_family()
-        record = SampleRecord(counts=np.array([50, 50]), n=100, seed=0)
+        record = SampleRecord(counts=np.array([50, 50]), seed=0)
         with pytest.raises(ValueError):
             mle_estimate(family, balanced_measurement(), record, (1.0, 1.0))
 
@@ -332,16 +345,22 @@ class TestMleEstimate:
         family = random_family(3, np.random.default_rng(3))
         povm = sld_measurement(sld(derivative(family, TRUE_LAMBDA)))
         assert len(povm) == 3
-        record = SampleRecord(counts=np.full(outcomes, 5), n=5 * outcomes, seed=0)
+        record = SampleRecord(counts=np.full(outcomes, 5), seed=0)
         with pytest.raises(DimMismatchError, match=f"{outcomes} counts for a 3-outcome POVM"):
             mle_estimate(family, povm, record, (TRUE_LAMBDA - 0.3, TRUE_LAMBDA + 0.3))
+
+    def test_povm_dim_must_match_the_family(self):
+        povm = sld_measurement(sld(derivative(random_family(3, np.random.default_rng(3)), 0.5)))
+        record = SampleRecord(counts=np.array([5, 5, 0]), seed=0)
+        with pytest.raises(DimMismatchError, match="POVM dim does not match family dim"):
+            mle_estimate(paper_qubit_family(), povm, record, QUBIT_INTERVAL)
 
     @pytest.mark.parametrize(
         "interval", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (-1e308, 1e308)]
     )
     def test_rejects_non_finite_interval(self, interval):
         family = paper_qubit_family()
-        record = SampleRecord(counts=np.array([50, 50]), n=100, seed=0)
+        record = SampleRecord(counts=np.array([50, 50]), seed=0)
         with pytest.raises(ValueError, match="finite"):
             mle_estimate(family, balanced_measurement(), record, interval)
 
@@ -351,7 +370,7 @@ class TestMleEstimate:
         truth = 1e8 + 1.5
         family = paper_qubit_family()
         povm = rotated_qubit_measurement(truth + np.pi / 2.0)
-        record = SampleRecord(counts=np.array([5000, 5000]), n=10000, seed=0)
+        record = SampleRecord(counts=np.array([5000, 5000]), seed=0)
         estimate = mle_estimate(family, povm, record, (1e8, 1e8 + 3.0))
         assert estimate == pytest.approx(truth, abs=1e-6)
 
@@ -434,7 +453,7 @@ class TestCrbExperiment:
         # F = 0 and the bound 1/sqrt(n F) does not exist, yet the likelihood is not flat.
         povm = sigma_x_effects()
         assert classical_fisher(povm, derivative(paper_qubit_family(), 0.0)) == 0.0
-        record = SampleRecord(counts=np.array([700, 300]), n=1000, seed=1)
+        record = SampleRecord(counts=np.array([700, 300]), seed=1)
         assert math.isfinite(mle_estimate(paper_qubit_family(), povm, record, (-1.5, 1.5)))
 
         def no_draws(*args):
@@ -550,10 +569,13 @@ class TestCrbExperiment:
         # Signed zeros, subnormals, infinities and odd settings, written both ways.
         odd = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 0.1, 1.0 / 3.0, 1e300, -math.inf]
         odd_report = dataclasses.replace(report, estimates=tuple(odd), interval=(-math.pi, 5e-324))
-        cli._write_trials_csv(tmp_path / "odd.csv", odd_report, -0.0, 7, 2**64)
-        odd_args = (odd, odd_report, -0.0, 7, 2**64, odd_report.interval)
-        row_loop_trials_csv(tmp_path / "odd-oracle.csv", *odd_args)
+        # The std derived from these estimates is nan (inf - inf in the deviations).
+        with np.errstate(invalid="ignore"):
+            cli._write_trials_csv(tmp_path / "odd.csv", odd_report, -0.0, 7, 2**64)
+            odd_args = (odd, odd_report, -0.0, 7, 2**64, odd_report.interval)
+            row_loop_trials_csv(tmp_path / "odd-oracle.csv", *odd_args)
         assert (tmp_path / "odd.csv").read_bytes() == (tmp_path / "odd-oracle.csv").read_bytes()
+        assert (tmp_path / "odd.csv").read_text().endswith("\nsummary,nan\n")
 
     def test_csv_overwrites_an_existing_file_in_place(self, tmp_path):
         family, povm = paper_qubit_family(), balanced_measurement()
@@ -592,7 +614,7 @@ class TestBatchInvariance:
         _, estimates = batched_run(family, povm, n, trials, seed, interval)
         counts = stream_counts(n, sampling_probs(family, povm), seed, trials)
         for i, value in enumerate(estimates):
-            record = SampleRecord(counts=counts[i], n=n, seed=seed)
+            record = SampleRecord(counts=counts[i], seed=seed)
             assert value == mle_estimate(family, povm, record, interval)
 
     def test_longer_run_extends_a_shorter_one(self):
@@ -709,7 +731,7 @@ class TestNewtonIteration:
         probs = outcome_distribution(povm, derivative(family, truth)).probs
         counts = np.zeros(2, dtype=int)
         counts[int(np.argmax(probs))] = 10**4
-        record = SampleRecord(counts=counts, n=10**4, seed=0)
+        record = SampleRecord(counts=counts, seed=0)
         calls = count_score_calls(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -725,14 +747,14 @@ class TestNewtonIteration:
     def test_maximum_beyond_the_interval_returns_its_endpoint(self, interval, end):
         # The likelihood peaks at TRUE_LAMBDA = 0.7, outside both intervals:
         # the grid pick is an interval end and the slope points out of it.
-        record = SampleRecord(counts=np.array([5000, 5000]), n=10**4, seed=0)
+        record = SampleRecord(counts=np.array([5000, 5000]), seed=0)
         estimate = mle_estimate(paper_qubit_family(), balanced_measurement(), record, interval)
         assert estimate == interval[end]
 
     @pytest.mark.parametrize("counts, end", [([1, 0], 1), ([0, 1], 0)])
     def test_single_shot_maximum_sits_on_the_interval_edge(self, counts, end):
         family, povm = paper_qubit_family(), balanced_measurement()
-        record = SampleRecord(counts=np.array(counts), n=1, seed=0)
+        record = SampleRecord(counts=np.array(counts), seed=0)
         assert mle_estimate(family, povm, record, QUBIT_INTERVAL) == QUBIT_INTERVAL[end]
         _, estimates = batched_run(family, povm, 1, 20, 3, QUBIT_INTERVAL)
         assert sorted(set(estimates.tolist())) == list(QUBIT_INTERVAL)
@@ -740,7 +762,7 @@ class TestNewtonIteration:
     def test_interval_far_from_origin_stops_within_float_spacings(self, monkeypatch):
         truth = 1e8 + 1.5
         povm = rotated_qubit_measurement(truth + np.pi / 2.0)
-        record = SampleRecord(counts=np.array([5000, 5000]), n=10**4, seed=0)
+        record = SampleRecord(counts=np.array([5000, 5000]), seed=0)
         calls = count_score_calls(monkeypatch)
         estimate = mle_estimate(paper_qubit_family(), povm, record, (1e8, 1e8 + 3.0))
         assert abs(estimate - truth) <= 4.0 * np.spacing(truth)
@@ -775,7 +797,7 @@ class TestGridTies:
         grid = np.linspace(*interval, 256)
         values = np.array([_log_likelihood(family, povm, np.array(counts), x) for x in grid])
         assert np.flatnonzero(values == values.max()).tolist() == self.TIES[counts]
-        record = SampleRecord(counts=np.array(counts), n=10**4, seed=0)
+        record = SampleRecord(counts=np.array(counts), seed=0)
         estimate = mle_estimate(family, povm, record, interval)
         assert abs(estimate - scalar_mle_estimate(family, povm, record, interval)) <= ORACLE_TOL
 
@@ -785,5 +807,5 @@ class TestGridTies:
         counts = np.array(counts)
         estimates = estimation._mle(family, povm, counts, 10**4, *interval)
         for row, value in zip(counts, estimates):
-            record = SampleRecord(counts=row, n=10**4, seed=0)
+            record = SampleRecord(counts=row, seed=0)
             assert value == mle_estimate(family, povm, record, interval)

@@ -122,7 +122,7 @@ def test_audit(change, dim, seed, amount, exponent):
         Povm(rows=haar_basis(np.random.default_rng(seed), dim).conj().T[:, None, :]),
         sld_measurement(sld(sd)),
         # From q = 1e-13 on, the small outcome takes the vanishing-probability limit.
-        q_family_measurement(sld(sd), sd.state, 10.0**exponent),
+        q_family_measurement(sld(sd), 10.0**exponent),
     ]
     before = [audit(family, lam, povm) for povm in povms]
     after = [audit(other, lam, rotated(povm, unitary)) for povm in povms]
@@ -138,7 +138,7 @@ def test_crb_experiment(change, dim, seed, amount, q):
     # p by rounding can mirror every count.
     family, lam, other, unitary, scale = changed(dim, seed, change, amount)
     sd = derivative(family, lam)
-    povm = q_family_measurement(sld(sd), sd.state, q)
+    povm = q_family_measurement(sld(sd), q)
     reports = [
         crb_experiment(fam, rows, lam, 1000, 10, seed)
         for fam, rows in [(family, povm), (other, rotated(povm, unitary))]

@@ -86,6 +86,15 @@ class TestPovmValidation:
         with pytest.raises(DimMismatchError):
             Povm.from_effects((np.eye(2), np.eye(3)))
 
+    def test_rejects_no_effects(self):
+        with pytest.raises(DimMismatchError, match="at least one effect"):
+            Povm.from_effects(())
+
+    @pytest.mark.parametrize("shape", [(2, 2), (0, 1, 2), (2, 1, 0), (1, 1, 1, 1)])
+    def test_rejects_rows_of_the_wrong_shape(self, shape):
+        with pytest.raises(DimMismatchError, match=r"shape \(K, r, d\)"):
+            Povm(rows=np.zeros(shape))
+
 
 class TestOutcomeDistribution:
     def test_rotated_measurement_reproduces_cosine_law(self):
@@ -105,7 +114,7 @@ class TestOutcomeDistribution:
 
     def test_q_family_probabilities_read_back_q(self, rng):
         sd = derivative(random_family(3, rng), 0.5)
-        povm = q_family_measurement(sld(sd), sd.state, 0.3)
+        povm = q_family_measurement(sld(sd), 0.3)
         dist = outcome_distribution(povm, sd)
         assert_allclose(dist.probs, [0.3, 0.7, 0.0], atol=1e-12)
 
@@ -128,6 +137,13 @@ class TestOutcomeDistribution:
     )
     def test_rejects_non_finite_entries(self, probs, dprobs):
         with pytest.raises(ValueError):
+            OutcomeDistribution(probs=probs, dprobs=dprobs)
+
+    @pytest.mark.parametrize(
+        "probs, dprobs", [([0.5, 0.5], [0.0]), ([[0.5, 0.5]], [0.0, 0.0]), (1.0, 0.0)]
+    )
+    def test_rejects_unequal_or_scalar_shapes(self, probs, dprobs):
+        with pytest.raises(DimMismatchError, match="equal shape"):
             OutcomeDistribution(probs=probs, dprobs=dprobs)
 
 
@@ -188,7 +204,7 @@ class TestClassicalFisher:
             sd = derivative(random_family(dim, rng), 0.8)
             sldd = sld(sd)
             for q in (0.0, 0.25, 0.5, 1.0):
-                povm = q_family_measurement(sldd, sd.state, q)
+                povm = q_family_measurement(sldd, q)
                 assert classical_fisher(povm, sd) == pytest.approx(qfi(sd), abs=1e-9)
 
     def test_q_grid_optimality_across_dims(self, rng):
@@ -196,7 +212,7 @@ class TestClassicalFisher:
             sd = derivative(random_family(dim, rng), -0.6)
             sldd = sld(sd)
             for q in np.linspace(0.0, 1.0, 21):
-                povm = q_family_measurement(sldd, sd.state, q)
+                povm = q_family_measurement(sldd, q)
                 assert abs(classical_fisher(povm, sd) - qfi(sd)) <= 1e-9
 
     def test_never_exceeds_qfi_for_random_bases(self, rng):
@@ -300,13 +316,13 @@ class TestQFamilyMeasurement:
     def test_half_mixing_recovers_sld_basis(self, rng):
         sd = derivative(random_family(3, rng), 0.2)
         sldd = sld(sd)
-        q_povm = q_family_measurement(sldd, sd.state, 0.5)
+        q_povm = q_family_measurement(sldd, 0.5)
         sld_povm = sld_measurement(sldd)
         assert_allclose(povm_effects(q_povm), povm_effects(sld_povm), atol=1e-12)
 
     def test_zero_mixing_is_deterministic_yet_optimal(self, rng):
         sd = derivative(random_family(3, rng), 0.6)
-        povm = q_family_measurement(sld(sd), sd.state, 0.0)
+        povm = q_family_measurement(sld(sd), 0.0)
         dist = outcome_distribution(povm, sd)
         assert_allclose(dist.probs, [0.0, 1.0, 0.0], atol=1e-12)
         assert shannon_entropy(dist) == pytest.approx(0.0, abs=1e-9)
@@ -314,7 +330,7 @@ class TestQFamilyMeasurement:
 
     def test_partial_mixing_entropy(self, rng):
         sd = derivative(random_family(2, rng), 0.6)
-        povm = q_family_measurement(sld(sd), sd.state, 0.3)
+        povm = q_family_measurement(sld(sd), 0.3)
         dist = outcome_distribution(povm, sd)
         assert shannon_entropy(dist) == pytest.approx(BINARY_ENTROPY_03, abs=1e-9)
         assert classical_fisher(povm, sd) == pytest.approx(qfi(sd), abs=1e-9)
@@ -324,7 +340,7 @@ class TestQFamilyMeasurement:
         sldd = sld(sd)
         for q in (-0.1, 1.1, 2.0):
             with pytest.raises(InvalidQError):
-                q_family_measurement(sldd, sd.state, q)
+                q_family_measurement(sldd, q)
 
 
 class TestRotatedQubitMeasurement:
@@ -356,7 +372,7 @@ class TestSldWeightIdentity:
             sldd = sld(sd)
             for povm in (
                 sld_measurement(sldd),
-                q_family_measurement(sldd, sd.state, 0.37),
+                q_family_measurement(sldd, 0.37),
             ):
                 dist = outcome_distribution(povm, sd)
                 for eff, dp in zip(povm_effects(povm), dist.dprobs):
@@ -384,7 +400,7 @@ class TestAmplitudeAccuracy:
         sldd = sld(sd)
         q = 10.0**log_q
         for bias in (q, 1.0 - q):
-            report = audit(family, 0.3, q_family_measurement(sldd, sd.state, bias))
+            report = audit(family, 0.3, q_family_measurement(sldd, bias))
             assert abs(report.fisher - report.qfi) <= OPTIMALITY_TOL
             assert report.measurement_optimal
 

@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose
 
 from conftest import SIGMA_X, SIGMA_Z, random_hermitian
 from fisherlab import StateFamily, evaluate, hermitian_eig, seminorm
-from fisherlab.errors import NonHermitianError
-from fisherlab.numerics import _fix_phases, require_hermitian
+from fisherlab.errors import DimMismatchError, NonHermitianError
+from fisherlab.numerics import _fix_phases, as_state_vector, require_hermitian
 
 
 def taylor_expm(matrix: np.ndarray, terms: int = 60) -> np.ndarray:
@@ -37,6 +37,11 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (0, 0), (1, 2, 2)])
+    def test_rejects_non_square_operators(self, shape):
+        with pytest.raises(NonHermitianError, match="square matrix"):
+            require_hermitian(np.zeros(shape))
 
     def test_accepts_rounding_level_asymmetry(self):
         mat = SIGMA_X + np.array([[0.0, 1e-15], [0.0, 0.0]])
@@ -83,6 +88,13 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestStateVector:
+    @pytest.mark.parametrize("entries", [[], [[1.0]], [[1.0, 0.0], [0.0, 1.0]], 1.0])
+    def test_rejects_empty_or_non_vector_input(self, entries):
+        with pytest.raises(DimMismatchError, match="one-dimensional and non-empty"):
+            as_state_vector(entries)
 
 
 class TestFixPhasesOracle:

@@ -1,11 +1,13 @@
 """The public surface: every exported name resolves, and removed names stay gone."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fisherlab
@@ -79,3 +81,43 @@ def test_estimation_returns_estimates_and_writes_no_file():
         if isinstance(node, ast.ImportFrom) and node.level == 1
     ]
     assert imported and "audit" not in imported
+
+
+@pytest.mark.parametrize(
+    "module, name, settable",
+    [
+        ("audit", "AuditReport", ["entropy", "fisher", "qfi", "seminorm_sq"]),
+        ("audit", "SweepResult", ["entropy", "fisher", "qfi", "seminorm_sq"]),
+        ("estimation", "CrbReport", ["crb", "estimates", "interval"]),
+        ("metrology", "QfiReport", ["qfi", "seminorm_sq"]),
+        ("metrology", "SldData", ["state", "tangent", "normalization"]),
+        ("estimation", "SampleRecord", ["counts", "seed"]),
+        ("state_family", "StateAndDerivative", ["state", "dstate"]),
+    ],
+)
+def test_data_types_store_only_their_independent_values(module, name, settable):
+    # Everything else a type offers is derived from these on read. The one
+    # field set at construction, StateAndDerivative.tangent, is the
+    # gauge-fixed projection every functional reads.
+    cls = getattr(importlib.import_module(f"fisherlab.{module}"), name)
+    fields = dataclasses.fields(cls)
+    assert [field.name for field in fields if field.init] == settable
+    assert [field.name for field in fields if not field.init] == (
+        ["tangent"] if name == "StateAndDerivative" else []
+    )
+
+
+def test_q_family_measurement_reads_the_state_from_the_sld_data():
+    assert list(inspect.signature(fisherlab.q_family_measurement).parameters) == ["sldd", "q"]
+    assert list(inspect.signature(fisherlab.measurement._q_basis).parameters) == ["sldd"]
+
+
+def test_replacing_the_estimates_moves_the_derived_spread():
+    family = fisherlab.StateFamily(np.diag([0.5, -0.5]), np.array([1.0, 1.0]) / np.sqrt(2.0))
+    povm = fisherlab.sld_measurement(fisherlab.sld(fisherlab.derivative(family, 0.7)))
+    report = fisherlab.crb_experiment(family, povm, 0.7, n=100, trials=5, seed=3)
+    assert report.empirical_std == np.std(report.estimates, ddof=1) > 0.0
+    moved = dataclasses.replace(report, estimates=(0.5, 0.7, 0.9))
+    assert moved.empirical_std == pytest.approx(0.2, rel=1e-14)
+    assert moved.ratio == moved.empirical_std / report.crb
+    assert report.empirical_std != moved.empirical_std and moved.trials == 3

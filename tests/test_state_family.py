@@ -145,16 +145,20 @@ class TestStateAndDerivative:
         # ||dstate|| = size to the last bit; the band is 1e-9 * max(1, size).
         state, dstate = np.array([1.0, 0.0]), np.array([real, 1j * size])
         if accepted:
-            StateAndDerivative(state=state, dstate=dstate, lam=0.0)
+            StateAndDerivative(state=state, dstate=dstate)
         else:
             with pytest.raises(ValueError, match=r"Re<state\|dstate>"):
-                StateAndDerivative(state=state, dstate=dstate, lam=0.0)
+                StateAndDerivative(state=state, dstate=dstate)
+
+    def test_state_and_dstate_dims_must_agree(self):
+        with pytest.raises(DimMismatchError, match="dims differ"):
+            StateAndDerivative(state=np.array([1.0, 0.0]), dstate=np.array([0.0, 1j, 0.0]))
 
     @pytest.mark.parametrize("dstate", [[math.inf, 1j], [math.nan, 1j], [1.7e308, 1.7e308]])
     def test_non_finite_or_overflowing_dstate_is_rejected(self, dstate):
         # The last overlap overflows to inf, and so does the band it is held to.
         with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"Re<state\|dstate>"):
-            StateAndDerivative(state=np.array([0.6, 0.8]), dstate=np.array(dstate), lam=0.0)
+            StateAndDerivative(state=np.array([0.6, 0.8]), dstate=np.array(dstate))
 
 
 class TestFiniteDifference:
