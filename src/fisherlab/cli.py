@@ -74,7 +74,7 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepSpec:
     param: str
     grid: np.ndarray
@@ -88,7 +88,7 @@ class SimSpec:
     interval: tuple | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     generator: np.ndarray
     input_state: np.ndarray
@@ -434,7 +434,7 @@ def cmd_simulate(args) -> int:
 
 def _write_trials_csv(path, report: CrbReport, true_lambda: float, n: int, seed: int) -> None:
     """Write a ``#`` settings line, ``trial,estimate`` rows and a ``summary`` std row."""
-    rows = "".join([f"{i},{value:.17g}\n" for i, value in enumerate(report.estimates)])
+    rows = "%d,%.17g\n" * report.trials % tuple(chain.from_iterable(enumerate(report.estimates)))
     _write_text(
         path,
         f"# true_lambda={true_lambda:.17g} n={n} trials={report.trials} seed={seed} "

@@ -62,7 +62,7 @@ _FLAT_TOL = 1e-14
 _LOG_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleRecord:
     """Outcome counts from one batch of identical measurements; ``n`` is their sum."""
 
@@ -70,9 +70,12 @@ class SampleRecord:
     seed: int
 
     def __post_init__(self):
-        if np.asarray(self.counts).dtype.kind not in "iu":
+        counts = np.asarray(self.counts)
+        if counts.ndim != 1 or not counts.size:
+            raise DimMismatchError(f"counts must be a non-empty vector, got shape {counts.shape}")
+        if counts.dtype.kind not in "iu":
             raise TypeError("counts must be integers")
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = counts.astype(np.int64, copy=False)
         if counts.min() < 0:
             raise ValueError("counts must be non-negative")
         object.__setattr__(self, "counts", counts)
@@ -173,26 +176,31 @@ def _amplitudes(weights: np.ndarray, eigvals: np.ndarray, lams: np.ndarray) -> n
 
     Shape ``(len(lams), *weights.shape[:-2], 2 * weights.shape[-2])``: the
     rank axis and the real and imaginary parts share the last axis, so
-    ``Re(conj(A) B)`` is a product summed over it. Every sum runs over
-    the last, contiguous axis, so row ``i`` depends on ``lams[i]`` alone
-    and not on how many points share the call.
+    ``Re(conj(A) B)`` is a product summed over it. The sum over the
+    eigen index ``j`` follows the short-axis rule of :func:`_short_sum`,
+    so row ``i`` depends on ``lams[i]`` alone and not on how many points
+    share the call.
     """
     phases = np.exp(-1j * lams[:, None] * eigvals)
     flat = weights.reshape(-1, weights.shape[-1])
-    amps = (flat * phases[:, None, :]).sum(-1).reshape(len(lams), *weights.shape[:-1])
+    amps = _short_sum(flat * phases[:, None, :]).reshape(len(lams), *weights.shape[:-1])
     return amps.view(float)
 
 
-def _outcome_sum(counts: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """``sum_a counts[..., a] * terms[..., a]``, accumulated one outcome at a time.
+def _short_sum(terms: np.ndarray) -> np.ndarray:
+    """``terms.sum(-1)``, accumulated one entry of the short last axis at a time.
 
-    Elementwise accumulation over the short outcome axis is an order of
-    magnitude faster than a reduction over it; for two outcomes the sum
-    is the same bit for bit.
+    Short-axis rule: every sum here runs over a short last axis (the
+    outcome index, the eigen index ``d`` or the interleaved re/im x rank
+    axis ``2r``), and elementwise adds over it are an order of magnitude
+    faster than a NumPy reduction over it. For lengths 2 and 3 the sum is
+    the reduction's bit for bit; on longer axes the two differ by a few
+    ulps of the sum of magnitudes. Each entry of the result is summed
+    from its own row alone, in a fixed order.
     """
-    total = counts[..., 0] * terms[..., 0]
-    for a in range(1, counts.shape[-1]):
-        total += counts[..., a] * terms[..., a]
+    total = terms[..., 0]
+    for j in range(1, terms.shape[-1]):
+        total = total + terms[..., j]
     return total
 
 
@@ -208,11 +216,11 @@ def _score(derivs, eigvals, counts, observed, lams):
     """
     terms = _amplitudes(derivs, eigvals, lams)
     amps, damps, ddamps = terms[:, 0], terms[:, 1], terms[:, 2]
-    probs = (amps * amps).sum(-1)
+    probs = _short_sum(amps * amps)
     probs = np.where(observed, np.maximum(probs, _LOG_FLOOR), 1.0)
-    slope = 2.0 * (amps * damps).sum(-1) / probs
-    bend = 2.0 * (damps * damps + amps * ddamps).sum(-1) / probs - slope * slope
-    return _outcome_sum(counts, slope), _outcome_sum(counts, bend)
+    slope = 2.0 * _short_sum(amps * damps) / probs
+    bend = 2.0 * _short_sum(damps * damps + amps * ddamps) / probs - slope * slope
+    return _short_sum(counts * slope), _short_sum(counts * bend)
 
 
 def _mle(
@@ -225,6 +233,13 @@ def _mle(
     Recipes 9.4), run in lockstep inside each trial's grid bracket
     ``[grid[pick - 1], grid[pick + 1]]``, each trial dropped once it has
     converged. Estimate ``t`` depends only on ``counts[t]``.
+
+    Sums over short axes follow the rule of :func:`_short_sum`. The grid
+    scan adds each outcome's ``counts * log p`` product into the
+    ``(T, 256)`` grid values, and both live in one ``(2, T, 256)`` block,
+    one allocation per call: two full-size arrays freed side by side
+    would let the allocator trim the heap top, and the next call would
+    fault those pages back in.
     """
     if povm.dim != family.dim:
         raise DimMismatchError("POVM dim does not match family dim")
@@ -241,8 +256,11 @@ def _mle(
 
     grid = np.linspace(lo, hi, _GRID_POINTS)
     amps = _amplitudes(weights, eigvals, grid)
-    log_probs = np.log(np.maximum((amps * amps).sum(-1), _LOG_FLOOR))
-    values = _outcome_sum(counts[:, None, :], log_probs)
+    log_probs = np.log(np.maximum(_short_sum(amps * amps), _LOG_FLOOR))
+    values, product = np.empty((2, len(counts), _GRID_POINTS))
+    np.multiply(counts[:, 0, None], log_probs[:, 0], out=values)
+    for k in range(1, counts.shape[-1]):
+        values += np.multiply(counts[:, k, None], log_probs[:, k], out=product)
     rows, pick = np.arange(len(counts)), values.argmax(1)
     top = values[rows, pick]
     if np.any(top - values.min(1) < _FLAT_TOL * max(1.0, float(n))):
@@ -258,7 +276,7 @@ def _mle(
         pick[tied] = near.argmin(1)
     left, right = np.maximum(pick - 1, 0), np.minimum(pick + 1, _GRID_POINTS - 1)
     below, above = values[rows, left] - top, values[rows, right] - top
-    del values
+    del values, product
     a, b, curve = grid[left], grid[right], below + above
     # below, above <= 0 put the vertex within half a grid step of the pick;
     # on an interval end the clip to the bracket keeps the start on the pick.
@@ -272,7 +290,7 @@ def _mle(
     # later one must at least halve the step before it, else bisect.
     step = b - a
     out, observed = np.empty(len(counts)), counts > 0
-    while rows.size:
+    while True:
         slope, bend = _score(derivs, eigvals, counts, observed, x)
         # The maximum lies uphill; a zero slope collapses the bracket.
         a = np.where(slope >= 0.0, x, a)
@@ -284,9 +302,12 @@ def _mle(
         step = np.abs(x - here)
         out[rows] = x
         live = (step > 0.5 * tol) & (b - a > tol)
+        if live.all():
+            continue
+        if not live.any():
+            return out
         rows, x, a, b, step = rows[live], x[live], a[live], b[live], step[live]
         counts, observed = counts[live], observed[live]
-    return out
 
 
 def mle_estimate(family: StateFamily, povm: Povm, record: SampleRecord, search_interval) -> float:

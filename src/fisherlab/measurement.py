@@ -51,7 +51,7 @@ _PSD_TOL = -1e-10
 _COMPLETENESS_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """A finite positive-operator-valued measure stored as amplitude rows.
 
@@ -116,7 +116,7 @@ def _check_complete(rows: np.ndarray, common=None, tol: float = _COMPLETENESS_TO
         raise ValueError(f"effects sum to identity only within {deviation:.3e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Outcome probabilities and their parameter derivatives, outcomes on the last axis."""
 

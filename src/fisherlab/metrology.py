@@ -36,7 +36,7 @@ __all__ = [
 EPS_QFI = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SldData:
     """A moving pure state's SLD, stored as its analytic eigenstructure.
 

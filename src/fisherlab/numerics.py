@@ -63,7 +63,7 @@ def require_hermitian(matrix) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Spectral data of a Hermitian operator.
 

@@ -33,7 +33,7 @@ DEFAULT_FD_STEP = 1e-5
 _NORM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateFamily:
     """Unitary phase-encoding family ``|psi_lam> = exp(-i*lam*generator) |psi>``."""
 
@@ -64,7 +64,7 @@ class StateFamily:
         return self.input_state.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateAndDerivative:
     """A state ``|psi_lam>`` bundled with its parameter derivative.
 

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -206,6 +208,14 @@ class TestSampleOutcomes:
         record = SampleRecord(counts=[2**62, 2**62 - 1], seed=np.int64(7))
         assert record.n == 2**63 - 1 and type(record.n) is int
         assert record.seed == 7 and type(record.seed) is int
+
+    @pytest.mark.parametrize("counts", [np.array([], dtype=int), [], [[1, 2]], np.int64(3)])
+    def test_record_counts_must_be_a_non_empty_vector(self, counts):
+        # An empty vector once raised NumPy's zero-size reduction error and
+        # [[1, 2]] a bare TypeError from summing its rows.
+        message = f"non-empty vector, got shape {re.escape(str(np.shape(counts)))}"
+        with pytest.raises(DimMismatchError, match=message):
+            SampleRecord(counts=counts, seed=0)
 
     @pytest.mark.parametrize("entry", ["sample_outcomes", "crb_experiment"])
     def test_shot_cap_is_the_largest_int64(self, entry):
@@ -809,3 +819,105 @@ class TestGridTies:
         for row, value in zip(counts, estimates):
             record = SampleRecord(counts=row, seed=0)
             assert value == mle_estimate(family, povm, record, interval)
+
+
+def reduced_amplitudes(weights, eigvals, lams):
+    """``_amplitudes`` with its eigen-index sum as a NumPy reduction, as it was written before."""
+    phases = np.exp(-1j * lams[:, None] * eigvals)
+    flat = weights.reshape(-1, weights.shape[-1])
+    amps = (flat * phases[:, None, :]).sum(-1).reshape(len(lams), *weights.shape[:-1])
+    return amps.view(float)
+
+
+def reduced_score_terms(terms, observed):
+    """Per-outcome slope and bend of ``_score`` from amplitude terms, summed by reductions."""
+    amps, damps, ddamps = terms[:, 0], terms[:, 1], terms[:, 2]
+    probs = (amps * amps).sum(-1)
+    probs = np.where(observed, np.maximum(probs, _LOG_FLOOR), 1.0)
+    slope = 2.0 * (amps * damps).sum(-1) / probs
+    bend = 2.0 * (damps * damps + amps * ddamps).sum(-1) / probs - slope * slope
+    return slope, bend
+
+
+def outcome_sum(counts, terms):
+    """The outcome sum of ``_score`` as it was written before: one outcome at a time."""
+    total = counts[..., 0] * terms[..., 0]
+    for a in range(1, counts.shape[-1]):
+        total += counts[..., a] * terms[..., a]
+    return total
+
+
+def short_sum_case(dim, rank, outcomes, seed):
+    """Random amplitude weights stacked with their derivatives, as ``_mle`` builds them."""
+    rng = np.random.default_rng(seed)
+    weights = rng.standard_normal((outcomes, rank, dim)) + 1j * rng.standard_normal(
+        (outcomes, rank, dim)
+    )
+    eigvals = np.sort(rng.standard_normal(dim))
+    derivs = np.stack([weights, -1j * eigvals * weights, -(eigvals**2) * weights])
+    counts = rng.integers(0, 1000, (64, outcomes)).astype(float)
+    counts[::7, 0] = 0.0
+    return derivs, eigvals, counts, rng.uniform(-3.0, 3.0, 64)
+
+
+class TestShortAxisSums:
+    """The elementwise short-axis sums against the NumPy reductions they replaced.
+
+    For axes of length 2 and 3 the two agree bit for bit, which is what
+    keeps every estimate of the paper qubit (d = 2, rank-1 outcomes) as it
+    was. Longer eigen sums add in another order: measured over d = 4..32,
+    each amplitude moves by at most 1.3 eps of ``sum_j |w_j|`` (bound: 2
+    eps) and the score by at most 4e2 eps of the sum of its per-outcome
+    magnitudes (bound: 1e-12, ~4.5e3 eps).
+    """
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_short_axes_sum_bit_for_bit(self, dim, rank):
+        for outcomes in (2, 3):
+            derivs, eigvals, counts, lams = short_sum_case(dim, rank, outcomes, 100 * dim + rank)
+            terms = estimation._amplitudes(derivs, eigvals, lams)
+            assert terms.tobytes() == reduced_amplitudes(derivs, eigvals, lams).tobytes()
+            slope, bend = reduced_score_terms(terms, counts > 0)
+            got = estimation._score(derivs, eigvals, counts, counts > 0, lams)
+            want = outcome_sum(counts, slope), outcome_sum(counts, bend)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("dim", [4, 5, 8, 16, 32])
+    def test_long_eigen_sums_stay_within_the_stated_bound(self, dim):
+        eps = np.finfo(float).eps
+        for rank, seed in [(1, dim), (2, dim + 1000)]:
+            derivs, eigvals, counts, lams = short_sum_case(dim, rank, 3, seed)
+            terms = estimation._amplitudes(derivs, eigvals, lams)
+            reduced = reduced_amplitudes(derivs, eigvals, lams)
+            scale = np.repeat(np.abs(derivs).sum(-1), 2, axis=-1)
+            assert np.all(np.abs(terms - reduced) <= 2.0 * eps * scale)
+            # Given the same amplitudes, the score's own sums are unchanged.
+            slope, bend = reduced_score_terms(terms, counts > 0)
+            got = estimation._score(derivs, eigvals, counts, counts > 0, lams)
+            want = outcome_sum(counts, slope), outcome_sum(counts, bend)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            # From the reduced amplitudes, each per-outcome term moves with
+            # the amplitude's relative error.
+            slope, bend = reduced_score_terms(reduced, counts > 0)
+            for value, term in zip(got, (slope, bend)):
+                bound = 1e-12 * outcome_sum(counts, np.abs(term))
+                assert np.all(np.abs(value - outcome_sum(counts, term)) <= bound)
+
+
+class TestPaperQubitDigest:
+    # sha256 of the little-endian float64 estimates of the paper qubit's SLD
+    # measurement, n = 10**4 and 100 trials, as computed before the grid
+    # scan and the short-axis sums were rewritten.
+    DIGESTS = {
+        11: "9da5bad8e0ad93f75f7e8f9cf62b8e91d3ecd322b2c0e4066258eb6fd928e671",
+        2101: "60f418b693475e8d9aa7fde130bcd07021b20672dfe254b98a111ecbb9e79b2b",
+        7919: "a674219fccbf577cf0b95387856d73ca93e76f824e3752f131de93a509d24f39",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_sld_estimates_keep_their_bits(self, seed):
+        family, povm, _ = qubit_case(None)
+        report = crb_experiment(family, povm, TRUE_LAMBDA, n=10**4, trials=100, seed=seed)
+        estimates = np.array(report.estimates, dtype="<f8")
+        assert hashlib.sha256(estimates.tobytes()).hexdigest() == self.DIGESTS[seed]

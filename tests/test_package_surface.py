@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fisherlab
-from fisherlab import errors
+from fisherlab import cli, errors
 
 MODULES = [
     "audit",
@@ -121,3 +121,61 @@ def test_replacing_the_estimates_moves_the_derived_spread():
     assert moved.empirical_std == pytest.approx(0.2, rel=1e-14)
     assert moved.ratio == moved.empirical_std / report.crb
     assert report.empirical_std != moved.empirical_std and moved.trials == 3
+
+
+CONFIG_TEXT = (
+    '{"generator": [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]], '
+    '"input_state": [[0.7071067811865476, 0], [0.7071067811865476, 0]], "lambda": 0.7, '
+    '"sweep": {"param": "q", "grid": [0.1, 0.5]}, "sim": {"n": 100, "trials": 5, "seed": 3}}'
+)
+ARRAY_HOLDERS = [
+    "EigenDecomposition",
+    "ExperimentConfig",
+    "OutcomeDistribution",
+    "Povm",
+    "SampleRecord",
+    "SldData",
+    "StateAndDerivative",
+    "StateFamily",
+    "SweepSpec",
+]
+
+
+def fresh_instances() -> dict:
+    """New instances of the frozen dataclasses, by type name, built from the same values."""
+    family = fisherlab.StateFamily(np.diag([0.5, -0.5]), np.array([1.0, 1.0]) / np.sqrt(2.0))
+    sd = fisherlab.derivative(family, 0.7)
+    sldd = fisherlab.sld(sd)
+    povm = fisherlab.sld_measurement(sldd)
+    config = cli.parse_config_text(CONFIG_TEXT)
+    return {
+        "EigenDecomposition": fisherlab.numerics.hermitian_eig(np.diag([0.5, -0.5])),
+        "ExperimentConfig": config,
+        "OutcomeDistribution": fisherlab.outcome_distribution(povm, sd),
+        "Povm": povm,
+        "SampleRecord": fisherlab.SampleRecord(counts=[1, 2], seed=0),
+        "SldData": sldd,
+        "StateAndDerivative": sd,
+        "StateFamily": family,
+        "SweepSpec": config.sweep,
+        "AuditReport": fisherlab.audit(family, 0.7, povm),
+        "CrbReport": fisherlab.crb_experiment(family, povm, 0.7, n=100, trials=5, seed=3),
+        "QfiReport": fisherlab.qfi_report(family, 0.7),
+        "SimSpec": config.sim,
+    }
+
+
+@pytest.mark.parametrize("name", ARRAY_HOLDERS)
+def test_types_holding_arrays_compare_by_identity(name):
+    # Generated value equality would compare arrays, so == raised ValueError
+    # and hash() raised TypeError on every one of them.
+    first, second = fresh_instances()[name], fresh_instances()[name]
+    assert type(first).__name__ == name
+    assert first == first and first != second
+    assert hash(first) == hash(first) and len({first, second}) == 2
+
+
+@pytest.mark.parametrize("name", ["AuditReport", "CrbReport", "QfiReport", "SimSpec"])
+def test_scalar_reports_keep_value_equality(name):
+    first, second = fresh_instances()[name], fresh_instances()[name]
+    assert first is not second and first == second and hash(first) == hash(second)
