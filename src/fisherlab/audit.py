@@ -60,6 +60,9 @@ TOL_AUDIT = 1e-9
 # |fisher - qfi| at or below this marks the measurement as optimal.
 OPTIMALITY_TOL = 1e-8
 
+# Sweep CSV rows joined per write; see write_sweep_csv.
+_CSV_CHUNK_ROWS = 512
+
 SWEEP_CSV_COLUMNS = (
     "sweep_param",
     "entropy_nats",
@@ -188,14 +191,14 @@ def reproduce_counterexample(lam: float = 0.7) -> AuditReport:
 
 
 def _formatted(column) -> list:
-    """``.17g`` text of a float column, formatting each distinct bit pattern (so -0.0 too) once."""
+    """``.17g,`` text of a float column, formatting each distinct bit pattern (so -0.0 too) once."""
     bits, inverse = np.unique(np.asarray(column, dtype=float).view(np.uint64), return_inverse=True)
-    texts = ("%.17g," * len(bits) % tuple(bits.view(float).tolist())).split(",")
-    return np.array(texts[:-1], dtype=object)[inverse].tolist()
+    texts = ("%.17g,\n" * len(bits) % tuple(bits.view(float).tolist())).split("\n")
+    return [texts[i] for i in inverse.tolist()]
 
 
-def _write_text(path, text: str) -> None:
-    """Write ``text`` over the old bytes of ``path``, then trim a regular file to its length.
+def _write_text(path, chunks) -> None:
+    """Write the strings ``chunks`` over the old bytes of ``path``, then trim a regular file.
 
     ``open(path, "w")`` would truncate to zero first, and on ext4 that makes
     the close push the whole file to storage; an in-place overwrite stays
@@ -203,7 +206,7 @@ def _write_text(path, text: str) -> None:
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     with open(fd, "w", newline="") as handle:
-        handle.write(text)
+        handle.writelines(chunks)
         if stat.S_ISREG(os.fstat(fd).st_mode):
             handle.truncate()
 
@@ -212,16 +215,22 @@ def write_sweep_csv(path, param_values, result: SweepResult) -> None:
     """Write one sweep as CSV with a header row and 17-significant-digit floats.
 
     Rows end in ``\\r\\n``, as the ``csv`` module writes them; no field
-    needs quoting. Float columns are formatted once per distinct value.
+    needs quoting. Float columns are formatted once per distinct value
+    into one flat list of pieces, joined and written ``_CSV_CHUNK_ROWS``
+    rows (~65 KB) at a time: a file-sized string would pass glibc's
+    128 KB mmap threshold and fault its pages in afresh on every call.
     An existing file is overwritten in place and trimmed to the new length.
     """
     values = np.asarray(param_values, dtype=float)
     if len(values) != len(result):
         raise ValueError("one parameter value per grid point required")
-    shared = f",{result.qfi:.17g},{result.seminorm_sq:.17g},{result.rhs:.17g},"
+    shared = f"{result.qfi:.17g},{result.seminorm_sq:.17g},{result.rhs:.17g},"
     verdicts = ("false", "true")
-    tails = np.array([f"{shared}{bad},{ok}\r\n" for bad in verdicts for ok in verdicts])
-    columns = [_formatted(values), _formatted(result.entropy), _formatted(result.fisher)]
-    columns.append(tails[2 * result.violated + result.measurement_optimal].tolist())
-    lines = [f"{value},{entropy},{fisher}{tail}" for value, entropy, fisher, tail in zip(*columns)]
-    _write_text(path, ",".join(SWEEP_CSV_COLUMNS) + "\r\n" + "".join(lines))
+    tails = [f"{shared}{bad},{ok}\r\n" for bad in verdicts for ok in verdicts]
+    pieces = [",".join(SWEEP_CSV_COLUMNS) + "\r\n"] + [""] * (4 * len(values))
+    pieces[1::4] = _formatted(values)
+    pieces[2::4] = _formatted(result.entropy)
+    pieces[3::4] = _formatted(result.fisher)
+    pieces[4::4] = [tails[i] for i in (2 * result.violated + result.measurement_optimal).tolist()]
+    step = 4 * _CSV_CHUNK_ROWS
+    _write_text(path, ("".join(pieces[i : i + step]) for i in range(0, len(pieces), step)))

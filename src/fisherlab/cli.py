@@ -435,12 +435,12 @@ def cmd_simulate(args) -> int:
 def _write_trials_csv(path, report: CrbReport, true_lambda: float, n: int, seed: int) -> None:
     """Write a ``#`` settings line, ``trial,estimate`` rows and a ``summary`` std row."""
     rows = "%d,%.17g\n" * report.trials % tuple(chain.from_iterable(enumerate(report.estimates)))
-    _write_text(
-        path,
+    text = (
         f"# true_lambda={true_lambda:.17g} n={n} trials={report.trials} seed={seed} "
         f"interval=({report.interval[0]:.17g},{report.interval[1]:.17g})\n"
-        f"trial,estimate\n{rows}summary,{report.empirical_std:.17g}\n",
+        f"trial,estimate\n{rows}summary,{report.empirical_std:.17g}\n"
     )
+    _write_text(path, (text,))
 
 
 def cmd_golden(args) -> int:

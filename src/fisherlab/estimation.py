@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatchError, FlatLikelihoodError
-from .measurement import Povm, classical_fisher, outcome_distribution
+from .measurement import Povm, _short_sum, classical_fisher, outcome_distribution
 from .metrology import EPS_QFI, seminorm_bound
 from .state_family import StateAndDerivative, StateFamily, derivative
 
@@ -177,31 +177,14 @@ def _amplitudes(weights: np.ndarray, eigvals: np.ndarray, lams: np.ndarray) -> n
     Shape ``(len(lams), *weights.shape[:-2], 2 * weights.shape[-2])``: the
     rank axis and the real and imaginary parts share the last axis, so
     ``Re(conj(A) B)`` is a product summed over it. The sum over the
-    eigen index ``j`` follows the short-axis rule of :func:`_short_sum`,
-    so row ``i`` depends on ``lams[i]`` alone and not on how many points
-    share the call.
+    eigen index ``j`` is :func:`~fisherlab.measurement._short_sum`, with
+    the reduction's bits at every ``d``, so row ``i`` depends on ``lams[i]``
+    alone and not on how many points share the call.
     """
     phases = np.exp(-1j * lams[:, None] * eigvals)
     flat = weights.reshape(-1, weights.shape[-1])
     amps = _short_sum(flat * phases[:, None, :]).reshape(len(lams), *weights.shape[:-1])
     return amps.view(float)
-
-
-def _short_sum(terms: np.ndarray) -> np.ndarray:
-    """``terms.sum(-1)``, accumulated one entry of the short last axis at a time.
-
-    Short-axis rule: every sum here runs over a short last axis (the
-    outcome index, the eigen index ``d`` or the interleaved re/im x rank
-    axis ``2r``), and elementwise adds over it are an order of magnitude
-    faster than a NumPy reduction over it. For lengths 2 and 3 the sum is
-    the reduction's bit for bit; on longer axes the two differ by a few
-    ulps of the sum of magnitudes. Each entry of the result is summed
-    from its own row alone, in a fixed order.
-    """
-    total = terms[..., 0]
-    for j in range(1, terms.shape[-1]):
-        total = total + terms[..., j]
-    return total
 
 
 def _score(derivs, eigvals, counts, observed, lams):
@@ -234,12 +217,13 @@ def _mle(
     ``[grid[pick - 1], grid[pick + 1]]``, each trial dropped once it has
     converged. Estimate ``t`` depends only on ``counts[t]``.
 
-    Sums over short axes follow the rule of :func:`_short_sum`. The grid
-    scan adds each outcome's ``counts * log p`` product into the
-    ``(T, 256)`` grid values, and both live in one ``(2, T, 256)`` block,
-    one allocation per call: two full-size arrays freed side by side
-    would let the allocator trim the heap top, and the next call would
-    fault those pages back in.
+    Every sum over a last axis is :func:`~fisherlab.measurement._short_sum`,
+    elementwise adds with the reduction's bits. The grid scan adds each
+    outcome's ``counts * log p`` product into the ``(T, 256)`` grid
+    values, and both live in one ``(2, T, 256)`` block, one allocation
+    per call: two full-size arrays freed side by side would let the
+    allocator trim the heap top, and the next call would fault those
+    pages back in.
     """
     if povm.dim != family.dim:
         raise DimMismatchError("POVM dim does not match family dim")

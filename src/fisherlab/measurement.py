@@ -51,6 +51,24 @@ _PSD_TOL = -1e-10
 _COMPLETENESS_TOL = 1e-9
 
 
+def _short_sum(terms: np.ndarray) -> np.ndarray:
+    """``terms.sum(-1)`` bit for bit, as elementwise adds over a short last axis.
+
+    Short-axis rule: NumPy's reduction adds fewer than 8 float64s (4
+    complex128s) one at a time onto +0.0, and more in pairwise blocks.
+    The same adds over all leading axes at once are an order of magnitude
+    faster; longer and empty axes run the reduction. Skipping the +0.0
+    start, as costly as the adds on small stacks, only turns the sum of a
+    row of -0.0 alone into -0.0. Each entry is summed from its own row alone.
+    """
+    if not 0 < terms.shape[-1] * terms.itemsize < 64:
+        return terms.sum(-1)
+    total = terms[..., 0]
+    for j in range(1, terms.shape[-1]):
+        total = total + terms[..., j]
+    return total
+
+
 @dataclass(frozen=True, eq=False)
 class Povm:
     """A finite positive-operator-valued measure stored as amplitude rows.
@@ -133,10 +151,10 @@ class OutcomeDistribution:
         lowest = probs.min(initial=0.0)
         if not lowest >= -1e-12:
             raise ValueError(f"negative probability {lowest:.3e}")
-        deviation = abs(probs.sum(-1) - 1.0).max(initial=0.0)
+        deviation = abs(_short_sum(probs) - 1.0).max(initial=0.0)
         if not deviation <= 1e-9:
             raise ValueError(f"probabilities sum to 1 only within {deviation:.3e}")
-        drift = abs(dprobs.sum(-1)).max(initial=0.0)
+        drift = abs(_short_sum(dprobs)).max(initial=0.0)
         if not drift <= 1e-9:
             raise ValueError(f"probability derivatives sum to 0 only within {drift:.3e}")
         object.__setattr__(self, "probs", probs)
@@ -159,13 +177,13 @@ def _born_terms(rows: np.ndarray, state: np.ndarray, tangent: np.ndarray):
     # sum_r |A|^2, sum_r Re(conj(dA) A) and sum_r |dA|^2.
     amps = (rows @ state).view(float)
     damps = (rows @ tangent).view(float)
-    return (amps * amps).sum(-1), 2.0 * (damps * amps).sum(-1), 4.0 * (damps * damps).sum(-1)
+    return _short_sum(amps * amps), 2.0 * _short_sum(damps * amps), 4.0 * _short_sum(damps * damps)
 
 
 def _fisher_sum(probs, dprobs, limits):
     """The Fisher sum of :func:`classical_fisher` over the last axis of the Born terms."""
     regular = probs > EPS_PROB
-    return np.where(regular, dprobs**2 / np.maximum(probs, EPS_PROB), limits).sum(-1)
+    return _short_sum(np.where(regular, dprobs**2 / np.maximum(probs, EPS_PROB), limits))
 
 
 def outcome_distribution(povm: Povm, sd: StateAndDerivative) -> OutcomeDistribution:
@@ -192,7 +210,7 @@ def shannon_entropy(dist):
     """
     probs = np.asarray(getattr(dist, "probs", dist), dtype=float)
     logs = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
-    entropy = -(probs * logs).sum(-1)
+    entropy = -_short_sum(probs * logs)
     return float(entropy) if entropy.ndim == 0 else entropy
 
 

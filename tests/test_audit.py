@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fisherlab import (
     sweep_q,
 )
 from fisherlab.audit import (
+    _CSV_CHUNK_ROWS,
     OPTIMALITY_TOL,
     SWEEP_CSV_COLUMNS,
     TOL_AUDIT,
@@ -79,6 +81,21 @@ def csv_writer_sweep_csv(path, param_values, reports):
                     "true" if report.measurement_optimal else "false",
                 ]
             )
+
+
+def chunk_edge_sweep(rows: int):
+    """A q sweep of ``rows`` points whose float columns all hold repeats and ``-0.0``.
+
+    The row counts the tests pass straddle ``_CSV_CHUNK_ROWS``, which they assume is 512.
+    """
+    assert _CSV_CHUNK_ROWS == 512
+    grid = np.resize(BENCH_Q_GRID[::7], rows)
+    grid[::5] = -0.0
+    swept = sweep_q(paper_qubit_family(), 0.7, grid)
+    entropy, fisher = swept.entropy.copy(), swept.fisher.copy()
+    entropy[1::6] = -0.0
+    fisher[2::9] = -0.0
+    return grid, SweepResult(entropy, fisher, qfi=swept.qfi, seminorm_sq=swept.seminorm_sq)
 
 
 def assert_reports_agree(batched, oracle):
@@ -626,9 +643,11 @@ class TestSweepCsv:
         with pytest.raises(ValueError):
             write_sweep_csv(tmp_path / "bad.csv", [0.5, 0.6], reports)
 
-    @pytest.mark.parametrize("param", ["q", "phi", "empty"])
+    @pytest.mark.parametrize("param", ["q", "phi", "empty", 1, 511, 512, 513, 1025])
     def test_bytes_match_the_csv_writer_oracle(self, tmp_path, rng, param):
-        if param == "q":
+        if isinstance(param, int):
+            grid, result = chunk_edge_sweep(param)
+        elif param == "q":
             grid = BENCH_Q_GRID
             result = sweep_q(random_family(8, rng), 0.3, grid)
         elif param == "phi":
@@ -643,6 +662,23 @@ class TestSweepCsv:
         written = (tmp_path / "columns.csv").read_bytes()
         assert written == (tmp_path / "rows.csv").read_bytes()
         assert written.count(b"\r\n") == len(grid) + 1
+
+    def test_text_is_written_in_chunks_below_the_mmap_threshold(self, tmp_path, monkeypatch):
+        grid, result = chunk_edge_sweep(2001)
+        chunks = []
+        write_text = lambda path, text: chunks.extend(text)  # noqa: E731
+        monkeypatch.setattr(sys.modules["fisherlab.audit"], "_write_text", write_text)
+        write_sweep_csv(tmp_path / "columns.csv", grid, result)
+        csv_writer_sweep_csv(tmp_path / "rows.csv", grid, list(result))
+        assert "".join(chunks).encode() == (tmp_path / "rows.csv").read_bytes()
+        assert len(chunks) == 4 and max(map(len, chunks)) < 128 * 1024
+
+    def test_a_multi_chunk_file_overwrites_a_longer_one_and_is_trimmed(self, tmp_path):
+        grid, result = chunk_edge_sweep(1025)
+        csv_writer_sweep_csv(tmp_path / "rows.csv", grid, list(result))
+        expected = (tmp_path / "rows.csv").read_bytes()
+        write = lambda path: write_sweep_csv(path, grid, result)  # noqa: E731
+        assert_overwrites_in_place(tmp_path / "sweep.csv", write, expected)
 
     def test_overwrites_an_existing_file_in_place(self, tmp_path, rng):
         grid = BENCH_Q_GRID[::10]
@@ -659,7 +695,7 @@ class TestSweepCsv:
         values += [math.inf, -math.inf, 1e300, -0.0, 0.0, 0.1, -2.225073858507201e-308]
         order = np.random.default_rng(3).permutation(len(values))
         column = np.array(values)[order]
-        assert _formatted(column) == [f"{value:.17g}" for value in column.tolist()]
+        assert _formatted(column) == [f"{value:.17g}," for value in column.tolist()]
         assert _formatted(column[:0]) == []
         # Subnormal shared scalars put rhs at 1, and only F ~ 0 is optimal.
         result = SweepResult(

@@ -861,18 +861,22 @@ def short_sum_case(dim, rank, outcomes, seed):
 
 
 class TestShortAxisSums:
-    """The elementwise short-axis sums against the NumPy reductions they replaced.
+    """The short-axis sums of the MLE against the NumPy reductions they replaced.
 
-    For axes of length 2 and 3 the two agree bit for bit, which is what
-    keeps every estimate of the paper qubit (d = 2, rank-1 outcomes) as it
-    was. Longer eigen sums add in another order: measured over d = 4..32,
-    each amplitude moves by at most 1.3 eps of ``sum_j |w_j|`` (bound: 2
-    eps) and the score by at most 4e2 eps of the sum of its per-outcome
-    magnitudes (bound: 1e-12, ~4.5e3 eps).
+    ``_short_sum`` adds elementwise only where NumPy's reduction adds one
+    entry at a time too (below 8 float64s, or 4 complex128s), and runs
+    the reduction from there on, so every amplitude and score sum agrees
+    bit for bit at every ``d`` (a row of -0.0 alone would differ in the
+    sign of its zero; these random values hold none): eigen sums of
+    d >= 4 (complex) and re/im x rank sums of 2r >= 8 take the
+    reduction's own bits. The bounds of the
+    second test (2 eps of ``sum_j |w_j|`` per amplitude, 1e-12 of the
+    per-outcome magnitudes per score) date from when those longer sums
+    were elementwise and moved by up to 1.3 eps and ~4e2 eps.
     """
 
     @pytest.mark.parametrize("rank", [1, 2])
-    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 16, 32])
     def test_short_axes_sum_bit_for_bit(self, dim, rank):
         for outcomes in (2, 3):
             derivs, eigvals, counts, lams = short_sum_case(dim, rank, outcomes, 100 * dim + rank)

@@ -22,6 +22,16 @@ from fisherlab import (
 )
 from fisherlab.audit import OPTIMALITY_TOL
 from fisherlab.errors import DimMismatchError, InvalidQError, NonHermitianError
+from fisherlab.measurement import (
+    EPS_PROB,
+    _born_terms,
+    _complement,
+    _fisher_sum,
+    _plane_terms,
+    _q_basis,
+    _q_coeffs,
+    _short_sum,
+)
 
 LN2 = np.log(2.0)
 # -0.3 ln 0.3 - 0.7 ln 0.7, frozen from a 40-digit mpmath evaluation
@@ -434,3 +444,137 @@ class TestAmplitudeAccuracy:
         assert_allclose(dist.dprobs, dprobs, rtol=0.0, atol=1e-12)
         dense_fisher = float(np.sum(dprobs**2 / probs))
         assert abs(classical_fisher(povm, sd) - dense_fisher) <= 1e-10
+
+
+def reduced_born_terms(rows, state, tangent):
+    """``_born_terms`` with its re/im x rank sums as NumPy reductions, as it was written before."""
+    amps = (rows @ state).view(float)
+    damps = (rows @ tangent).view(float)
+    return (amps * amps).sum(-1), 2.0 * (damps * amps).sum(-1), 4.0 * (damps * damps).sum(-1)
+
+
+def reduced_fisher_sum(probs, dprobs, limits):
+    """``_fisher_sum`` with its outcome sum as a NumPy reduction."""
+    regular = probs > EPS_PROB
+    return np.where(regular, dprobs**2 / np.maximum(probs, EPS_PROB), limits).sum(-1)
+
+
+def reduced_entropy(probs):
+    """``shannon_entropy`` of a probability stack with its outcome sum as a NumPy reduction."""
+    logs = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
+    return -(probs * logs).sum(-1)
+
+
+def short_sum_case(kind: str):
+    """Amplitude rows, state and tangent of one measurement path, and outcome terms ``(..., K)``.
+
+    ``plane``: the q family's ``(G, 2, 1, 2)`` coefficient rows at d = 8 (r = 1), with the
+    plane's ``(G, 3)`` terms; ``complement``: the d = 8 complement (r = 8), with the SLD
+    measurement's 3 outcomes; ``explicit``: 33 full-rank effects at d = 32 (r = 32).
+    """
+    rng = np.random.default_rng({"plane": 1, "complement": 2, "explicit": 3}[kind])
+    sd = derivative(random_family(32 if kind == "explicit" else 8, rng), 0.3)
+    if kind == "explicit":
+        rows = Povm.from_effects(random_effects(33, 32, rng)).rows
+        return rows, sd.state, sd.tangent, reduced_born_terms(rows, sd.state, sd.tangent)
+    basis = _q_basis(sld(sd))
+    if kind == "complement":
+        terms = reduced_born_terms(sld_measurement(sld(sd)).rows, sd.state, sd.tangent)
+        return _complement(basis), sd.state, sd.tangent, terms
+    grid = np.concatenate([[0.0, 1.0, 0.5, 1e-12, 1.0 - 1e-12], rng.random(300)])
+    coeffs = _q_coeffs(grid)
+    terms = _plane_terms(sd, coeffs, basis)
+    return coeffs[:, :, None, :], basis @ sd.state, basis @ sd.tangent, terms
+
+
+SHORT_SUM_KINDS = ["plane", "complement", "explicit"]
+
+
+def assert_reduction_bits(got, want):
+    """``got`` has the bits of the reduction ``want``, but may hold -0.0 where it has +0.0.
+
+    The reduction starts from +0.0 and so never returns -0.0. Adding +0.0
+    turns -0.0 into +0.0 and leaves every other value, NaNs included, as it is.
+    """
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert np.asarray(got + 0.0).tobytes() == want.tobytes()
+
+
+class TestShortSum:
+    """The shared short-axis sum and its callers against the NumPy reductions they replaced.
+
+    NumPy adds fewer than 8 float64s (4 complex128s) one at a time onto +0.0,
+    so ``_short_sum`` matches ``.sum(-1)`` bit for bit at every length,
+    infinities, NaNs and subnormals included, except that a row of -0.0
+    alone sums to -0.0 where the reduction gives +0.0.
+    """
+
+    SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324]
+    SPECIALS += [2.2250738585072014e-308, -1.0]
+
+    @staticmethod
+    def stacks(rng, length, specials, dtype=float):
+        """Random stacks with a last axis of ``length``, in several leading shapes and layouts."""
+        width = 2 if dtype is complex else 1
+        for lead in [(), (1,), (4, 3), (300,)]:
+            shape = lead + (length, width)
+            parts = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+            yield parts.view(dtype)[..., 0]
+            special = rng.random(shape) < 0.5
+            parts[special] = rng.choice(specials, special.sum())
+            yield parts.view(dtype)[..., 0]
+        values = parts.view(dtype)[..., 0]
+        yield np.asfortranarray(values)  # a strided last axis
+        yield np.repeat(values, 2, axis=-1)[..., ::2]
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("length", range(17))
+    def test_sums_match_the_reduction_bit_for_bit(self, length, dtype):
+        specials = self.SPECIALS
+        if dtype is complex:
+            # Two NaNs of opposite sign added in a complex sum may keep either sign.
+            specials = [value for value in specials if value == value] + [np.nan]
+        rng = np.random.default_rng(length)
+        for values in self.stacks(rng, length, specials, dtype):
+            with np.errstate(invalid="ignore"):
+                assert_reduction_bits(_short_sum(values), values.sum(-1))
+
+    @pytest.mark.parametrize("kind", SHORT_SUM_KINDS)
+    def test_born_terms_match_their_reduction_form(self, kind):
+        rows, state, tangent, _ = short_sum_case(kind)
+        terms = _born_terms(rows, state, tangent)
+        for got, want in zip(terms, reduced_born_terms(rows, state, tangent)):
+            assert_reduction_bits(got, want)
+
+    @pytest.mark.parametrize("kind", SHORT_SUM_KINDS)
+    def test_fisher_sum_and_entropy_match_their_reduction_forms(self, kind):
+        probs, dprobs, limits = short_sum_case(kind)[3]
+        want = reduced_fisher_sum(probs, dprobs, limits)
+        assert_reduction_bits(_fisher_sum(probs, dprobs, limits), want)
+        # The sums themselves, before the entropy's sign flip.
+        probs = np.minimum(probs, 1.0)
+        assert_reduction_bits(-shannon_entropy(probs), -reduced_entropy(probs))
+
+    @pytest.mark.parametrize("kind", SHORT_SUM_KINDS)
+    @pytest.mark.parametrize("field", ["probs", "dprobs"])
+    def test_distribution_checks_match_their_reduction_forms(self, kind, field):
+        probs, dprobs, _ = short_sum_case(kind)[3]
+        values = {"probs": np.minimum(probs, 1.0), "dprobs": dprobs}
+        target = 1.0 if field == "probs" else 0.0
+        # Shift the last outcome of every row so that the worst row's sum
+        # straddles the 1e-9 band edge in steps of one ulp of 1.
+        base = np.max(values[field].sum(-1) - target)
+        verdicts = set()
+        for step in range(-8, 9):
+            shifted = values[field].copy()
+            shifted[..., -1] += 1e-9 - base + step * np.finfo(float).eps
+            deviation = abs(shifted.sum(-1) - target).max()
+            fields = dict(values, **{field: shifted})
+            verdicts.add(bool(deviation <= 1e-9))
+            if deviation <= 1e-9:
+                OutcomeDistribution(**fields)
+            else:
+                with pytest.raises(ValueError, match=f"within {deviation:.3e}"):
+                    OutcomeDistribution(**fields)
+        assert verdicts == {False, True}
