@@ -18,10 +18,10 @@ matrices. Audit sweeps replace "measurement" with
 ``"sweep": {"param": "q" | "phi", "grid": [...]}``; simulations add a
 ``"sim": {"n", "trials", "seed", "interval"?}`` block.
 
-Exit codes: 0 success, 1 golden-check mismatch, 2 malformed config,
-3 degenerate physics (stationary state, constant generator spectrum,
-flat likelihood, zero Fisher information in simulate), 4 violation found
-while --fail-on-violation is set.
+Exit codes: 0 success, 1 golden-check mismatch, 2 malformed config or
+failed allocation, 3 degenerate physics (stationary state, constant
+generator spectrum, flat likelihood, zero Fisher information in
+simulate), 4 violation found while --fail-on-violation is set.
 
 Human-readable tables go to stdout with 6 significant digits; CSV files
 carry full double precision and are the only machine-readable output.
@@ -105,9 +105,9 @@ def _numbers(value, depth: int, where: str, pair: bool = False) -> np.ndarray:
     array is complex. Entries must be plain ``int`` or ``float`` (JSON
     true/false, strings and null are not numbers) that fit a double and
     are finite. A type and length pass per nesting level and one array
-    conversion of the flattened entries read a well-formed field; only
-    a field that fails them is walked, by :func:`_first_bad`, to name
-    its first bad entry.
+    conversion of the flattened entries read a well-formed field; a
+    field that fails them is read entry by entry, which names its first
+    bad entry.
     """
     shape, flat, array = [], [value], None
     for _ in range(depth + pair):
@@ -121,50 +121,33 @@ def _numbers(value, depth: int, where: str, pair: bool = False) -> np.ndarray:
             array = np.array(flat, dtype=float).reshape(shape)
         except OverflowError:
             pass
-    if array is None or not np.isfinite(array).all():
-        problem = _first_bad(value, depth, where, pair)
-        if problem is not None:
-            raise ConfigError(problem)
-        # Python callers may pass tuple pairs and float subclasses; _first_bad accepts them.
-        array = np.array(value, dtype=float)
-    return array.view(complex)[..., 0] if pair else array
-
-
-def _first_bad(value, depth: int, where: str, pair: bool):
-    """The message naming the first bad entry of a :func:`_numbers` field, or None."""
+    if array is not None and np.isfinite(array).all():
+        return array.view(complex)[..., 0] if pair else array
     if depth:
         if not isinstance(value, list) or not value:
             kind = "rows" if depth == 2 else "[re, im] pairs" if pair else "numbers"
-            return f"field '{where}': expected a non-empty list of {kind}"
-        for i, entry in enumerate(value):
-            problem = _first_bad(entry, depth - 1, f"{where}[{i}]", pair)
-            if problem is not None:
-                return problem
+            raise ConfigError(f"field '{where}': expected a non-empty list of {kind}")
+        rows = [_numbers(entry, depth - 1, f"{where}[{i}]", pair) for i, entry in enumerate(value)]
         if depth == 2 and len(set(map(len, value))) != 1:
-            return f"field '{where}': rows have unequal lengths"
-        return None
-    # bool is an int subclass, but JSON true/false are not numbers.
+            raise ConfigError(f"field '{where}': rows have unequal lengths")
+        return np.array(rows)
+    # bool is an int subclass, but JSON true/false are not numbers; Python
+    # callers may pass tuple pairs and number subclasses.
     parts = value if pair and isinstance(value, (list, tuple)) else [value]
     if (pair and len(parts) != 2) or not all(
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts
     ):
         kind = "a [re, im] pair" if pair else "a number"
-        return f"field '{where}': expected {kind}, got {value!r}"
+        raise ConfigError(f"field '{where}': expected {kind}, got {value!r}")
     try:
         numbers = [float(x) for x in parts]
     except OverflowError:
-        return f"field '{where}': {value!r} overflows a double"
+        raise ConfigError(f"field '{where}': {value!r} overflows a double")
     if not all(map(math.isfinite, numbers)):
         if pair:
-            return f"field '{where}': expected finite numbers, got {value!r}"
-        return f"field '{where}': expected a finite number, got {numbers[0]!r}"
-    return None
-
-
-def _finite(value: float, where: str) -> float:
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    return value
+            raise ConfigError(f"field '{where}': expected finite numbers, got {value!r}")
+        raise ConfigError(f"field '{where}': expected a finite number, got {numbers[0]!r}")
+    return np.array(complex(*numbers) if pair else numbers[0])
 
 
 def _integer(value, where: str) -> int:
@@ -314,7 +297,9 @@ def _parse_spec_args(arg_text: str, spec: str) -> dict:
             value = float(raw)
         except ValueError:
             raise ConfigError(f"measurement spec {spec!r}: {raw!r} is not a number")
-        args[key] = _finite(value, f"measurement spec {spec!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"measurement spec {spec!r}: expected a finite number, got {value!r}")
+        args[key] = value
     return args
 
 
@@ -520,7 +505,7 @@ def main(argv=None) -> int:
     except FisherlabError as exc:
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,11 @@ import gc
 import json
 import math
 import os
+import random
+import subprocess
 import sys
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,11 +203,11 @@ class TestArrayReader:
         assert [type(end) for end in parsed.sim.interval] == [float, float]
 
     def test_tuples_from_python_callers_get_the_walks_verdict(self):
-        # The walk takes tuple pairs but only list rows; the array read takes neither.
+        # The entry-by-entry read takes tuple pairs but only list rows; the fast pass takes neither.
         config = qubit_config(input_state=[(INV_SQRT2, 0.0), (INV_SQRT2, 0.0)])
         state = parse_config(config).input_state
         assert state.tobytes() == np.array([INV_SQRT2, INV_SQRT2], dtype=complex).tobytes()
-        # Float subclasses are numbers to the walk too.
+        # Float subclasses are numbers to the entry-by-entry read too.
         config = qubit_config(**{"lambda": np.float64(0.7)})
         assert type(parse_config(config).lam) is float
         config = qubit_config(generator=[((0.5, 0.0), (0.0, 0.0)), [[0.0, 0.0], [-0.5, 0.0]]])
@@ -257,6 +261,142 @@ class TestArrayReader:
         text = json.dumps(qubit_config(**{field: value})).replace('"1e999"', "[1e999, 0]")
         with pytest.raises(ConfigError, match=where):
             parse_config_text(text)
+
+
+# The reader as it stood before it named bad entries itself: a fast pass,
+# a second walker that restated its rules to name a bad entry, and a
+# fallback conversion for what only the walker accepts. Kept as the
+# oracle for fisherlab.cli._numbers.
+def _oracle_numbers(value, depth: int, where: str, pair: bool = False) -> np.ndarray:
+    shape, flat, array = [], [value], None
+    for _ in range(depth + pair):
+        if set(map(type, flat)) != {list} or len(lengths := set(map(len, flat))) != 1:
+            flat = None
+            break
+        shape.append(lengths.pop())
+        flat = list(chain.from_iterable(flat))
+    if flat and set(map(type, flat)) <= {int, float} and (not pair or shape[-1] == 2):
+        try:
+            array = np.array(flat, dtype=float).reshape(shape)
+        except OverflowError:
+            pass
+    if array is None or not np.isfinite(array).all():
+        problem = _oracle_first_bad(value, depth, where, pair)
+        if problem is not None:
+            raise ConfigError(problem)
+        # Python callers may pass tuple pairs and float subclasses; _first_bad accepts them.
+        array = np.array(value, dtype=float)
+    return array.view(complex)[..., 0] if pair else array
+
+
+def _oracle_first_bad(value, depth: int, where: str, pair: bool):
+    if depth:
+        if not isinstance(value, list) or not value:
+            kind = "rows" if depth == 2 else "[re, im] pairs" if pair else "numbers"
+            return f"field '{where}': expected a non-empty list of {kind}"
+        for i, entry in enumerate(value):
+            problem = _oracle_first_bad(entry, depth - 1, f"{where}[{i}]", pair)
+            if problem is not None:
+                return problem
+        if depth == 2 and len(set(map(len, value))) != 1:
+            return f"field '{where}': rows have unequal lengths"
+        return None
+    # bool is an int subclass, but JSON true/false are not numbers.
+    parts = value if pair and isinstance(value, (list, tuple)) else [value]
+    if (pair and len(parts) != 2) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts
+    ):
+        kind = "a [re, im] pair" if pair else "a number"
+        return f"field '{where}': expected {kind}, got {value!r}"
+    try:
+        numbers = [float(x) for x in parts]
+    except OverflowError:
+        return f"field '{where}': {value!r} overflows a double"
+    if not all(map(math.isfinite, numbers)):
+        if pair:
+            return f"field '{where}': expected finite numbers, got {value!r}"
+        return f"field '{where}': expected a finite number, got {numbers[0]!r}"
+    return None
+
+
+class _Float(float):
+    """A float subclass, as a Python caller may pass one."""
+
+
+def _random_number(rng: random.Random):
+    """A field entry: usually a number of some accepted type, sometimes a bad one."""
+    if rng.random() < 0.9:
+        x = rng.uniform(-2.0, 2.0)
+        return rng.choice(
+            [x, rng.randint(-3, 3), -0.0, 5e-324, 2**53 + 1, np.float64(x), _Float(x), 1e308]
+        )
+    return rng.choice(
+        [True, False, None, "1.5", 10**400, -(10**400), math.inf, -math.inf, math.nan, [0.5]]
+    )
+
+
+def _random_field(rng: random.Random, depth: int, pair: bool):
+    """A field of ``depth`` nested lists for the reader, well-formed about half the time."""
+    if depth == 0:
+        if not pair:
+            return _random_number(rng)
+        re, im = _random_number(rng), _random_number(rng)
+        return rng.choice([[re, im]] * 8 + [(re, im), [re], [re, im, im], re])
+    if rng.random() < 0.02:
+        return rng.choice([[], None, 0.5, ()])
+    size = rng.randint(1, 3)
+    entries = [_random_field(rng, depth - 1, pair) for _ in range(size)]
+    if depth == 2 and rng.random() < 0.05:
+        entries.append([_random_field(rng, 0, pair)] * 4)  # longer than any other row
+    return tuple(entries) if rng.random() < 0.01 else entries
+
+
+def _read(reader, value, depth: int, pair: bool):
+    """What ``reader`` makes of a field: its array's type, dtype, shape and bytes, or its error."""
+    try:
+        array = reader(value, depth, "f", pair)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(array), array.dtype, array.shape, array.tobytes()
+
+
+class TestReaderOracle:
+    """fisherlab.cli._numbers against the reader it replaced, kept above as an oracle."""
+
+    CASES = 6000
+
+    def test_random_fields_read_or_fail_like_the_oracle(self):
+        rng = random.Random(20)
+        outcomes = {"read": 0, "rejected": 0}
+        for _ in range(self.CASES):
+            depth, pair = rng.randint(0, 2), rng.random() < 0.5
+            if depth == 0 and pair:
+                depth = 1
+            value = _random_field(rng, depth, pair)
+            want = _read(_oracle_numbers, value, depth, pair)
+            assert _read(fisherlab.cli._numbers, value, depth, pair) == want, (value, depth, pair)
+            outcomes["read" if want[0] is np.ndarray else "rejected"] += 1
+        # Both branches must be well exercised for the agreement to mean anything.
+        assert min(outcomes.values()) > self.CASES // 4, outcomes
+
+    @pytest.mark.parametrize(
+        "value, depth, pair, message",
+        [
+            ([0.1, True, None], 1, False, "field 'f[1]': expected a number, got True"),
+            (
+                [[[1, 0], [0, 0]], [[True, 0]]],
+                2,
+                True,
+                "field 'f[1][0]': expected a [re, im] pair, got [True, 0]",
+            ),
+        ],
+        ids=["first-of-two-bad-entries", "entry-before-unequal-rows"],
+    )
+    def test_first_bad_entry_is_named(self, value, depth, pair, message):
+        for reader in (_oracle_numbers, fisherlab.cli._numbers):
+            with pytest.raises(ConfigError) as raised:
+                reader(value, depth, "f", pair)
+            assert str(raised.value) == message
 
 
 class TestCmdQfi:
@@ -789,3 +929,41 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "config error" in captured.err
         assert captured.out == ""
+
+    def test_failed_allocation_exits_two_without_output(self, tmp_path, capsys):
+        # 2**58 trials ask for a 4 EiB count array, which no host can grant.
+        path = write_config(tmp_path, qubit_config(measurement="sld", sim={**SIM, "trials": 2**58}))
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert captured.out == ""
+        assert not out.exists()
+
+
+class TestEntryPoint:
+    """``python -m fisherlab.cli`` exits with the code of :func:`fisherlab.cli.main`."""
+
+    def run(self, *args) -> subprocess.CompletedProcess:
+        env = {**os.environ, "PYTHONPATH": str(Path(fisherlab.cli.__file__).parents[1])}
+        command = [sys.executable, "-m", "fisherlab.cli", *args]
+        return subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+
+    def test_golden_exits_zero(self):
+        run = self.run("golden")
+        assert run.returncode == 0 and "FAIL" not in run.stdout
+        assert "Traceback" not in run.stderr
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            qubit_config(**{"lambda": "0.7"}),
+            qubit_config(measurement="sld", sim={**SIM, "trials": 2**58}),
+        ],
+        ids=["malformed", "failed-allocation"],
+    )
+    def test_config_errors_exit_two(self, tmp_path, config):
+        run = self.run("simulate", "--config", write_config(tmp_path, config))
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr.startswith("config error:")
+        assert "Traceback" not in run.stderr
