@@ -15,7 +15,6 @@ from .errors import (
     FisherlabError,
     FlatLikelihoodError,
     InvalidQError,
-    InvalidStepError,
     NonHermitianError,
     StationaryStateError,
 )
@@ -30,15 +29,9 @@ from .measurement import (
     shannon_entropy,
     sld_measurement,
 )
-from .metrology import QfiReport, SldData, optimal_input_state, qfi, qfi_report, seminorm_bound, sld
+from .metrology import QfiReport, SldData, qfi, qfi_report, seminorm_bound, sld
 from .numerics import EigenDecomposition, hermitian_eig, seminorm
-from .state_family import (
-    StateAndDerivative,
-    StateFamily,
-    derivative,
-    evaluate,
-    finite_difference_derivative,
-)
+from .state_family import StateAndDerivative, StateFamily, derivative, evaluate
 
 __version__ = "0.1.0"
 
@@ -52,7 +45,6 @@ __all__ = [
     "FisherlabError",
     "FlatLikelihoodError",
     "InvalidQError",
-    "InvalidStepError",
     "NonHermitianError",
     "OutcomeDistribution",
     "Povm",
@@ -67,10 +59,8 @@ __all__ = [
     "crb_experiment",
     "derivative",
     "evaluate",
-    "finite_difference_derivative",
     "hermitian_eig",
     "mle_estimate",
-    "optimal_input_state",
     "outcome_distribution",
     "q_family_measurement",
     "qfi",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeneratorError, DimMismatchError
+from .errors import DimMismatchError
 from .measurement import (
     OutcomeDistribution,
     Povm,
@@ -36,7 +36,7 @@ from .measurement import (
     rotated_qubit_measurement,
     shannon_entropy,
 )
-from .metrology import qfi, seminorm_bound, sld
+from .metrology import qfi_report, sld
 from .state_family import StateAndDerivative, StateFamily, derivative
 
 __all__ = [
@@ -112,9 +112,10 @@ class AuditReport(_Inequality):
 class SweepResult(_Inequality, Sequence):
     """Audits of one ``(family, lam)`` over a grid, kept as columns.
 
-    ``entropy`` and ``fisher`` hold one read-only entry per grid point;
-    ``qfi``, ``seminorm_sq`` and ``rhs`` are shared by every point. Each
-    read of ``violated`` or ``measurement_optimal`` derives a new column.
+    ``entropy`` and ``fisher`` hold one entry per grid point, in read-only
+    copies of the columns passed in; ``qfi``, ``seminorm_sq`` and ``rhs`` are
+    shared by every point. Each read of ``violated`` or ``measurement_optimal``
+    derives a new column.
     As a sequence, ``result[i]`` is the :class:`AuditReport` of grid point ``i``.
     """
 
@@ -124,8 +125,12 @@ class SweepResult(_Inequality, Sequence):
     seminorm_sq: float
 
     def __post_init__(self):
-        for column in (self.entropy, self.fisher):
+        entropy, fisher = np.array(self.entropy, dtype=float), np.array(self.fisher, dtype=float)
+        if entropy.ndim != 1 or entropy.shape != fisher.shape:
+            raise DimMismatchError("entropy and fisher must be 1-D columns of equal length")
+        for name, column in (("entropy", entropy), ("fisher", fisher)):
             column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return len(self.entropy)
@@ -138,14 +143,11 @@ class SweepResult(_Inequality, Sequence):
 
 def _audit_grid(family: StateFamily, sd: StateAndDerivative, terms) -> SweepResult:
     """Audit G measurements from their ``(G, K)`` Born terms, ``terms()``, once ``||h||^2 > 0``."""
-    seminorm_sq = seminorm_bound(family)
-    if seminorm_sq <= 0.0:
-        raise DegenerateGeneratorError("generator seminorm is zero; inequality is undefined")
-    fisher_q = qfi(sd)
+    report = qfi_report(family, sd)
     probs, dprobs, limits = terms()
     entropy = shannon_entropy(OutcomeDistribution(probs=np.minimum(probs, 1.0), dprobs=dprobs))
     fisher = _fisher_sum(probs, dprobs, limits)
-    return SweepResult(entropy=entropy, fisher=fisher, qfi=fisher_q, seminorm_sq=seminorm_sq)
+    return SweepResult(entropy, fisher, report.qfi, report.seminorm_sq)
 
 
 def audit(family: StateFamily, lam: float, povm: Povm) -> AuditReport:

@@ -55,7 +55,7 @@ from .measurement import (
     rotated_qubit_measurement,
     sld_measurement,
 )
-from .metrology import _qfi_report, sld
+from .metrology import qfi_report, sld
 from .state_family import StateFamily, derivative
 
 __all__ = [
@@ -337,7 +337,7 @@ def cmd_qfi(args) -> int:
     family = build_family(config)
     sd = derivative(family, config.lam)
     sldd = sld(sd)
-    report = _qfi_report(family, sd)
+    report = qfi_report(family, sd)
     print(f"F_Q     = {_fmt(report.qfi)}")
     print(f"||h||^2 = {_fmt(report.seminorm_sq)}")
     print(f"ratio   = {_fmt(report.ratio)}")
@@ -360,7 +360,7 @@ def _print_audit_table(report, bits: bool) -> None:
     if report.violated:
         print(f"VIOLATED: S = {report.entropy * scale:.6f} < {report.rhs * scale:.6f}")
     else:
-        print(f"OK: S = {report.entropy * scale:.6f} ≥ {report.rhs * scale:.6f}")
+        print(f"OK: S = {report.entropy * scale:.6f} >= {report.rhs * scale:.6f}")
 
 
 def cmd_audit(args) -> int:

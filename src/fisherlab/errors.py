@@ -13,10 +13,6 @@ class DimMismatchError(FisherlabError):
     """Operands live in Hilbert spaces of incompatible dimension."""
 
 
-class InvalidStepError(FisherlabError):
-    """Finite-difference step is non-positive or below double resolution."""
-
-
 class StationaryStateError(FisherlabError):
     """The state does not move with the parameter (QFI numerically zero),
     so the tangent direction and SLD eigenbasis are undefined."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeneratorError, StationaryStateError
-from .state_family import StateAndDerivative, StateFamily, derivative
+from .state_family import StateAndDerivative, StateFamily
 
 __all__ = [
     "EPS_QFI",
@@ -27,7 +27,6 @@ __all__ = [
     "qfi",
     "sld",
     "seminorm_bound",
-    "optimal_input_state",
     "qfi_report",
 ]
 
@@ -124,39 +123,13 @@ def seminorm_bound(family: StateFamily) -> float:
     return float(family._eigvals[-1] - family._eigvals[0]) ** 2
 
 
-def optimal_input_state(family: StateFamily) -> np.ndarray:
-    """Equal superposition of extreme generator eigenvectors.
+def qfi_report(family: StateFamily, sd: StateAndDerivative) -> QfiReport:
+    """QFI of ``sd``, a state and derivative of ``family``, next to the generator ceiling.
 
-    The resulting family attains ``qfi == seminorm_bound`` at every
-    parameter value. Degenerate extreme eigenvalues are resolved by
-    taking the lowest-index eigenvector in each extreme eigenspace.
-
-    Raises
-    ------
-    DegenerateGeneratorError
-        If the generator spectrum is constant (zero seminorm).
+    Raises ``DegenerateGeneratorError`` for a constant generator spectrum, on
+    which the ratio and every seminorm-normalised quantity are undefined.
     """
-    eigvals, eigvecs = family._eigvals, family._eigvecs
-    spread = float(eigvals[-1] - eigvals[0])
-    top_tol = 1e-10 * max(1.0, spread)
-    top_index = int(np.flatnonzero(eigvals >= eigvals[-1] - top_tol)[0])
-    if spread <= 0.0 or top_index == 0:
-        # top_index 0 means the whole spectrum sits within the degeneracy
-        # tolerance of the maximum, i.e. it is constant for our purposes
-        raise DegenerateGeneratorError("generator spectrum is constant; no optimal input")
-    v_min = eigvecs[:, 0]
-    v_max = eigvecs[:, top_index]
-    return (v_min + v_max) / np.sqrt(2.0)
-
-
-def qfi_report(family: StateFamily, lam: float) -> QfiReport:
-    """QFI of the family at ``lam`` next to its generator ceiling."""
-    return _qfi_report(family, derivative(family, lam))
-
-
-def _qfi_report(family: StateFamily, sd: StateAndDerivative) -> QfiReport:
-    """:func:`qfi_report` for a state and derivative already computed."""
     bound = seminorm_bound(family)
     if bound <= 0.0:
-        raise DegenerateGeneratorError("generator spectrum is constant; ratio undefined")
+        raise DegenerateGeneratorError("generator spectrum is constant (||h||^2 = 0)")
     return QfiReport(qfi=qfi(sd), seminorm_sq=bound)

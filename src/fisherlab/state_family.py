@@ -14,21 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatchError, InvalidStepError
+from .errors import DimMismatchError
 from .numerics import as_state_vector, hermitian_eig
 
 __all__ = [
-    "DEFAULT_FD_STEP",
     "StateFamily",
     "StateAndDerivative",
     "evaluate",
     "derivative",
-    "finite_difference_derivative",
 ]
-
-# Central-difference default: balances O(step^2) truncation against
-# rounding at double precision.
-DEFAULT_FD_STEP = 1e-5
 
 _NORM_TOL = 1e-10
 
@@ -118,19 +112,3 @@ def derivative(family: StateFamily, lam: float) -> StateAndDerivative:
     dstate = -1j * (family.generator @ state)
     return StateAndDerivative(state=state, dstate=dstate)
 
-
-def finite_difference_derivative(
-    family: StateFamily, lam: float, step: float = DEFAULT_FD_STEP
-) -> np.ndarray:
-    """Central-difference derivative ``(|psi_{lam+d}> - |psi_{lam-d}>)/(2d)``.
-
-    Independent of the analytic route in :func:`derivative`; the two are
-    cross-checked against each other in the test suite. Truncation error
-    is O(step^2).
-    """
-    # Negated, so that a NaN step fails it too.
-    if not (step >= 1e-12 and math.isfinite(step)):
-        raise InvalidStepError(f"step must be positive and >= 1e-12, got {step!r}")
-    fwd = evaluate(family, lam + step)
-    bwd = evaluate(family, lam - step)
-    return (fwd - bwd) / (2.0 * step)

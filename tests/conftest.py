@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from fisherlab import StateFamily, derivative, qfi
+from fisherlab import StateFamily, derivative, evaluate, hermitian_eig, qfi
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -23,6 +23,21 @@ def paper_qubit_family() -> StateFamily:
         generator=SIGMA_Z / 2.0,
         input_state=np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
     )
+
+
+def central_difference(family: StateFamily, lam: float, step: float) -> np.ndarray:
+    """``(|psi_{lam+step}> - |psi_{lam-step}>) / (2 step)``, the derivative to O(step^2)."""
+    return (evaluate(family, lam + step) - evaluate(family, lam - step)) / (2.0 * step)
+
+
+def optimal_input(generator) -> np.ndarray:
+    """Equal superposition of the extreme eigenvectors; its QFI is ``(e_max - e_min)^2``.
+
+    Every test generator has simple extreme eigenvalues, so the extreme
+    columns are the extreme eigenspaces and no degeneracy rule is needed.
+    """
+    vectors = hermitian_eig(generator).eigenvectors
+    return (vectors[:, 0] + vectors[:, -1]) / np.sqrt(2.0)
 
 
 def povm_effects(povm) -> np.ndarray:

@@ -10,15 +10,20 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import haar_basis, paper_qubit_family, random_family, random_state
+from conftest import (
+    central_difference,
+    haar_basis,
+    optimal_input,
+    paper_qubit_family,
+    random_family,
+    random_state,
+)
 from fisherlab import (
     Povm,
     StateFamily,
     classical_fisher,
     crb_experiment,
     derivative,
-    finite_difference_derivative,
-    optimal_input_state,
     outcome_distribution,
     q_family_measurement,
     qfi,
@@ -116,7 +121,7 @@ def test_criterion_5_seminorm_ceiling():
             for _ in range(200):
                 family = StateFamily(generator=generator, input_state=random_state(dim, rng))
                 assert qfi(derivative(family, 0.0)) <= bound + 1e-9
-            best = StateFamily(generator=generator, input_state=optimal_input_state(probe))
+            best = StateFamily(generator=generator, input_state=optimal_input(generator))
             assert qfi(derivative(best, 0.0)) == pytest.approx(bound, abs=1e-9)
 
 
@@ -151,10 +156,10 @@ def test_criterion_7_derivative_oracle():
         for dim in (2, 4, 8):
             family = random_family(dim, rng)
             exact = derivative(family, 0.3).dstate
-            fd = finite_difference_derivative(family, 0.3, step=1e-5)
+            fd = central_difference(family, 0.3, 1e-5)
             assert np.linalg.norm(exact - fd) <= 1e-9
             errors = [
-                np.linalg.norm(finite_difference_derivative(family, 0.3, step) - exact)
+                np.linalg.norm(central_difference(family, 0.3, step) - exact)
                 for step in (1e-2, 1e-3, 1e-4)
             ]
             for coarse, fine in zip(errors, errors[1:]):

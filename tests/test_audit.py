@@ -23,6 +23,7 @@ from fisherlab import (
 )
 from fisherlab.audit import (
     _CSV_CHUNK_ROWS,
+    AuditReport,
     OPTIMALITY_TOL,
     SWEEP_CSV_COLUMNS,
     TOL_AUDIT,
@@ -737,6 +738,27 @@ class TestSweepResult:
             before = getattr(result, name).tolist()
             getattr(result, name)[:] = [not entry for entry in before]
             assert getattr(result, name).tolist() == before
+
+    def test_columns_are_read_only_copies_of_any_sequence(self):
+        from_lists = SweepResult(entropy=[0.1, 0.2], fisher=[1.0, 1.0], qfi=1.0, seminorm_sq=1.0)
+        assert from_lists.entropy.dtype == from_lists.fisher.dtype == float
+        assert from_lists[1] == AuditReport(0.2, 1.0, 1.0, 1.0)
+        entropy, fisher = np.array([0.1, 0.2]), np.array([1.0, 1.0])
+        result = SweepResult(entropy=entropy, fisher=fisher, qfi=1.0, seminorm_sq=1.0)
+        entropy[0] = fisher[0] = 0.5
+        assert result.entropy.tolist() == [0.1, 0.2] and result.fisher.tolist() == [1.0, 1.0]
+        for column in (result.entropy, result.fisher):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    @pytest.mark.parametrize(
+        "entropy, fisher",
+        [([0.1, 0.2], [1.0]), ([0.1], [1.0, 1.0]), (0.1, 1.0), ([[0.1]], [[1.0]])],
+        ids=["longer-entropy", "longer-fisher", "scalars", "two-dim"],
+    )
+    def test_columns_must_be_one_dimensional_and_of_equal_length(self, entropy, fisher):
+        with pytest.raises(DimMismatchError):
+            SweepResult(entropy=entropy, fisher=fisher, qfi=1.0, seminorm_sq=1.0)
 
     def test_empty_grid_gives_an_empty_result(self):
         for sweep in (sweep_q, sweep_phi):

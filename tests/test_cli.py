@@ -16,7 +16,6 @@ from numpy.testing import assert_allclose
 from conftest import povm_effects
 import fisherlab.audit
 import fisherlab.cli
-import fisherlab.metrology
 import fisherlab.state_family
 from fisherlab import derivative, qfi_report, sld
 from fisherlab.cli import (
@@ -418,8 +417,8 @@ class TestCmdQfi:
             input_state=[[z.real, z.imag] for z in state],
         )
         family = build_family(parse_config_text(json.dumps(config)))
-        report = qfi_report(family, 0.7)
-        sldd = sld(derivative(family, 0.7))
+        sd = derivative(family, 0.7)
+        report, sldd = qfi_report(family, sd), sld(sd)
         expected = (
             f"F_Q     = {report.qfi:.6g}\n"
             f"||h||^2 = {report.seminorm_sq:.6g}\n"
@@ -433,7 +432,7 @@ class TestCmdQfi:
             calls.append(args)
             return derivative(*args)
 
-        for module in (fisherlab.cli, fisherlab.metrology, fisherlab.state_family):
+        for module in (fisherlab.cli, fisherlab.state_family):
             monkeypatch.setattr(module, "derivative", counted)
         assert main(["qfi", "--config", write_config(tmp_path, config)]) == 0
         assert capsys.readouterr().out == expected
@@ -479,7 +478,7 @@ class TestCmdAudit:
         path = write_config(tmp_path, qubit_config(measurement="sld"))
         assert main(["audit", "--config", path]) == 0
         out = capsys.readouterr().out
-        assert "OK: S = 0.693147 ≥ 0.693147" in out
+        assert "OK: S = 0.693147 >= 0.693147" in out
 
     def test_fail_on_violation_flag(self, tmp_path):
         path = write_config(tmp_path, qubit_config(measurement="rotated:phi=0.7"))
@@ -489,7 +488,7 @@ class TestCmdAudit:
         path = write_config(tmp_path, qubit_config(measurement="sld"))
         assert main(["audit", "--config", path, "--bits"]) == 0
         out = capsys.readouterr().out
-        assert "OK: S = 1.000000 ≥ 1.000000" in out
+        assert "OK: S = 1.000000 >= 1.000000" in out
         assert "bits" in out
 
     def test_requires_exactly_one_mode(self, tmp_path, capsys):
@@ -944,10 +943,34 @@ class TestExitCodes:
 class TestEntryPoint:
     """``python -m fisherlab.cli`` exits with the code of :func:`fisherlab.cli.main`."""
 
-    def run(self, *args) -> subprocess.CompletedProcess:
-        env = {**os.environ, "PYTHONPATH": str(Path(fisherlab.cli.__file__).parents[1])}
+    def run(self, *args, **env) -> subprocess.CompletedProcess:
+        env = {**os.environ, "PYTHONPATH": str(Path(fisherlab.cli.__file__).parents[1]), **env}
         command = [sys.executable, "-m", "fisherlab.cli", *args]
         return subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+
+    @pytest.mark.parametrize(
+        "command, config, flags",
+        [
+            ("golden", None, []),
+            ("qfi", qubit_config(), []),
+            ("audit", qubit_config(measurement="sld"), []),
+            ("audit", qubit_config(measurement="sld"), ["--bits"]),
+            ("audit", qubit_config(measurement="rotated:phi=0.7"), []),
+            ("audit", qubit_config(sweep={"param": "q", "grid": [0.05, 0.5]}), ["--out", "OUT"]),
+            ("simulate", qubit_config(measurement="sld", sim=SIM), ["--out", "OUT"]),
+        ],
+        ids=["golden", "qfi", "ok-audit", "ok-audit-bits", "violated-audit", "q-sweep", "simulate"],
+    )
+    def test_ascii_stdout_gives_the_utf8_output(self, tmp_path, capsys, command, config, flags):
+        # An ascii or cp1252 stdout cannot encode a line with, say, "≥" in it;
+        # the failed print was a ValueError, so it exited 2 as a config error.
+        argv = [command] + (["--config", write_config(tmp_path, config)] if config else [])
+        argv += [str(tmp_path / "out.csv") if flag == "OUT" else flag for flag in flags]
+        assert main(argv) == 0
+        utf8 = capsys.readouterr().out
+        run = self.run(*argv, PYTHONIOENCODING="ascii")
+        assert (run.returncode, run.stdout) == (0, utf8)
+        assert "config error" not in run.stderr
 
     def test_golden_exits_zero(self):
         run = self.run("golden")

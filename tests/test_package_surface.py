@@ -4,7 +4,12 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import math
+import os
 import pkgutil
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +18,8 @@ import pytest
 import fisherlab
 from fisherlab import cli, errors
 
+SRC = Path(fisherlab.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = [
     "audit",
     "cli",
@@ -55,6 +62,65 @@ def test_test_only_names_are_gone():
     with pytest.raises(TypeError):
         fisherlab.Povm.from_effects(tuple(povm.rows.conj().swapaxes(1, 2) @ povm.rows), ("+", "-"))
     assert not hasattr(fisherlab.audit, "_audit_plane")
+    # The central difference and the optimal input are test oracles (conftest.py).
+    removed = {
+        "state_family": ["finite_difference_derivative", "DEFAULT_FD_STEP"],
+        "errors": ["InvalidStepError"],
+        "metrology": ["optimal_input_state", "_qfi_report"],
+    }
+    for module, names in removed.items():
+        for name in names:
+            assert not hasattr(getattr(fisherlab, module), name)
+            assert not hasattr(fisherlab, name) and name not in fisherlab.__all__
+
+
+def _public_names() -> set:
+    """Every ``__all__`` entry of the package and its modules, and every error class."""
+    names = set(fisherlab.__all__)
+    names |= {value.__name__ for value in vars(errors).values() if isinstance(value, type)}
+    for module in MODULES:
+        names |= set(getattr(importlib.import_module(f"fisherlab.{module}"), "__all__", []))
+    return names
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    # A user is a load of the name in the package (its own re-export in
+    # __init__.py aside), or a mention in the benchmark, the project file or the README.
+    loaded = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in SRC.glob("*.py")
+        if path.name != "__init__.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    texts = [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
+    texts += [(ROOT / "pyproject.toml").read_text(), (ROOT / "README.md").read_text()]
+    mentioned = {word for text in texts for word in re.findall(r"\w+", text)}
+    assert sorted(_public_names() - loaded - mentioned) == []
+
+
+def test_qfi_report_takes_the_state_and_derivative_like_qfi_and_sld():
+    for function in (fisherlab.qfi, fisherlab.sld):
+        assert list(inspect.signature(function).parameters) == ["sd"]
+    assert list(inspect.signature(fisherlab.qfi_report).parameters) == ["family", "sd"]
+
+
+def _raised(tree) -> list:
+    """Names of the exceptions that ``raise X`` or ``raise X(...)`` statements in ``tree`` raise."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.append(getattr(exc, "id", getattr(exc, "attr", None)))
+    return names
+
+
+def test_qfi_report_alone_raises_the_degenerate_generator_error():
+    raised = [name for path in SRC.glob("*.py") for name in _raised(ast.parse(path.read_text()))]
+    metrology = ast.parse((SRC / "metrology.py").read_text())
+    (report,) = [node for node in metrology.body if getattr(node, "name", None) == "qfi_report"]
+    assert raised.count("DegenerateGeneratorError") == 1
+    assert _raised(report) == ["DegenerateGeneratorError"]
 
 
 def test_only_state_family_reads_the_raw_derivative():
@@ -160,7 +226,7 @@ def fresh_instances() -> dict:
         "SweepSpec": config.sweep,
         "AuditReport": fisherlab.audit(family, 0.7, povm),
         "CrbReport": fisherlab.crb_experiment(family, povm, 0.7, n=100, trials=5, seed=3),
-        "QfiReport": fisherlab.qfi_report(family, 0.7),
+        "QfiReport": fisherlab.qfi_report(family, sd),
         "SimSpec": config.sim,
     }
 
@@ -179,3 +245,17 @@ def test_types_holding_arrays_compare_by_identity(name):
 def test_scalar_reports_keep_value_equality(name):
     first, second = fresh_instances()[name], fresh_instances()[name]
     assert first is not second and first == second and hash(first) == hash(second)
+
+
+def test_readme_library_example_prints_its_comments():
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL)
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run(
+        [sys.executable, "-c", block], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    *fishers, entropy, violated, trials = run.stdout.split()
+    assert [float(value) for value in fishers] == pytest.approx([1.0] * 3, abs=1e-12)
+    skewed = -0.05 * math.log(0.05) - 0.95 * math.log(0.95)
+    assert float(entropy) == pytest.approx(skewed, abs=1e-9)
+    assert (violated, trials) == ("True", "400")
