@@ -14,9 +14,10 @@ as ``[re, im]`` pairs::
 
 Measurements are either a constructor spec string ("sld",
 "q_family:q=0.3", "rotated:phi=1.57") or an explicit list of effect
-matrices. Audit sweeps replace "measurement" with
-``"sweep": {"param": "q" | "phi", "grid": [...]}``; simulations add a
-``"sim": {"n", "trials", "seed", "interval"?}`` block.
+matrices. Every command reads the whole config first, so a malformed
+spec is a config error for ``qfi`` too. Audit sweeps replace
+"measurement" with ``"sweep": {"param": "q" | "phi", "grid": [...]}``;
+simulations add a ``"sim": {"n", "trials", "seed", "interval"?}`` block.
 
 Exit codes: 0 success, 1 golden-check mismatch, 2 malformed config or
 failed allocation, 3 degenerate physics (stationary state, constant
@@ -93,7 +94,7 @@ class ExperimentConfig:
     generator: np.ndarray
     input_state: np.ndarray
     lam: float
-    measurement: object | None
+    measurement: np.ndarray | tuple | None
     sweep: SweepSpec | None
     sim: SimSpec | None
 
@@ -124,12 +125,13 @@ def _numbers(value, depth: int, where: str, pair: bool = False) -> np.ndarray:
     if array is not None and np.isfinite(array).all():
         return array.view(complex)[..., 0] if pair else array
     if depth:
+        kind = ("[re, im] pairs" if pair else "numbers", "rows", "matrices")[depth - 1]
         if not isinstance(value, list) or not value:
-            kind = "rows" if depth == 2 else "[re, im] pairs" if pair else "numbers"
             raise ConfigError(f"field '{where}': expected a non-empty list of {kind}")
         rows = [_numbers(entry, depth - 1, f"{where}[{i}]", pair) for i, entry in enumerate(value)]
-        if depth == 2 and len(set(map(len, value))) != 1:
-            raise ConfigError(f"field '{where}': rows have unequal lengths")
+        if depth > 1 and len({row.shape for row in rows}) != 1:
+            unequal = "lengths" if depth == 2 else "sizes"
+            raise ConfigError(f"field '{where}': {kind} have unequal {unequal}")
         return np.array(rows)
     # bool is an int subclass, but JSON true/false are not numbers; Python
     # callers may pass tuple pairs and number subclasses.
@@ -198,6 +200,33 @@ def _parse_sim(data) -> SimSpec:
     return SimSpec(n=n, trials=trials, seed=seed, interval=interval)
 
 
+def _spec(text: str) -> tuple:
+    """``(name, argument)`` of a measurement spec; syntax, then name, then keys are checked."""
+    name, _, arg_text = text.partition(":")
+    args = {}
+    for part in arg_text.split(",") if arg_text else ():
+        key, sep, raw = part.partition("=")
+        if not sep or not key:
+            raise ConfigError(f"measurement spec {text!r}: expected name:key=value")
+        if key in args:
+            raise ConfigError(f"measurement spec {text!r}: key {key!r} is given twice")
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ConfigError(f"measurement spec {text!r}: {raw!r} is not a number")
+        if not math.isfinite(value):
+            raise ConfigError(f"measurement spec {text!r}: expected a finite number, got {value!r}")
+        args[key] = value
+    if name not in ("sld", "q_family", "rotated"):
+        raise ConfigError(f"unknown measurement constructor {name!r}")
+    if name == "sld" and args:
+        raise ConfigError("measurement spec 'sld' takes no arguments")
+    key = {"q_family": "q", "rotated": "phi"}.get(name)
+    if key and set(args) != {key}:
+        raise ConfigError(f"measurement spec {name!r} needs exactly {key}=<value>")
+    return name, args.get(key)
+
+
 def parse_config(data: dict) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from decoded JSON, naming bad fields."""
     if not isinstance(data, dict):
@@ -215,25 +244,14 @@ def parse_config(data: dict) -> ExperimentConfig:
     lam = float(_numbers(data["lambda"], 0, "lambda"))
 
     measurement = data.get("measurement")
-    if measurement is not None and not isinstance(measurement, str):
-        if not isinstance(measurement, list) or not measurement:
-            raise ConfigError(
-                "field 'measurement': expected a constructor string or a list of matrices"
-            )
-        measurement = tuple(
-            _numbers(m, 2, f"measurement[{i}]", pair=True) for i, m in enumerate(measurement)
-        )
+    if isinstance(measurement, str):
+        measurement = _spec(measurement)
+    elif measurement is not None:
+        measurement = _numbers(measurement, 3, "measurement", pair=True)
 
     sweep = _parse_sweep(data["sweep"]) if data.get("sweep") is not None else None
     sim = _parse_sim(data["sim"]) if data.get("sim") is not None else None
-    return ExperimentConfig(
-        generator=generator,
-        input_state=input_state,
-        lam=lam,
-        measurement=measurement,
-        sweep=sweep,
-        sim=sim,
-    )
+    return ExperimentConfig(generator, input_state, lam, measurement, sweep, sim)
 
 
 def _reject_constant(name: str):
@@ -285,47 +303,18 @@ def build_family(config: ExperimentConfig) -> StateFamily:
     return StateFamily(generator=config.generator, input_state=config.input_state)
 
 
-def _parse_spec_args(arg_text: str, spec: str) -> dict:
-    args = {}
-    for part in arg_text.split(","):
-        key, sep, raw = part.partition("=")
-        if not sep or not key:
-            raise ConfigError(f"measurement spec {spec!r}: expected name:key=value")
-        if key in args:
-            raise ConfigError(f"measurement spec {spec!r}: key {key!r} is given twice")
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"measurement spec {spec!r}: {raw!r} is not a number")
-        if not math.isfinite(value):
-            raise ConfigError(f"measurement spec {spec!r}: expected a finite number, got {value!r}")
-        args[key] = value
-    return args
-
-
 def build_povm(config: ExperimentConfig, family: StateFamily) -> Povm:
     """Materialize the configured measurement for the family at its lambda."""
     measurement = config.measurement
     if measurement is None:
         raise ConfigError("missing required field 'measurement'")
-    if not isinstance(measurement, str):
+    if isinstance(measurement, np.ndarray):
         return Povm.from_effects(measurement)
-
-    name, _, arg_text = measurement.partition(":")
-    args = _parse_spec_args(arg_text, measurement) if arg_text else {}
-    if name == "sld":
-        if args:
-            raise ConfigError("measurement spec 'sld' takes no arguments")
-        return sld_measurement(sld(derivative(family, config.lam)))
-    if name == "q_family":
-        if set(args) != {"q"}:
-            raise ConfigError("measurement spec 'q_family' needs exactly q=<value>")
-        return q_family_measurement(sld(derivative(family, config.lam)), args["q"])
+    name, argument = measurement
     if name == "rotated":
-        if set(args) != {"phi"}:
-            raise ConfigError("measurement spec 'rotated' needs exactly phi=<value>")
-        return rotated_qubit_measurement(args["phi"])
-    raise ConfigError(f"unknown measurement constructor {name!r}")
+        return rotated_qubit_measurement(argument)
+    sldd = sld(derivative(family, config.lam))
+    return sld_measurement(sldd) if name == "sld" else q_family_measurement(sldd, argument)
 
 
 def _fmt(value: float) -> str:
@@ -511,6 +500,8 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
+    # Print what stdout cannot encode (say, a non-ASCII --out path) escaped, as stderr does.
+    sys.stdout.reconfigure(errors="backslashreplace")
     sys.exit(main())
 
 

@@ -96,11 +96,9 @@ class TestConfigParsing:
         assert_allclose(povm_effects(povm), np.array(effects).view(complex)[..., 0], atol=1e-15)
 
     def test_unknown_constructor_rejected(self):
-        config = parse_config_text(json.dumps(qubit_config(measurement="bell")))
-        from fisherlab.cli import build_family
-
-        with pytest.raises(ConfigError, match="bell"):
-            build_povm(config, build_family(config))
+        # A spec is read with the rest of the config, before anything is built.
+        with pytest.raises(ConfigError, match="unknown measurement constructor 'bell'"):
+            parse_config_text(json.dumps(qubit_config(measurement="bell")))
 
 
 def explicit_config_text(dim: int) -> str:
@@ -318,17 +316,33 @@ def _oracle_first_bad(value, depth: int, where: str, pair: bool):
     return None
 
 
+# The effect-list read before it was one depth-3 read: one read per effect,
+# stacked. Its whole-list errors carry the wording of the depth-3 read.
+def _oracle_effects(value, depth: int, where: str, pair: bool = False) -> np.ndarray:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"field '{where}': expected a non-empty list of matrices")
+    effects = [_oracle_numbers(m, 2, f"{where}[{i}]", pair) for i, m in enumerate(value)]
+    if len({effect.shape for effect in effects}) != 1:
+        raise ConfigError(f"field '{where}': matrices have unequal sizes")
+    return np.array(effects)
+
+
 class _Float(float):
     """A float subclass, as a Python caller may pass one."""
+
+
+def _number(rng: random.Random):
+    """A number of some accepted type."""
+    x = rng.uniform(-2.0, 2.0)
+    return rng.choice(
+        [x, rng.randint(-3, 3), -0.0, 5e-324, 2**53 + 1, np.float64(x), _Float(x), 1e308]
+    )
 
 
 def _random_number(rng: random.Random):
     """A field entry: usually a number of some accepted type, sometimes a bad one."""
     if rng.random() < 0.9:
-        x = rng.uniform(-2.0, 2.0)
-        return rng.choice(
-            [x, rng.randint(-3, 3), -0.0, 5e-324, 2**53 + 1, np.float64(x), _Float(x), 1e308]
-        )
+        return _number(rng)
     return rng.choice(
         [True, False, None, "1.5", 10**400, -(10**400), math.inf, -math.inf, math.nan, [0.5]]
     )
@@ -350,6 +364,29 @@ def _random_field(rng: random.Random, depth: int, pair: bool):
     return tuple(entries) if rng.random() < 0.01 else entries
 
 
+def _random_effects(rng: random.Random):
+    """A depth-3 ``[re, im]`` field: effects of one size, five times in seven with one flaw."""
+
+    def matrix(rows: int, cols: int) -> list:
+        return [[[_number(rng), _number(rng)] for _ in range(cols)] for _ in range(rows)]
+
+    dim = rng.randint(1, 3)
+    effects = [matrix(dim, dim) for _ in range(rng.randint(1, 3))]
+    k, i, j = rng.randrange(len(effects)), rng.randrange(dim), rng.randrange(dim)
+    flaw = rng.randrange(7)
+    if flaw == 0:  # a matrix of some size, often another one
+        effects.insert(k, matrix(rng.randint(1, 3), rng.randint(1, 3)))
+    elif flaw == 1:  # an entry deep inside, often a bad one
+        effects[k][i][j] = _random_field(rng, 0, True)
+    elif flaw == 2:  # an empty list at some level
+        rng.choice([effects, effects[k], effects[k][i]]).clear()
+    elif flaw == 3:  # a random matrix field
+        effects[k] = _random_field(rng, 2, True)
+    elif flaw == 4:  # not a list
+        effects = rng.choice([None, 0.5, tuple(effects)])
+    return effects
+
+
 def _read(reader, value, depth: int, pair: bool):
     """What ``reader`` makes of a field: its array's type, dtype, shape and bytes, or its error."""
     try:
@@ -360,23 +397,30 @@ def _read(reader, value, depth: int, pair: bool):
 
 
 class TestReaderOracle:
-    """fisherlab.cli._numbers against the reader it replaced, kept above as an oracle."""
+    """fisherlab.cli._numbers against the readers it replaced, kept above as oracles."""
 
-    CASES = 6000
+    CASES = 8000
 
     def test_random_fields_read_or_fail_like_the_oracle(self):
         rng = random.Random(20)
         outcomes = {"read": 0, "rejected": 0}
+        effect_lists = {"read": 0, "rejected": 0}
         for _ in range(self.CASES):
-            depth, pair = rng.randint(0, 2), rng.random() < 0.5
-            if depth == 0 and pair:
-                depth = 1
-            value = _random_field(rng, depth, pair)
-            want = _read(_oracle_numbers, value, depth, pair)
+            depth, pair = rng.randint(0, 3), rng.random() < 0.5
+            if depth == 3:
+                value, pair, oracle = _random_effects(rng), True, _oracle_effects
+            else:
+                if depth == 0 and pair:
+                    depth = 1
+                value, oracle = _random_field(rng, depth, pair), _oracle_numbers
+            want = _read(oracle, value, depth, pair)
             assert _read(fisherlab.cli._numbers, value, depth, pair) == want, (value, depth, pair)
-            outcomes["read" if want[0] is np.ndarray else "rejected"] += 1
+            outcome = "read" if want[0] is np.ndarray else "rejected"
+            outcomes[outcome] += 1
+            effect_lists[outcome] += depth == 3
         # Both branches must be well exercised for the agreement to mean anything.
         assert min(outcomes.values()) > self.CASES // 4, outcomes
+        assert min(effect_lists.values()) > self.CASES // 16, effect_lists
 
     @pytest.mark.parametrize(
         "value, depth, pair, message",
@@ -851,7 +895,12 @@ class TestExitCodes:
             ("simulate", {"sim": {**SIM, "shots": 9}}, "field 'sim': unknown keys ['shots']"),
             ("qfi", None, "config root must be a JSON object"),
             ("qfi", {"lam": 0.7}, "unknown top-level keys ['lam']"),
-            ("audit", {"measurement": 5}, "field 'measurement': expected a constructor"),
+            ("audit", {"measurement": 5}, "'measurement': expected a non-empty list of matrices"),
+            (
+                "audit",
+                {"measurement": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[0, 0]] * 3] * 3]},
+                "field 'measurement': matrices have unequal sizes",
+            ),
             ("audit", {"measurement": "rotated:phi"}, "'rotated:phi': expected name:key=value"),
             ("audit", {"measurement": "rotated:phi=east"}, "'east' is not a number"),
             ("audit", {"measurement": "sld:x=1"}, "spec 'sld' takes no arguments"),
@@ -870,6 +919,7 @@ class TestExitCodes:
             "root-not-object",
             "top-level-key-unknown",
             "measurement-not-list",
+            "effects-of-unequal-size",
             "spec-without-value",
             "spec-value-not-number",
             "sld-with-argument",
@@ -888,6 +938,32 @@ class TestExitCodes:
         assert main([command, "--config", write_config(tmp_path, config)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: ConfigError: ") and named in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["qfi", "audit", "simulate"])
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (
+                "rotated:phi=inf",
+                "measurement spec 'rotated:phi=inf': expected a finite number, got inf",
+            ),
+            (
+                "q_family:q=0.1,q=0.9",
+                "measurement spec 'q_family:q=0.1,q=0.9': key 'q' is given twice",
+            ),
+            ("sld:x=1", "measurement spec 'sld' takes no arguments"),
+            ("bogus", "unknown measurement constructor 'bogus'"),
+            ("rotated:phi=east", "measurement spec 'rotated:phi=east': 'east' is not a number"),
+        ],
+        ids=["phi-inf", "q-twice", "sld-with-argument", "unknown-name", "phi-not-a-number"],
+    )
+    def test_every_command_reads_the_whole_config(self, tmp_path, capsys, command, spec, message):
+        # qfi builds no measurement, but the spec is read with the rest of the config.
+        path = write_config(tmp_path, qubit_config(measurement=spec, sim=SIM))
+        assert main([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: ConfigError: {message}\n"
         assert captured.out == ""
 
     def test_build_povm_requires_a_measurement(self):
@@ -971,6 +1047,26 @@ class TestEntryPoint:
         run = self.run(*argv, PYTHONIOENCODING="ascii")
         assert (run.returncode, run.stdout) == (0, utf8)
         assert "config error" not in run.stderr
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("audit", qubit_config(sweep={"param": "q", "grid": [0.05, 0.5]})),
+            ("simulate", qubit_config(measurement="sld", sim=SIM)),
+        ],
+        ids=["q-sweep", "simulate"],
+    )
+    def test_unencodable_out_path_prints_escaped(self, tmp_path, capsys, command, config):
+        # The last stdout line names the --out path, which an ascii stdout cannot encode.
+        out = tmp_path / "résultat€.csv"
+        argv = [command, "--config", write_config(tmp_path, config), "--out", str(out)]
+        assert main(argv) == 0
+        utf8, written = capsys.readouterr().out, out.read_bytes()
+        out.unlink()
+        run = self.run(*argv, PYTHONIOENCODING="ascii")
+        assert run.returncode == 0 and "config error" not in run.stderr
+        assert run.stdout == utf8.encode("ascii", "backslashreplace").decode("ascii")
+        assert out.read_bytes() == written
 
     def test_golden_exits_zero(self):
         run = self.run("golden")

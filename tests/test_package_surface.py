@@ -259,3 +259,9 @@ def test_readme_library_example_prints_its_comments():
     skewed = -0.05 * math.log(0.05) - 0.95 * math.log(0.95)
     assert float(entropy) == pytest.approx(skewed, abs=1e-9)
     assert (violated, trials) == ("True", "400")
+
+
+def test_readme_states_the_package_line_count():
+    (stated,) = re.findall(r"The package is ([\d,]+) lines", (ROOT / "README.md").read_text())
+    counted = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
+    assert int(stated.replace(",", "")) == counted
