@@ -14,8 +14,9 @@ as ``[re, im]`` pairs::
 
 Measurements are either a constructor spec string ("sld",
 "q_family:q=0.3", "rotated:phi=1.57") or an explicit list of effect
-matrices. Every command reads the whole config first, so a malformed
-spec is a config error for ``qfi`` too. Audit sweeps replace
+matrices. Every command reads the whole config and builds the
+measurement it names, so ``qfi`` rejects what ``audit`` and ``simulate``
+reject. Audit sweeps, their grids checked only by ``audit``, replace
 "measurement" with ``"sweep": {"param": "q" | "phi", "grid": [...]}``;
 simulations add a ``"sim": {"n", "trials", "seed", "interval"?}`` block.
 
@@ -45,6 +46,7 @@ from .audit import _write_text, audit, reproduce_counterexample, sweep_phi, swee
 from .errors import (
     ConfigError,
     DegenerateGeneratorError,
+    DimMismatchError,
     FisherlabError,
     FlatLikelihoodError,
     StationaryStateError,
@@ -158,22 +160,26 @@ def _integer(value, where: str) -> int:
     return value
 
 
-def _parse_sweep(data) -> SweepSpec:
+def _object(data, where: str, keys) -> dict:
+    """``data`` if it is a JSON object with no keys outside ``keys``; ``where`` names it."""
     if not isinstance(data, dict):
-        raise ConfigError("field 'sweep': expected an object")
+        raise ConfigError(f"{where}: expected an object")
+    unknown = set(data) - set(keys)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    return data
+
+
+def _parse_sweep(data) -> SweepSpec:
+    data = _object(data, "field 'sweep'", ("param", "grid"))
     param = data.get("param")
     if param not in ("q", "phi"):
         raise ConfigError(f"field 'sweep.param': expected \"q\" or \"phi\", got {param!r}")
-    values = _numbers(data.get("grid"), 1, "sweep.grid")
-    unknown = set(data) - {"param", "grid"}
-    if unknown:
-        raise ConfigError(f"field 'sweep': unknown keys {sorted(unknown)}")
-    return SweepSpec(param=param, grid=values)
+    return SweepSpec(param=param, grid=_numbers(data.get("grid"), 1, "sweep.grid"))
 
 
 def _parse_sim(data) -> SimSpec:
-    if not isinstance(data, dict):
-        raise ConfigError("field 'sim': expected an object")
+    data = _object(data, "field 'sim'", ("n", "trials", "seed", "interval"))
     n = _integer(data.get("n"), "sim.n")
     trials = _integer(data.get("trials"), "sim.trials")
     seed = _integer(data.get("seed"), "sim.seed")
@@ -194,9 +200,6 @@ def _parse_sim(data) -> SimSpec:
         if not math.isfinite(hi - lo):
             raise ConfigError("field 'sim.interval': its length high - low overflows")
         interval = (lo, hi)
-    unknown = set(data) - {"n", "trials", "seed", "interval"}
-    if unknown:
-        raise ConfigError(f"field 'sim': unknown keys {sorted(unknown)}")
     return SimSpec(n=n, trials=trials, seed=seed, interval=interval)
 
 
@@ -229,15 +232,11 @@ def _spec(text: str) -> tuple:
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from decoded JSON, naming bad fields."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    for required in ("generator", "input_state", "lambda"):
+    known = ("generator", "input_state", "lambda", "measurement", "sweep", "sim")
+    data = _object(data, "config root", known)
+    for required in known[:3]:
         if required not in data:
             raise ConfigError(f"missing required field '{required}'")
-    known = {"generator", "input_state", "lambda", "measurement", "sweep", "sim"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
 
     generator = _numbers(data["generator"], 2, "generator", pair=True)
     input_state = _numbers(data["input_state"], 1, "input_state", pair=True)
@@ -292,7 +291,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}")
@@ -304,17 +303,28 @@ def build_family(config: ExperimentConfig) -> StateFamily:
 
 
 def build_povm(config: ExperimentConfig, family: StateFamily) -> Povm:
-    """Materialize the configured measurement for the family at its lambda."""
+    """Materialize the configured measurement for the family at its lambda, in its dimension."""
     measurement = config.measurement
     if measurement is None:
         raise ConfigError("missing required field 'measurement'")
     if isinstance(measurement, np.ndarray):
-        return Povm.from_effects(measurement)
-    name, argument = measurement
-    if name == "rotated":
-        return rotated_qubit_measurement(argument)
-    sldd = sld(derivative(family, config.lam))
-    return sld_measurement(sldd) if name == "sld" else q_family_measurement(sldd, argument)
+        povm = Povm.from_effects(measurement)
+    elif measurement[0] == "rotated":
+        povm = rotated_qubit_measurement(measurement[1])
+    else:
+        sldd = sld(derivative(family, config.lam))
+        name, argument = measurement
+        povm = sld_measurement(sldd) if name == "sld" else q_family_measurement(sldd, argument)
+    if povm.dim != family.dim:
+        raise DimMismatchError(f"POVM dim {povm.dim} does not match state dim {family.dim}")
+    return povm
+
+
+def _experiment(path: str) -> tuple:
+    """``(config, family, povm)`` of the config at ``path``; ``povm`` is None without one."""
+    config = load_config(path)
+    family = build_family(config)
+    return config, family, None if config.measurement is None else build_povm(config, family)
 
 
 def _fmt(value: float) -> str:
@@ -322,8 +332,7 @@ def _fmt(value: float) -> str:
 
 
 def cmd_qfi(args) -> int:
-    config = load_config(args.config)
-    family = build_family(config)
+    config, family, _ = _experiment(args.config)
     sd = derivative(family, config.lam)
     sldd = sld(sd)
     report = qfi_report(family, sd)
@@ -353,17 +362,14 @@ def _print_audit_table(report, bits: bool) -> None:
 
 
 def cmd_audit(args) -> int:
-    config = load_config(args.config)
-    family = build_family(config)
-    has_measurement = config.measurement is not None
-    has_sweep = config.sweep is not None
-    if has_measurement == has_sweep:
+    config, family, povm = _experiment(args.config)
+    if (povm is None) == (config.sweep is None):
         raise ConfigError("audit needs exactly one of 'measurement' or 'sweep'")
 
-    if has_measurement:
+    if povm is not None:
         if args.out is not None:
             raise ConfigError("--out is for sweep audits; a single audit prints its table")
-        report = audit(family, config.lam, build_povm(config, family))
+        report = audit(family, config.lam, povm)
         _print_audit_table(report, args.bits)
         if args.fail_on_violation and report.violated:
             return 4
@@ -387,13 +393,12 @@ def cmd_audit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = load_config(args.config)
-    if config.sim is None:
+    config, family, povm = _experiment(args.config)
+    sim = config.sim
+    if sim is None:
         raise ConfigError("missing required field 'sim'")
-    if config.measurement is None or config.sweep is not None:
+    if povm is None or config.sweep is not None:
         raise ConfigError("simulate needs a 'measurement' and no 'sweep' (sweeps are audit-only)")
-    family, sim = build_family(config), config.sim
-    povm = build_povm(config, family)
     report = crb_experiment(family, povm, config.lam, sim.n, sim.trials, sim.seed, sim.interval)
     if args.out is not None:
         _write_trials_csv(args.out, report, config.lam, sim.n, sim.seed)

@@ -50,6 +50,11 @@ def qubit_config(**overrides) -> dict:
     return config
 
 
+def real_matrices(*matrices) -> list:
+    """Real matrices written as config lists of ``[re, im]`` pairs."""
+    return [[[[float(x), 0.0] for x in row] for row in matrix] for matrix in matrices]
+
+
 def write_config(tmp_path, config, name="config.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(config))
@@ -893,8 +898,8 @@ class TestExitCodes:
             ("simulate", {"sim": {**SIM, "interval": [0.0]}}, "'sim.interval': expected [low, high]"),
             ("simulate", {"sim": {**SIM, "interval": [1.0, 0.0]}}, "'sim.interval': high must"),
             ("simulate", {"sim": {**SIM, "shots": 9}}, "field 'sim': unknown keys ['shots']"),
-            ("qfi", None, "config root must be a JSON object"),
-            ("qfi", {"lam": 0.7}, "unknown top-level keys ['lam']"),
+            ("qfi", None, "config root: expected an object"),
+            ("qfi", {"lam": 0.7}, "config root: unknown keys ['lam']"),
             ("audit", {"measurement": 5}, "'measurement': expected a non-empty list of matrices"),
             (
                 "audit",
@@ -965,6 +970,58 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err == f"config error: ConfigError: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["qfi", "audit", "simulate"])
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"measurement": "q_family:q=1.5"}, "InvalidQError: q must lie in [0, 1], got 1.5"),
+            (
+                {"measurement": real_matrices([[1, 0, 0], [0, 1, 0]])},
+                "NonHermitianError: operator must be a square matrix, got shape (2, 3)",
+            ),
+            (
+                {"measurement": real_matrices([[1, 0.5], [0, 0]], [[0, -0.5], [0, 1]])},
+                "NonHermitianError: matrix is not Hermitian: max|M - M^H| = 5.000e-01 "
+                "exceeds 1e-12 * max|M|",
+            ),
+            (
+                {"measurement": real_matrices([[1.1, 0], [0, 0]], [[-0.1, 0], [0, 1]])},
+                "effect has negative eigenvalue -1.000e-01",
+            ),
+            (
+                {"measurement": real_matrices([[1, 0], [0, 0]], [[0, 0], [0, 0.5]])},
+                "effects sum to identity only within 5.000e-01",
+            ),
+            (
+                {"measurement": real_matrices(np.diag([1, 0, 0]), np.diag([0, 1, 1]))},
+                "DimMismatchError: POVM dim 3 does not match state dim 2",
+            ),
+            (
+                {
+                    "generator": real_matrices(np.diag([1.0, 0.0, -1.0]))[0],
+                    "input_state": [[0.6, 0.0], [0.0, 0.0], [0.8, 0.0]],
+                    "measurement": "rotated:phi=0.3",
+                },
+                "DimMismatchError: POVM dim 2 does not match state dim 3",
+            ),
+        ],
+        ids=["q-outside", "2x3", "non-hermitian", "negative", "not-identity", "3x3", "qutrit"],
+    )
+    def test_every_command_builds_the_measurement(self, tmp_path, capsys, command, fields, message):
+        # qfi prints no measurement figure, but it rejects what audit and simulate reject.
+        path = write_config(tmp_path, qubit_config(sim=SIM, **fields))
+        assert main([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("spec", ["sld", "q_family:q=0.3", "rotated:phi=0.7"])
+    def test_a_valid_measurement_leaves_the_qfi_table_unchanged(self, tmp_path, capsys, spec):
+        tables = []
+        for config in (qubit_config(), qubit_config(measurement=spec)):
+            assert main(["qfi", "--config", write_config(tmp_path, config)]) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1] and tables[0].startswith("F_Q     = 1\n")
 
     def test_build_povm_requires_a_measurement(self):
         # The commands check for a measurement before they build one.
@@ -1067,6 +1124,17 @@ class TestEntryPoint:
         assert run.returncode == 0 and "config error" not in run.stderr
         assert run.stdout == utf8.encode("ascii", "backslashreplace").decode("ascii")
         assert out.read_bytes() == written
+
+    def test_config_is_read_as_utf8_under_the_c_locale(self, tmp_path):
+        # JSON text is UTF-8 (RFC 8259). With UTF-8 mode off, the C locale's
+        # codec is ASCII, which could not decode the key to report it.
+        path = tmp_path / "config.json"
+        text = json.dumps({**qubit_config(), "\u00e9": 1}, ensure_ascii=False)
+        path.write_text(text, encoding="utf-8")
+        env = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        run = self.run("qfi", "--config", str(path), **env)
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == "config error: ConfigError: config root: unknown keys ['\\xe9']\n"
 
     def test_golden_exits_zero(self):
         run = self.run("golden")

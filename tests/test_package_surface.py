@@ -265,3 +265,30 @@ def test_readme_states_the_package_line_count():
     (stated,) = re.findall(r"The package is ([\d,]+) lines", (ROOT / "README.md").read_text())
     counted = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
     assert int(stated.replace(",", "")) == counted
+
+
+def test_source_lines_fit_100_columns():
+    # Line counts are reported for every change; packing lines would meet them falsely.
+    long = [
+        f"{path.name}:{number}"
+        for path in sorted(SRC.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long == []
+
+
+def test_every_module_level_import_is_used_or_exported():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        name = "fisherlab" if path.stem == "__init__" else f"fisherlab.{path.stem}"
+        used = set(getattr(importlib.import_module(name), "__all__", []))
+        used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unused += [f"{path.name}: {b}" for b in bound if b not in used]
+    assert unused == []
