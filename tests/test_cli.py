@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import decimal
 import gc
 import json
 import math
@@ -10,6 +12,7 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from numpy.testing import assert_allclose
 
@@ -17,7 +20,7 @@ from conftest import povm_effects
 import fisherlab.audit
 import fisherlab.cli
 import fisherlab.state_family
-from fisherlab import derivative, qfi_report, sld
+from fisherlab import crb_experiment, derivative, qfi_report, sld
 from fisherlab.cli import (
     build_family,
     build_povm,
@@ -166,6 +169,163 @@ class TestCollectorPause:
 
 def sweep_config(grid) -> dict:
     return qubit_config(sweep={"param": "q", "grid": grid})
+
+
+def _bit_tree(tree):
+    """A decoded JSON tree with each float as its bit pattern, so that ``-0.0 != 0.0``.
+
+    An integer outside [-2**63, 2**64), which orjson reads as a double,
+    counts as that double.
+    """
+    if isinstance(tree, int) and not isinstance(tree, bool) and not -(2**63) <= tree < 2**64:
+        tree = float(tree)
+    if isinstance(tree, float):
+        return ("double", tree.hex())
+    if isinstance(tree, list):
+        return [_bit_tree(entry) for entry in tree]
+    if isinstance(tree, dict):
+        return {key: _bit_tree(value) for key, value in tree.items()}
+    return tree
+
+
+def _config_bits(value):
+    """An :class:`ExperimentConfig` (or any of its fields) as comparable bits."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(map(_config_bits, value))
+    if dataclasses.is_dataclass(value):
+        return tuple(_config_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return value
+
+
+def _doubles(rng) -> list:
+    """Random and edge-case doubles: signed zeros, subnormals, the extremes, wide exponents."""
+    edges = [0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, sys.float_info.max]
+    edges += [1e23, 9007199254740993.0, 0.1, 1.0, 2.0**-1074 * 3]
+    bit_patterns = [
+        np.uint64(rng.getrandbits(64)).view(np.float64).item() for _ in range(1500)
+    ]
+    subnormals = [np.uint64(rng.getrandbits(52)).view(np.float64).item() for _ in range(300)]
+    scaled = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-320, 308) for _ in range(500)]
+    values = [x for x in edges + bit_patterns + subnormals + scaled if math.isfinite(x)]
+    return values + [-x for x in values]
+
+
+def _halfway_texts(values) -> list:
+    """Exact decimal midpoints between each non-negative double and the next one up,
+    and the same points moved by 2**-41 of that gap either way."""
+    exact = decimal.Context(prec=2000, traps=[decimal.Inexact])
+    texts = []
+    for x in values:
+        if math.copysign(1.0, x) > 0 and x < sys.float_info.max:
+            low, high = decimal.Decimal(x), decimal.Decimal(math.nextafter(x, math.inf))
+            mid = exact.divide(exact.add(low, high), 2)
+            nudge = exact.divide(exact.subtract(high, low), 2**41)
+            texts += [str(mid), str(exact.add(mid, nudge)), str(exact.subtract(mid, nudge))]
+    return texts
+
+
+# Tokens that probe where the two decoders could part:
+# non-finite literals and values, lone surrogates (raw and escaped),
+# control characters, integers past 64 bits, a byte-order mark, and the
+# JSON punctuation and digits that keep many mutants valid.
+_MUTATION_TOKENS = [
+    "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "\ud800", "\\ud800", "\\udc00", "\ufeff",
+    "\x00", "\x1f", "\x7f", "\t", "\n", "18446744073709551619", "-92233720368547758089",
+    "12345678901234567890", "9223372036854775808", "true", "false", "null", "\\u00e9", "é",
+    "[", "]", "{", "}", ",", ":", '"', "\\", " ", "-", "+", ".", "e", "E", "0", "1", "7", "9",
+]  # fmt: skip
+
+
+def _mutated_configs(rng, count: int):
+    """``count`` valid configs, each with one to three tokens inserted, deleted or replaced."""
+    # A seed past 64 bits is valid, but orjson reads it as a double.
+    sim = {**SIM, "seed": 2**64 + 3, "interval": [0, 2]}
+    bases = [
+        json.dumps(qubit_config(measurement="sld", sim=sim)),
+        json.dumps(sweep_config([0.1, -0.0, 1e-300, 1])),
+        json.dumps(qubit_config(measurement=real_matrices([[1, 0], [0, 0]], [[0, 0], [0, 1]]))),
+    ]
+    for _ in range(count):
+        text = rng.choice(bases)
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(text) + 1)
+            edit = rng.choice(("insert", "delete", "replace"))
+            token = "" if edit == "delete" else rng.choice(_MUTATION_TOKENS)
+            cut = {"insert": 0, "delete": rng.randint(1, 4), "replace": 1}[edit]
+            text = text[:at] + token + text[at + cut :]
+        yield text
+
+
+class TestTwoReaders:
+    """orjson decodes every config first; Python's json re-reads what it or the checks reject."""
+
+    def test_doubles_decode_to_the_same_bits(self):
+        values = _doubles(random.Random(2205))
+        texts = [f(x) for x in values for f in (repr, "{:.17g}".format, "{:.24e}".format)]
+        texts += _halfway_texts(values[::7])
+        texts += ["2.4703282292062327e-324", "2.4703282292062328e-324", "-0", "-0.0", "0e999"]
+        text = "[" + ",".join(texts) + "]"
+        assert _bit_tree(orjson.loads(text)) == _bit_tree(json.loads(text))
+
+    def test_what_orjson_accepts_json_reads_alike(self):
+        accepted = wide = 0
+        for text in _mutated_configs(random.Random(11), 4000):
+            try:
+                fast = orjson.loads(text)
+            except orjson.JSONDecodeError:
+                continue
+            slow = json.loads(text)
+            assert _bit_tree(fast) == _bit_tree(slow), text
+            accepted, wide = accepted + 1, wide + (fast != slow)
+        # ~13% of mutants stay valid JSON; some hold integers past 64 bits.
+        assert accepted > 300 and wide > 0
+
+    def test_mutated_configs_get_the_stdlib_readers_outcome(self, monkeypatch):
+        def outcome(text):
+            try:
+                return _config_bits(parse_config_text(text))
+            except ConfigError as exc:
+                return str(exc)
+
+        def reject(text):
+            raise orjson.JSONDecodeError("not read", text, 0)
+
+        texts = list(_mutated_configs(random.Random(7919), 3000))
+        fast = [outcome(text) for text in texts]
+        monkeypatch.setattr(fisherlab.cli.orjson, "loads", reject)
+        assert [outcome(text) for text in texts] == fast
+        assert sum(not isinstance(result, str) for result in fast) > 75
+
+    @pytest.mark.parametrize("kind", ["explicit-d32", "q-sweep", "simulate"])
+    def test_valid_configs_are_read_by_orjson_alone(self, monkeypatch, kind):
+        def refuse(text):
+            raise AssertionError("the stdlib decoder ran")
+
+        text = {
+            "explicit-d32": lambda: explicit_config_text(32),
+            "q-sweep": lambda: json.dumps(sweep_config(np.linspace(0, 1, 2001).tolist())),
+            "simulate": lambda: json.dumps(qubit_config(measurement="sld", sim=SIM)),
+        }[kind]()
+        monkeypatch.setattr(fisherlab.cli._DECODER, "decode", refuse)
+        parse_config_text(text)
+
+    def test_a_seed_past_64_bits_is_read_by_the_stdlib_decoder(self, tmp_path, capsys):
+        # orjson reads 2**64 + 3 as a double, which 'sim.seed' rejects.
+        seed = 2**64 + 3
+        config = qubit_config(measurement="sld", sim={"n": 400, "trials": 12, "seed": seed})
+        out = tmp_path / "trials.csv"
+        assert main(["simulate", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        parsed = parse_config(config)
+        family = build_family(parsed)
+        report = crb_experiment(family, build_povm(parsed, family), 0.7, 400, 12, seed)
+        lines = out.read_text().splitlines()
+        assert f" seed={seed} " in lines[0]
+        assert [float(line.split(",")[1]) for line in lines[2:-1]] == list(report.estimates)
 
 
 class TestArrayReader:
@@ -960,8 +1120,16 @@ class TestExitCodes:
             ("sld:x=1", "measurement spec 'sld' takes no arguments"),
             ("bogus", "unknown measurement constructor 'bogus'"),
             ("rotated:phi=east", "measurement spec 'rotated:phi=east': 'east' is not a number"),
+            ("rotated:phi=0_7", "measurement spec 'rotated:phi=0_7': '0_7' is not a number"),
         ],
-        ids=["phi-inf", "q-twice", "sld-with-argument", "unknown-name", "phi-not-a-number"],
+        ids=[
+            "phi-inf",
+            "q-twice",
+            "sld-with-argument",
+            "unknown-name",
+            "phi-not-a-number",
+            "phi-digit-separator",
+        ],
     )
     def test_every_command_reads_the_whole_config(self, tmp_path, capsys, command, spec, message):
         # qfi builds no measurement, but the spec is read with the rest of the config.

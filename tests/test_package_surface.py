@@ -292,3 +292,19 @@ def test_every_module_level_import_is_used_or_exported():
                 bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
                 unused += [f"{path.name}: {b}" for b in bound if b not in used]
     assert unused == []
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    (listed,) = re.findall(r"^dependencies = \[(.*?)\]", pyproject, re.M)
+    declared = {re.match(r"[\w.-]+", dep).group().lower() for dep in re.findall(r'"([^"]+)"', listed)}
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"fisherlab"}
+    assert "numpy" in third_party
+    assert sorted(third_party - declared) == []
