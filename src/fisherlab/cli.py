@@ -52,7 +52,7 @@ from .errors import (
     FlatLikelihoodError,
     StationaryStateError,
 )
-from .estimation import _MAX_SHOTS, CrbReport, crb_experiment
+from .estimation import CrbReport, _finite_interval, _setting, crb_experiment
 from .measurement import (
     Povm,
     q_family_measurement,
@@ -155,12 +155,6 @@ def _numbers(value, depth: int, where: str, pair: bool = False) -> np.ndarray:
     return np.array(complex(*numbers) if pair else numbers[0])
 
 
-def _integer(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"field '{where}': expected an integer, got {value!r}")
-    return value
-
-
 def _object(data, where: str, keys) -> dict:
     """``data`` if it is a JSON object with no keys outside ``keys``; ``where`` names it."""
     if not isinstance(data, dict):
@@ -180,28 +174,22 @@ def _parse_sweep(data) -> SweepSpec:
 
 
 def _parse_sim(data) -> SimSpec:
-    data = _object(data, "field 'sim'", ("n", "trials", "seed", "interval"))
-    n = _integer(data.get("n"), "sim.n")
-    trials = _integer(data.get("trials"), "sim.trials")
-    seed = _integer(data.get("seed"), "sim.seed")
-    if not 1 <= n <= _MAX_SHOTS:
-        raise ConfigError(f"field 'sim.n': must be in [1, {_MAX_SHOTS}], got {n}")
-    if trials < 2:
-        raise ConfigError(f"field 'sim.trials': must be >= 2, got {trials}")
-    if seed < 0:
-        raise ConfigError(f"field 'sim.seed': must be >= 0, got {seed}")
-    interval = None
-    if "interval" in data and data["interval"] is not None:
-        raw = data["interval"]
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise ConfigError("field 'sim.interval': expected [low, high]")
-        lo, hi = _numbers(raw, 1, "sim.interval").tolist()
-        if not hi > lo:
-            raise ConfigError("field 'sim.interval': high must exceed low")
-        if not math.isfinite(hi - lo):
-            raise ConfigError("field 'sim.interval': its length high - low overflows")
-        interval = (lo, hi)
-    return SimSpec(n=n, trials=trials, seed=seed, interval=interval)
+    """The ``sim`` block, each value checked by the rule :func:`crb_experiment` applies to it."""
+    keys = ("n", "trials", "seed", "interval")
+    data = _object(data, "field 'sim'", keys)
+    values = dict.fromkeys(keys)
+    for key in keys:
+        value = data.get(key)
+        try:
+            if key != "interval":
+                values[key] = _setting(key, value)
+            elif value is not None:
+                if not isinstance(value, list) or len(value) != 2:
+                    raise ConfigError("field 'sim.interval': expected [low, high]")
+                values[key] = _finite_interval(_numbers(value, 1, "sim.interval").tolist())
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"field 'sim.{key}': {exc}")
+    return SimSpec(**values)
 
 
 def _spec(text: str) -> tuple:
@@ -215,7 +203,8 @@ def _spec(text: str) -> tuple:
         if key in args:
             raise ConfigError(f"measurement spec {text!r}: key {key!r} is given twice")
         try:
-            if "_" in raw:  # float() reads "0_7" as 7
+            # float() also reads " 0.7\n", "0_7" and non-ASCII digits.
+            if not raw.isascii() or any(c.isspace() or c == "_" for c in raw):
                 raise ValueError
             value = float(raw)
         except ValueError:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -55,6 +56,7 @@ __all__ = [
 
 # The multinomial draw takes the shot count as a 64-bit signed integer.
 _MAX_SHOTS = 2**63 - 1
+_BOUNDS = {"n": (1, _MAX_SHOTS), "trials": (2, math.inf), "seed": (0, math.inf)}
 _GRID_POINTS = 256
 _FLAT_TOL = 1e-14
 # Floor for probabilities: keeps the log-likelihood and the score finite
@@ -64,7 +66,10 @@ _LOG_FLOOR = 1e-300
 
 @dataclass(frozen=True, eq=False)
 class SampleRecord:
-    """Outcome counts from one batch of identical measurements; ``n`` is their sum."""
+    """Outcome counts from one batch of identical measurements; ``n`` is their sum.
+
+    ``n`` and ``seed`` meet the sampler's rules: a ``bool`` seed raises ``TypeError``.
+    """
 
     counts: np.ndarray
     seed: int
@@ -79,8 +84,8 @@ class SampleRecord:
         if counts.min() < 0:
             raise ValueError("counts must be non-negative")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "seed", _seed(self.seed))
-        _shots(self.n)
+        object.__setattr__(self, "seed", _setting("seed", self.seed))
+        _setting("n", self.n)
 
     @property
     def n(self) -> int:
@@ -114,18 +119,16 @@ def _sampling_probs(povm: Povm, sd: StateAndDerivative) -> np.ndarray:
     return dist.probs / dist.probs.sum()
 
 
-def _shots(n) -> int:
-    n = operator.index(n)
-    if not 1 <= n <= _MAX_SHOTS:
-        raise ValueError(f"n must be in [1, {_MAX_SHOTS}], got {n}")
-    return n
-
-
-def _seed(seed) -> int:
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
+def _setting(name: str, value) -> int:
+    """Setting ``name`` as an ``int`` in its bounds; a ``bool`` or non-integer raises TypeError."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    low, high = _BOUNDS[name]
+    if not low <= value <= high:
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
 
 
 def _trial_counts(n: int, probs: np.ndarray, seed: int, trials: int) -> np.ndarray:
@@ -144,7 +147,7 @@ def _trial_counts(n: int, probs: np.ndarray, seed: int, trials: int) -> np.ndarr
     ``p = (1/2, 1/2)``, so a rounding-level change of the state (such as
     a global phase) can reflect every estimate about the truth.
     """
-    return np.random.default_rng(_seed(seed)).multinomial(n, probs, size=trials)
+    return np.random.default_rng(_setting("seed", seed)).multinomial(n, probs, size=trials)
 
 
 def sample_outcomes(
@@ -154,20 +157,22 @@ def sample_outcomes(
 
     The counts are ``default_rng(seed).multinomial(n, probs)`` bit for
     bit: the one-trial case of the draw :func:`crb_experiment` makes, so
-    they equal that experiment's trial 0 at the same seed.
+    they equal that experiment's trial 0 at the same seed. A ``bool``
+    ``n`` or ``seed`` raises ``TypeError``.
     """
-    n = _shots(n)
+    n = _setting("n", n)
     probs = _sampling_probs(povm, derivative(family, true_lambda))
     counts = _trial_counts(n, probs, seed, 1)[0]
     return SampleRecord(counts=counts, seed=seed)
 
 
 def _finite_interval(search_interval) -> tuple:
-    lo, hi = float(search_interval[0]), float(search_interval[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo and math.isfinite(hi - lo)):
-        raise ValueError(
-            f"search interval must be finite with positive finite length, got ({lo}, {hi})"
-        )
+    ends = search_interval[0], search_interval[1]
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in ends):
+        raise TypeError(f"search interval ends must be real numbers, got {ends!r}")
+    lo, hi = map(float, ends)
+    if not (hi > lo and math.isfinite(hi - lo)):
+        raise ValueError(f"search interval must have a positive finite length, got ({lo}, {hi})")
     return lo, hi
 
 
@@ -226,7 +231,7 @@ def _mle(
     pages back in.
     """
     if povm.dim != family.dim:
-        raise DimMismatchError("POVM dim does not match family dim")
+        raise DimMismatchError(f"POVM dim {povm.dim} does not match state dim {family.dim}")
     vecs, eigvals = family._eigvecs, family._eigvals
     # From the spectrum's midpoint: an offset h + cI is a global phase.
     eigvals = eigvals - 0.5 * (eigvals[0] + eigvals[-1])
@@ -348,12 +353,10 @@ def crb_experiment(
     Fisher information at ``true_lambda`` of at most ``EPS_QFI * ||h||^2``
     (the SLD's stationarity threshold relative to the ceiling in
     ``F <= F_Q <= ||h||^2``) is zero to rounding and has no bound: it
-    raises :class:`FlatLikelihoodError` before any draw.
+    raises :class:`FlatLikelihoodError` before any draw. A ``bool``
+    ``n``, ``trials`` or ``seed`` raises ``TypeError``.
     """
-    trials = operator.index(trials)
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials}")
-    n = _shots(n)
+    trials, n = _setting("trials", trials), _setting("n", n)
     if not math.isfinite(true_lambda):
         raise ValueError(f"true_lambda must be finite, got {true_lambda!r}")
     if search_interval is None:

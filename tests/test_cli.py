@@ -19,6 +19,7 @@ from numpy.testing import assert_allclose
 from conftest import povm_effects
 import fisherlab.audit
 import fisherlab.cli
+import fisherlab.estimation
 import fisherlab.state_family
 from fisherlab import crb_experiment, derivative, qfi_report, sld
 from fisherlab.cli import (
@@ -1050,13 +1051,17 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command, fields, named",
         [
-            ("simulate", {"sim": {**SIM, "n": 1.5}}, "field 'sim.n': expected an integer"),
+            ("simulate", {"sim": {**SIM, "n": 1.5}}, "field 'sim.n': n must be an integer, got 1.5"),
             ("audit", {"sweep": [0.1, 0.5]}, "field 'sweep': expected an object"),
             ("audit", {"sweep": {"param": "x", "grid": [0.5]}}, "field 'sweep.param'"),
             ("audit", {"sweep": {**SWEEP, "step": 1}}, "field 'sweep': unknown keys ['step']"),
             ("simulate", {"sim": 5}, "field 'sim': expected an object"),
             ("simulate", {"sim": {**SIM, "interval": [0.0]}}, "'sim.interval': expected [low, high]"),
-            ("simulate", {"sim": {**SIM, "interval": [1.0, 0.0]}}, "'sim.interval': high must"),
+            (
+                "simulate",
+                {"sim": {**SIM, "interval": [1.0, 0.0]}},
+                "'sim.interval': search interval must have a positive finite length, got (1.0, 0.0)",
+            ),
             ("simulate", {"sim": {**SIM, "shots": 9}}, "field 'sim': unknown keys ['shots']"),
             ("qfi", None, "config root: expected an object"),
             ("qfi", {"lam": 0.7}, "config root: unknown keys ['lam']"),
@@ -1121,6 +1126,18 @@ class TestExitCodes:
             ("bogus", "unknown measurement constructor 'bogus'"),
             ("rotated:phi=east", "measurement spec 'rotated:phi=east': 'east' is not a number"),
             ("rotated:phi=0_7", "measurement spec 'rotated:phi=0_7': '0_7' is not a number"),
+            (
+                "rotated:phi= 0.7 ",
+                "measurement spec 'rotated:phi= 0.7 ': ' 0.7 ' is not a number",
+            ),
+            (
+                "rotated:phi=0.7\n",
+                "measurement spec 'rotated:phi=0.7\\n': '0.7\\n' is not a number",
+            ),
+            (
+                "rotated:phi=\u0660.\u0667",
+                "measurement spec 'rotated:phi=\u0660.\u0667': '\u0660.\u0667' is not a number",
+            ),
         ],
         ids=[
             "phi-inf",
@@ -1129,6 +1146,9 @@ class TestExitCodes:
             "unknown-name",
             "phi-not-a-number",
             "phi-digit-separator",
+            "phi-in-spaces",
+            "phi-newline",
+            "phi-arabic-indic-digits",
         ],
     )
     def test_every_command_reads_the_whole_config(self, tmp_path, capsys, command, spec, message):
@@ -1138,6 +1158,44 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err == f"config error: ConfigError: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("text", [".7", "+0.7", "7e-1", "0.70", "7E-1"])
+    def test_spec_values_in_plain_ascii_read_as_numbers(self, text):
+        config = parse_config(qubit_config(measurement=f"rotated:phi={text}"))
+        assert config.measurement == ("rotated", 0.7)
+
+    @pytest.mark.parametrize("key", ["n", "trials", "seed"])
+    @pytest.mark.parametrize(
+        "value",
+        [0, 1, 2, -1, 2**63 - 1, 2**63, 2**64 + 3, 1.5, True, False, None, "3"],
+        ids=str,
+    )
+    def test_sim_setting_has_the_library_message(self, tmp_path, capsys, key, value):
+        rule = fisherlab.estimation._setting
+        self.check_library_message(tmp_path, capsys, key, value, rule, key, value)
+
+    @pytest.mark.parametrize(
+        "interval",
+        [[1.0, 0.0], [0.5, 0.5], [-1e308, 1e308], [0.0, 1.5]],
+        ids=["reversed", "equal", "length-overflows", "valid"],
+    )
+    def test_sim_interval_has_the_library_message(self, tmp_path, capsys, interval):
+        rule = fisherlab.estimation._finite_interval
+        self.check_library_message(tmp_path, capsys, "interval", interval, rule, interval)
+
+    @staticmethod
+    def check_library_message(tmp_path, capsys, key, value, rule, *args):
+        """``qfi`` accepts ``sim.<key>`` = ``value`` where ``rule(*args)`` does, else takes its text."""
+        path = write_config(tmp_path, qubit_config(sim={**SIM, key: value}))
+        code = main(["qfi", "--config", path])
+        captured = capsys.readouterr()
+        try:
+            rule(*args)
+        except (TypeError, ValueError) as exc:
+            assert code == 2 and captured.out == ""
+            assert captured.err == f"config error: ConfigError: field 'sim.{key}': {exc}\n"
+        else:
+            assert code == 0 and captured.err == ""
 
     @pytest.mark.parametrize("command", ["qfi", "audit", "simulate"])
     @pytest.mark.parametrize(

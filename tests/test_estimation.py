@@ -231,6 +231,52 @@ class TestSampleOutcomes:
         with pytest.raises(ValueError, match="n must be in"):
             runs[entry](2**63)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f, m: crb_experiment(f, m, TRUE_LAMBDA, n=True, trials=2, seed=0),
+            lambda f, m: crb_experiment(f, m, TRUE_LAMBDA, n=100, trials=True, seed=0),
+            lambda f, m: crb_experiment(f, m, TRUE_LAMBDA, n=100, trials=2, seed=False),
+            lambda f, m: sample_outcomes(m, f, TRUE_LAMBDA, n=True, seed=0),
+            lambda f, m: sample_outcomes(m, f, TRUE_LAMBDA, n=100, seed=True),
+            lambda f, m: SampleRecord(counts=[1, 0], seed=True),
+            lambda f, m: crb_experiment(f, m, TRUE_LAMBDA, 100, 2, 0, search_interval=("0", "1.5")),
+            lambda f, m: crb_experiment(f, m, TRUE_LAMBDA, 100, 2, 0, search_interval=(False, True)),
+        ],
+        ids=[
+            "crb-n-true",
+            "crb-trials-true",
+            "crb-seed-false",
+            "sample-n-true",
+            "sample-seed-true",
+            "record-seed-true",
+            "interval-strings",
+            "interval-bools",
+        ],
+    )
+    def test_library_refuses_what_a_config_refuses(self, call):
+        # JSON true/false and strings are not numbers in a config; nor here.
+        family, povm, _ = qubit_case(None)
+        with pytest.raises(TypeError):
+            call(family, povm)
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("n", 0, "n must be in [1, 9223372036854775807], got 0"),
+            ("n", 2**63, "n must be in [1, 9223372036854775807], got 9223372036854775808"),
+            ("trials", 1, "trials must be >= 2, got 1"),
+            ("seed", -1, "seed must be >= 0, got -1"),
+            ("seed", 1.0, "seed must be an integer, got 1.0"),
+            ("trials", np.bool_(True), "trials must be an integer, got np.True_"),
+        ],
+    )
+    def test_setting_messages(self, name, value, message):
+        error = ValueError if isinstance(value, int) else TypeError
+        with pytest.raises(error, match=re.escape(message)):
+            estimation._setting(name, value)
+        assert estimation._setting(name, np.int64(7)) == 7
+
 
 def stream_counts(n, probs, seed, trials):
     """Counts of ``trials`` single multinomial draws in turn from one ``default_rng(seed)``."""
@@ -362,7 +408,7 @@ class TestMleEstimate:
     def test_povm_dim_must_match_the_family(self):
         povm = sld_measurement(sld(derivative(random_family(3, np.random.default_rng(3)), 0.5)))
         record = SampleRecord(counts=np.array([5, 5, 0]), seed=0)
-        with pytest.raises(DimMismatchError, match="POVM dim does not match family dim"):
+        with pytest.raises(DimMismatchError, match="POVM dim 3 does not match state dim 2"):
             mle_estimate(paper_qubit_family(), povm, record, QUBIT_INTERVAL)
 
     @pytest.mark.parametrize(
