@@ -167,10 +167,15 @@ def sample_outcomes(
 
 
 def _finite_interval(search_interval) -> tuple:
-    ends = search_interval[0], search_interval[1]
+    ends = tuple(search_interval)
+    if len(ends) != 2:
+        raise ValueError(f"search interval must have two ends, got {len(ends)}")
     if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in ends):
         raise TypeError(f"search interval ends must be real numbers, got {ends!r}")
-    lo, hi = map(float, ends)
+    try:
+        lo, hi = map(float, ends)
+    except OverflowError:
+        raise ValueError("search interval ends must be finite doubles") from None
     if not (hi > lo and math.isfinite(hi - lo)):
         raise ValueError(f"search interval must have a positive finite length, got ({lo}, {hi})")
     return lo, hi
@@ -313,7 +318,7 @@ def mle_estimate(family: StateFamily, povm: Povm, record: SampleRecord, search_i
     float spacings), it stops once a step is at most ``tol / 2``, the
     bracket at most ``tol`` or the slope exactly 0; a maximum on the
     interval's edge returns the edge. Grid ties go to the point nearest
-    the interval midpoint. The interval and its length must be finite
+    the interval midpoint. The interval's two ends and its length must be finite
     and hold at most one likelihood mode. This is the one-trial case of
     the batched search :func:`crb_experiment` runs, bit for bit.
 
@@ -354,9 +359,11 @@ def crb_experiment(
     (the SLD's stationarity threshold relative to the ceiling in
     ``F <= F_Q <= ||h||^2``) is zero to rounding and has no bound: it
     raises :class:`FlatLikelihoodError` before any draw. A ``bool``
-    ``n``, ``trials`` or ``seed`` raises ``TypeError``.
+    ``true_lambda``, ``n``, ``trials`` or ``seed`` raises ``TypeError``.
     """
     trials, n = _setting("trials", trials), _setting("n", n)
+    if isinstance(true_lambda, (bool, np.bool_)):
+        raise TypeError(f"true_lambda must be a real number, got {true_lambda!r}")
     if not math.isfinite(true_lambda):
         raise ValueError(f"true_lambda must be finite, got {true_lambda!r}")
     if search_interval is None:

@@ -93,15 +93,33 @@ class Povm:
         """POVM from explicit effect matrices, each factored into amplitude rows.
 
         Effects must be Hermitian and positive semidefinite to rounding
-        (smallest eigenvalue >= -1e-10). One batched ``eigh`` gives both
-        the PSD check and the rows ``sqrt(w) v^H``.
+        (smallest eigenvalue >= -1e-10). A rank-1 stack gets one row ``v^H``
+        per effect, ``v = E[:, j] / sqrt(E[j, j])`` at the largest diagonal
+        entry, if every such pivot is > 0 and ``max|E - v v^H| <= b``, where
+        ``b = 8 d eps`` times the largest pivot and ``d b <= 1e-11``. The
+        triangle ``eigh`` reads is then within ``b`` of ``v v^H`` (PSD) per entry,
+        so its eigenvalues are >= -d b and its PSD check would pass. Any other
+        stack takes one batched ``eigh``: the PSD check and the rows ``sqrt(w) v^H``.
         """
         mats = [require_hermitian(e) for e in effects]
         if not mats:
             raise DimMismatchError("a POVM needs at least one effect")
         if len({m.shape for m in mats}) != 1:
             raise DimMismatchError("POVM effects have mixed dimensions")
-        weights, vecs = np.linalg.eigh(np.stack(mats))
+        stack = np.stack(mats)
+        index = np.arange(len(stack))
+        pivot = stack.diagonal(axis1=1, axis2=2).real.argmax(1)
+        heights = stack[index, pivot, pivot].real
+        if heights.min() > 0.0:
+            # An effect far from rank-1 PSD may overflow here; it then fails the bound.
+            with np.errstate(over="ignore", invalid="ignore"):
+                kets = stack[index, :, pivot] / np.sqrt(heights)[:, None]
+                residual = kets[:, :, None] * kets[:, None, :].conj()
+                residual -= stack  # in place: a second (K, d, d) temporary costs more than this
+            bound = 8 * stack.shape[1] * np.finfo(float).eps * heights.max()
+            if np.abs(residual).max() <= bound and stack.shape[1] * bound <= 1e-11:
+                return cls(rows=kets.conj()[:, None, :])
+        weights, vecs = np.linalg.eigh(stack)
         lowest = np.min(weights)
         if not lowest >= _PSD_TOL:
             raise ValueError(f"effect has negative eigenvalue {lowest:.3e}")

@@ -277,6 +277,32 @@ class TestSampleOutcomes:
             estimation._setting(name, value)
         assert estimation._setting(name, np.int64(7)) == 7
 
+    @pytest.mark.parametrize("flag", [True, False, np.True_], ids=repr)
+    def test_bool_true_lambda_is_refused(self, flag):
+        # A config's JSON true is not a lambda; the library does not read it as 1 either.
+        family, povm, _ = qubit_case(None)
+        with pytest.raises(TypeError, match="true_lambda must be a real number"):
+            crb_experiment(family, povm, flag, n=100, trials=2, seed=0)
+
+    @pytest.mark.parametrize(
+        "interval, message",
+        [
+            ((0.0, 1.5, 99), "search interval must have two ends, got 3"),
+            ([0.0], "search interval must have two ends, got 1"),
+            ((), "search interval must have two ends, got 0"),
+            ((0, 10**400), "search interval ends must be finite doubles"),
+            ((-(10**400), 1.5), "search interval ends must be finite doubles"),
+        ],
+        ids=["three-ends", "one-end", "no-ends", "int-past-double", "negative-int-past-double"],
+    )
+    def test_interval_has_two_ends_in_the_double_range(self, interval, message):
+        family, povm, _ = qubit_case(None)
+        record = sample_outcomes(povm, family, TRUE_LAMBDA, 100, seed=0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            crb_experiment(family, povm, TRUE_LAMBDA, 100, 2, 0, search_interval=interval)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mle_estimate(family, povm, record, interval)
+
 
 def stream_counts(n, probs, seed, trials):
     """Counts of ``trials`` single multinomial draws in turn from one ``default_rng(seed)``."""

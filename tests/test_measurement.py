@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -104,6 +106,130 @@ class TestPovmValidation:
     def test_rejects_rows_of_the_wrong_shape(self, shape):
         with pytest.raises(DimMismatchError, match=r"shape \(K, r, d\)"):
             Povm(rows=np.zeros(shape))
+
+
+def count_eigh(monkeypatch) -> list:
+    """A list that gains one entry per ``np.linalg.eigh`` call from now on."""
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    return calls
+
+
+def eigh_rows(effects) -> np.ndarray:
+    """Rows ``sqrt(w) v^H`` of the batched eigendecomposition of the effect stack."""
+    weights, vecs = np.linalg.eigh(np.stack([np.asarray(e, dtype=complex) for e in effects]))
+    return np.sqrt(np.maximum(weights, 0.0))[..., None] * vecs.conj().swapaxes(1, 2)
+
+
+def rank_one_bound(effects) -> float:
+    """The rank-1 factor's per-entry bound: ``8 d eps`` times the stack's largest diagonal."""
+    stack = np.stack(effects)
+    return 8 * stack.shape[-1] * np.finfo(float).eps * stack.diagonal(axis1=1, axis2=2).real.max()
+
+
+def trine_effects() -> list:
+    """Qubit trine ``E_a = 2/3 |psi_a><psi_a|``: rank 1, not projectors, summing to I."""
+    kets = [np.array([np.cos(a * np.pi / 3.0), np.sin(a * np.pi / 3.0)]) for a in range(3)]
+    return [2.0 / 3.0 * np.outer(ket, ket.conj()) for ket in kets]
+
+
+def assert_matches_dense_oracle(povm, effects, sd):
+    probs, dprobs = dense_statistics(effects, sd)
+    assert probs.min() > 1e-6
+    dist = outcome_distribution(povm, sd)
+    assert_allclose(dist.probs, probs, rtol=0.0, atol=1e-12)
+    assert_allclose(dist.dprobs, dprobs, rtol=0.0, atol=1e-12)
+    assert abs(classical_fisher(povm, sd) - float(np.sum(dprobs**2 / probs))) <= 1e-12
+
+
+class TestRankOneFactor:
+    """``from_effects`` factors rank-1 stacks in closed form and the rest with ``eigh``."""
+
+    @pytest.mark.parametrize("case", ["haar-2", "haar-3", "haar-8", "haar-32", "trine"])
+    def test_rank_one_stack_gets_one_row_per_effect_without_eigh(self, case, monkeypatch):
+        rng = np.random.default_rng(sum(map(ord, case)))
+        if case == "trine":
+            effects = trine_effects()
+        else:
+            basis = haar_basis(rng, int(case.split("-")[1]))
+            effects = [np.outer(col, col.conj()) for col in basis.T]
+        dim = effects[0].shape[0]
+        calls = count_eigh(monkeypatch)
+        povm = Povm.from_effects(effects)
+        assert calls == []
+        assert povm.rows.shape == (len(effects), 1, dim)
+        assert_allclose(povm_effects(povm), effects, rtol=0.0, atol=1e-15)
+        assert_matches_dense_oracle(povm, effects, derivative(random_family(dim, rng), 0.4))
+
+    @pytest.mark.parametrize("case", ["rank-2", "zero", "non-hermitian"])
+    def test_other_stacks_get_the_eigh_rows(self, case, monkeypatch):
+        rng = np.random.default_rng(5)
+        basis = haar_basis(rng, 3)
+        projectors = [np.outer(col, col.conj()) for col in basis.T]
+        if case == "rank-2":
+            effects = [projectors[0] + projectors[1], projectors[2]]
+        elif case == "zero":
+            effects = projectors + [np.zeros((3, 3))]
+        else:
+            # Skew by 1e-13: inside HERMITICITY_RTOL, far outside the rank-1 bound.
+            skew = np.zeros((3, 3))
+            skew[0, 1] = 1e-13
+            effects = [projectors[0] + skew, projectors[1] - skew, projectors[2]]
+        calls = count_eigh(monkeypatch)
+        povm = Povm.from_effects(effects)
+        assert calls == [(len(effects), 3, 3)]
+        assert povm.rows.shape == (len(effects), 3, 3)
+        assert povm.rows.tobytes() == eigh_rows(effects).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 8, 32])
+    def test_bound_edge_switches_the_path_and_both_sides_agree(self, dim, monkeypatch):
+        rng = np.random.default_rng(dim)
+        basis = haar_basis(rng, dim)
+        effects = [np.outer(col, col.conj()) for col in basis.T]
+        sd = derivative(random_family(dim, rng), 0.4)
+        bound = rank_one_bound(effects)
+        # A Hermitian bump on one entry pair off the pivot's row and column
+        # (a lone diagonal entry at d = 2) leaves v alone and moves the
+        # deviation by exactly its size, far above the residual's rounding.
+        pivot = int(np.argmax(effects[0].diagonal().real))
+        i, k = [j for j in range(dim) if j != pivot][:2] if dim > 2 else (1 - pivot,) * 2
+        calls = count_eigh(monkeypatch)
+        povms = []
+        for scale in (0.9, 1.1):
+            bumped = [e.copy() for e in effects]
+            bump = scale * bound * (np.exp(0.3j) if i != k else 1.0)
+            bumped[0][i, k] += bump
+            if i != k:
+                bumped[0][k, i] += np.conj(bump)
+            assert rank_one_bound(bumped) == bound
+            povms.append(Povm.from_effects(bumped))
+        below, above = povms
+        assert below.rows.shape == (dim, 1, dim) and above.rows.shape == (dim, dim, dim)
+        assert len(calls) == 1
+        assert_allclose(povm_effects(below), povm_effects(above), rtol=0.0, atol=1e-12)
+        for povm in povms:
+            assert_matches_dense_oracle(povm, effects, sd)
+
+    @pytest.mark.parametrize("dim, rank", [(75, 1), (76, 76)])
+    def test_psd_margin_caps_the_rank_one_path(self, dim, rank):
+        # With pivots of 1, d b = 8 d^2 eps passes 1e-11 between d = 75 and 76.
+        effects = [np.diag(row) for row in np.eye(dim)]
+        assert (dim * rank_one_bound(effects) <= 1e-11) == (rank == 1)
+        assert Povm.from_effects(effects).rows.shape == (dim, rank, dim)
+
+    @pytest.mark.parametrize(
+        "effect, lowest",
+        [
+            (-np.diag([1.0, 0.0]), "-1.000e+00"),
+            (np.array([[1e-300, 1e10], [1e10, 1e-300]]), "-1.000e+10"),
+        ],
+        ids=["negative-rank-1", "overflowing-factor"],
+    )
+    def test_effect_that_is_not_psd_is_refused(self, effect, lowest):
+        # The second one's closed-form factor overflows: quietly, and it takes eigh.
+        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        with pytest.raises(ValueError, match=re.escape(f"effect has negative eigenvalue {lowest}")):
+            Povm.from_effects((effect, p0 - effect, p1))
 
 
 class TestOutcomeDistribution:
