@@ -44,7 +44,7 @@ import numpy as np
 from .errors import DimMismatchError, FlatLikelihoodError
 from .measurement import Povm, _short_sum, classical_fisher, outcome_distribution
 from .metrology import EPS_QFI, seminorm_bound
-from .state_family import StateAndDerivative, StateFamily, derivative
+from .state_family import StateAndDerivative, StateFamily, _real, derivative
 
 __all__ = [
     "SampleRecord",
@@ -158,9 +158,10 @@ def sample_outcomes(
     The counts are ``default_rng(seed).multinomial(n, probs)`` bit for
     bit: the one-trial case of the draw :func:`crb_experiment` makes, so
     they equal that experiment's trial 0 at the same seed. A ``bool``
-    ``n`` or ``seed`` raises ``TypeError``.
+    ``true_lambda``, ``n`` or ``seed`` raises ``TypeError``.
     """
     n = _setting("n", n)
+    _real("true_lambda", true_lambda)
     probs = _sampling_probs(povm, derivative(family, true_lambda))
     counts = _trial_counts(n, probs, seed, 1)[0]
     return SampleRecord(counts=counts, seed=seed)
@@ -362,10 +363,7 @@ def crb_experiment(
     ``true_lambda``, ``n``, ``trials`` or ``seed`` raises ``TypeError``.
     """
     trials, n = _setting("trials", trials), _setting("n", n)
-    if isinstance(true_lambda, (bool, np.bool_)):
-        raise TypeError(f"true_lambda must be a real number, got {true_lambda!r}")
-    if not math.isfinite(true_lambda):
-        raise ValueError(f"true_lambda must be finite, got {true_lambda!r}")
+    _real("true_lambda", true_lambda)
     if search_interval is None:
         search_interval = (true_lambda - math.pi / 2.0, true_lambda + math.pi / 2.0)
     lo, hi = _finite_interval(search_interval)

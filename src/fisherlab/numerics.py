@@ -69,36 +69,17 @@ class EigenDecomposition:
 
     ``eigenvalues`` are real and ascending; column ``i`` of
     ``eigenvectors`` is the unit eigenvector paired with
-    ``eigenvalues[i]``, with its first nonzero component made real
-    positive so repeated runs give identical vectors.
+    ``eigenvalues[i]``, in the phase LAPACK returns it.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first nonzero component is real positive."""
-    vectors = np.asarray(vectors, dtype=complex)
-    nonzero = np.abs(vectors) > 1e-12
-    columns = np.arange(vectors.shape[1])
-    pivot_row = np.argmax(nonzero, axis=0)
-    found = nonzero[pivot_row, columns]
-    pivot = vectors[pivot_row, columns]
-    modulus = np.where(found, np.abs(pivot), 1.0)
-    return vectors * np.where(found, pivot.conj() / modulus, 1.0)
-
-
 def hermitian_eig(op) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian operator.
-
-    Eigenvalues come back ascending and the eigenvector phases follow the
-    first-nonzero-component-real-positive convention, so the result is
-    deterministic for non-degenerate spectra.
-    """
+    """Eigendecomposition of a Hermitian operator, eigenvalues ascending."""
     mat = require_hermitian(op)
-    eigenvalues, eigenvectors = np.linalg.eigh(mat)
-    return EigenDecomposition(eigenvalues, _fix_phases(eigenvectors))
+    return EigenDecomposition(*np.linalg.eigh(mat))
 
 
 def seminorm(op) -> float:

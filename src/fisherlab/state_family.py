@@ -10,6 +10,7 @@ generator itself.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,6 +96,18 @@ class StateAndDerivative:
         object.__setattr__(self, "tangent", once - np.vdot(state, once) * state)
 
 
+def _real(name: str, value) -> None:
+    """TypeError unless ``value`` is a real number other than a bool; ValueError unless finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # a number beyond the double range, such as 10**400
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def evaluate(family: StateFamily, lam: float) -> np.ndarray:
     """Return ``exp(-i*lam*generator) @ input_state``."""
     vecs = family._eigvecs
@@ -106,8 +119,9 @@ def derivative(family: StateFamily, lam: float) -> StateAndDerivative:
     """State and its analytic derivative at ``lam``.
 
     The generator commutes with the evolution, so the derivative is
-    ``-i * generator @ state`` exactly.
+    ``-i * generator @ state`` exactly. ``lam`` must be a finite real number.
     """
+    _real("lam", lam)
     state = evaluate(family, lam)
     dstate = -1j * (family.generator @ state)
     return StateAndDerivative(state=state, dstate=dstate)

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from conftest import SIGMA_X, SIGMA_Z, random_hermitian
 from fisherlab import StateFamily, evaluate, hermitian_eig, seminorm
 from fisherlab.errors import DimMismatchError, NonHermitianError
-from fisherlab.numerics import _fix_phases, as_state_vector, require_hermitian
+from fisherlab.numerics import as_state_vector, require_hermitian
 
 
 def taylor_expm(matrix: np.ndarray, terms: int = 60) -> np.ndarray:
@@ -47,15 +47,6 @@ class TestHermitianEig:
         mat = SIGMA_X + np.array([[0.0, 1e-15], [0.0, 0.0]])
         require_hermitian(mat)
 
-    def test_phase_convention_first_nonzero_real_positive(self, rng):
-        for dim in (2, 3, 5, 8):
-            dec = hermitian_eig(random_hermitian(dim, rng))
-            for i in range(dim):
-                col = dec.eigenvectors[:, i]
-                pivot = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
-                assert pivot.real > 0.0
-                assert abs(pivot.imag) < 1e-12
-
     def test_reconstruction_and_orthonormality(self, rng):
         for dim in (2, 4, 8):
             mat = random_hermitian(dim, rng, spectral_radius=3.0)
@@ -72,72 +63,11 @@ class TestHermitianEig:
             assert np.linalg.norm(mat @ vec - val * vec) <= 1e-10 * (1.0 + abs(val))
 
 
-def loop_fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """The per-column phase fix that the vectorised ``_fix_phases`` replaced, as an oracle."""
-    fixed = np.array(vectors, dtype=complex, copy=True)
-    for i in range(fixed.shape[1]):
-        col = fixed[:, i]
-        nonzero = np.flatnonzero(np.abs(col) > 1e-12)
-        pivot = col[nonzero[0]] if nonzero.size else 0.0
-        if abs(pivot) > 0.0:
-            fixed[:, i] = col * (pivot.conjugate() / abs(pivot))
-    return fixed
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 class TestStateVector:
     @pytest.mark.parametrize("entries", [[], [[1.0]], [[1.0, 0.0], [0.0, 1.0]], 1.0])
     def test_rejects_empty_or_non_vector_input(self, entries):
         with pytest.raises(DimMismatchError, match="one-dimensional and non-empty"):
             as_state_vector(entries)
-
-
-class TestFixPhasesOracle:
-    """``_fix_phases`` agrees with the per-column loop to 1e-15 in every entry."""
-
-    @pytest.mark.parametrize("dim", [2, 8, 32])
-    def test_random_eigenvectors(self, dim, rng):
-        vectors = np.linalg.eigh(random_hermitian(dim, rng))[1]
-        assert np.max(np.abs(_fix_phases(vectors) - loop_fix_phases(vectors))) <= 1e-15
-
-    @pytest.mark.parametrize("dim", [2, 8, 32])
-    def test_degenerate_spectrum(self, dim, rng):
-        # Every eigenvalue twice (once for dim 2): eigh picks an arbitrary
-        # basis inside each eigenspace, which the phase fix must not care about.
-        spectrum = np.repeat(np.arange(max(dim // 2, 1), dtype=float), 2)[:dim]
-        unitary = random_unitary(dim, rng)
-        vectors = np.linalg.eigh((unitary * spectrum) @ unitary.conj().T)[1]
-        assert np.max(np.abs(_fix_phases(vectors) - loop_fix_phases(vectors))) <= 1e-15
-
-    @pytest.mark.parametrize("dim", [2, 8, 32])
-    def test_zero_leading_entries(self, dim, rng):
-        # A block-diagonal operator: eigenvectors of the lower block start
-        # with exact zeros, and one column is below the 1e-12 threshold
-        # except for a pivot deep inside it.
-        lower = random_hermitian(dim - 1, rng)
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[0, 0] = 5.0
-        mat[1:, 1:] = lower
-        vectors = np.linalg.eigh(mat)[1]
-        assert np.all(vectors[0, :-1] == 0.0)
-        deep_pivot = np.full(dim, 1e-13j)
-        deep_pivot[-1] = -0.5j
-        vectors = np.column_stack([vectors, deep_pivot])
-        fixed = _fix_phases(vectors)
-        assert np.max(np.abs(fixed - loop_fix_phases(vectors))) <= 1e-15
-        assert fixed[-1, -1] == pytest.approx(0.5, abs=1e-15)
-
-    def test_column_without_pivot_is_unchanged(self):
-        vectors = np.array([[1e-13j, 1.0j], [-1e-14, 0.0]])
-        fixed = _fix_phases(vectors)
-        assert np.max(np.abs(fixed - loop_fix_phases(vectors))) <= 1e-15
-        assert fixed[0, 0] == 1e-13j
-        assert fixed[0, 1] == 1.0
 
 
 def evolution(gen, lam: float) -> np.ndarray:

@@ -1,11 +1,24 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import central_difference, paper_qubit_family, random_family
-from fisherlab import StateAndDerivative, StateFamily, derivative, evaluate
+from fisherlab import (
+    StateAndDerivative,
+    StateFamily,
+    audit,
+    crb_experiment,
+    derivative,
+    evaluate,
+    rotated_qubit_measurement,
+    sample_outcomes,
+    sweep_phi,
+    sweep_q,
+)
 from fisherlab.errors import DimMismatchError, NonHermitianError
 from test_numerics import taylor_expm
 
@@ -112,6 +125,53 @@ class TestDerivative:
         for dim in (2, 5):
             sd = derivative(random_family(dim, rng), 0.8)
             assert abs(np.vdot(sd.state, sd.dstate).real) <= 1e-9
+
+
+class TestParameterValue:
+    """A parameter value is a finite real number at every entry point that takes one."""
+
+    CALLS = {
+        "derivative": ("lam", lambda family, povm, lam: derivative(family, lam)),
+        "audit": ("lam", lambda family, povm, lam: audit(family, lam, povm)),
+        "sweep_q": ("lam", lambda family, povm, lam: sweep_q(family, lam, [0.3])),
+        "sweep_phi": ("lam", lambda family, povm, lam: sweep_phi(family, lam, [0.3])),
+        "sample_outcomes": (
+            "true_lambda",
+            lambda family, povm, lam: sample_outcomes(povm, family, lam, 100, 0),
+        ),
+        "crb_experiment": (
+            "true_lambda",
+            lambda family, povm, lam: crb_experiment(family, povm, lam, 100, 2, 0),
+        ),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [
+            (True, TypeError, "must be a real number, got True"),
+            (np.True_, TypeError, "must be a real number, got np.True_"),
+            ("0.7", TypeError, "must be a real number, got '0.7'"),
+            (math.nan, ValueError, "must be finite, got nan"),
+            (math.inf, ValueError, "must be finite, got inf"),
+            (-math.inf, ValueError, "must be finite, got -inf"),
+            (10**400, ValueError, "must be finite, got 1000"),
+        ],
+        ids=["true", "np-true", "string", "nan", "inf", "minus-inf", "int-past-double"],
+    )
+    def test_bad_value_is_named(self, call, value, error, message):
+        name, run = self.CALLS[call]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=re.escape(f"{name} {message}")):
+                run(paper_qubit_family(), rotated_qubit_measurement(0.7), value)
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_int_and_numpy_float_run(self, call):
+        _, run = self.CALLS[call]
+        family, povm = paper_qubit_family(), rotated_qubit_measurement(0.7)
+        for value in (1, np.float64(0.7)):
+            run(family, povm, value)
 
 
 class TestStateAndDerivative:
