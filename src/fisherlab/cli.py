@@ -421,7 +421,7 @@ def _write_trials_csv(path, report: CrbReport, true_lambda: float, n: int, seed:
         f"interval=({report.interval[0]:.17g},{report.interval[1]:.17g})\n"
         f"trial,estimate\n{rows}summary,{report.empirical_std:.17g}\n"
     )
-    _write_text(path, (text,))
+    _write_text(path, (text.encode(),))
 
 
 def cmd_golden(args) -> int:

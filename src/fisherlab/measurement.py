@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DimMismatchError, InvalidQError
 from .metrology import SldData
 from .numerics import require_hermitian
-from .state_family import StateAndDerivative
+from .state_family import StateAndDerivative, _real
 
 __all__ = [
     "EPS_PROB",
@@ -318,7 +318,9 @@ def q_family_measurement(sldd: SldData, q: float) -> Povm:
     partner ``sqrt(1-q)|psi> - sqrt(q)|perp>``. Every member extracts the
     full quantum Fisher information while the outcome distribution is
     ``(q, 1-q)``, so the entropy sweeps the whole range [0, ln 2].
+    ``q`` must be a finite real number.
     """
+    _real("q", q)
     return _complete(_q_coeffs([q])[0] @ _q_basis(sldd))
 
 
@@ -334,6 +336,7 @@ def rotated_qubit_measurement(phi: float) -> Povm:
     """Qubit measurement along the equatorial axis at angle ``phi``.
 
     Projects onto ``(|0> +- e^{i phi}|1>)/sqrt(2)``, the eigenstates of
-    ``cos(phi) sigma_x + sin(phi) sigma_y``.
+    ``cos(phi) sigma_x + sin(phi) sigma_y``. ``phi`` must be a finite real number.
     """
+    _real("phi", phi)
     return _complete(_rotated_bras([phi])[0])

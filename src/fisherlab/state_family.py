@@ -108,6 +108,24 @@ def _real(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _grid(name: str, values) -> np.ndarray:
+    """``values`` as a 1-D float array whose entries each pass :func:`_real`; it may be empty.
+
+    Entries are read one by one from a sequence, as ``np.asarray`` reads ``True`` as 1.0.
+    """
+    try:
+        grid = np.asarray(values)
+    except ValueError:  # NumPy's message for a ragged nesting names neither the grid nor a value
+        raise ValueError(f"{name} must be 1-D, got {values!r}") from None
+    if grid.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {grid.shape}")
+    numeric = isinstance(values, np.ndarray) and grid.dtype.kind in "fiu"
+    if not numeric or not np.isfinite(grid).all():
+        for i, value in enumerate(grid.tolist() if numeric else values):
+            _real(f"{name}[{i}]", value)
+    return grid.astype(float, copy=False)
+
+
 def evaluate(family: StateFamily, lam: float) -> np.ndarray:
     """Return ``exp(-i*lam*generator) @ input_state``."""
     vecs = family._eigvecs

@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import re
 import sys
+import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from fisherlab.audit import (
     SWEEP_CSV_COLUMNS,
     TOL_AUDIT,
     SweepResult,
-    _formatted,
+    _g17_rows,
     write_sweep_csv,
 )
 from fisherlab.cli import main
@@ -97,6 +100,13 @@ def chunk_edge_sweep(rows: int):
     entropy[1::6] = -0.0
     fisher[2::9] = -0.0
     return grid, SweepResult(entropy, fisher, qfi=swept.qfi, seminorm_sq=swept.seminorm_sq)
+
+
+def g17_texts(column) -> list:
+    """The strings that ``_g17_rows`` writes for the doubles of ``column``, NUL bytes dropped."""
+    rows = _g17_rows(np.asarray(column, dtype=float))
+    lines = np.concatenate([rows, np.full((len(rows), 1), ord("\n"), np.uint8)], axis=1)
+    return lines.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
 
 
 def assert_reports_agree(batched, oracle):
@@ -326,7 +336,8 @@ class TestSweepOracle:
     def test_nan_anywhere_in_q_grid_raises(self, where):
         grid = np.linspace(0.0, 1.0, 2001)
         grid[where] = np.nan
-        with pytest.raises(InvalidQError):
+        index = where % len(grid)
+        with pytest.raises(ValueError, match=re.escape(f"q_grid[{index}] must be finite, got nan")):
             sweep_q(paper_qubit_family(), 0.7, grid)
 
 
@@ -358,10 +369,10 @@ class TestOffsetGeneratorVerdicts:
 
 
 class TestSweepPerPointChecks:
-    def test_nan_angle_fails_its_completeness_check(self):
+    def test_nan_angle_is_named(self):
         grid = np.linspace(-np.pi, np.pi, 2001)
         grid[1500] = np.nan
-        with pytest.raises(ValueError, match="identity"):
+        with pytest.raises(ValueError, match=re.escape("phi_grid[1500] must be finite, got nan")):
             sweep_phi(paper_qubit_family(), 0.7, grid)
 
     def test_degenerate_generator_raises(self):
@@ -692,6 +703,13 @@ class TestSweepCsv:
         with pytest.raises(ValueError):
             write_sweep_csv(tmp_path / "bad.csv", [0.5, 0.6], reports)
 
+    @pytest.mark.parametrize("values", [[[0.2], [0.4]], [[0.2, 0.4]], 0.2])
+    def test_param_values_must_be_one_per_grid_point(self, tmp_path, values):
+        reports = sweep_q(paper_qubit_family(), 0.7, [0.2, 0.4])
+        with pytest.raises(ValueError, match="one parameter value per grid point required"):
+            write_sweep_csv(tmp_path / "bad.csv", values, reports)
+        assert not (tmp_path / "bad.csv").exists()
+
     @pytest.mark.parametrize("param", ["q", "phi", "empty", 1, 511, 512, 513, 1025])
     def test_bytes_match_the_csv_writer_oracle(self, tmp_path, rng, param):
         if isinstance(param, int):
@@ -719,7 +737,7 @@ class TestSweepCsv:
         monkeypatch.setattr(sys.modules["fisherlab.audit"], "_write_text", write_text)
         write_sweep_csv(tmp_path / "columns.csv", grid, result)
         csv_writer_sweep_csv(tmp_path / "rows.csv", grid, list(result))
-        assert "".join(chunks).encode() == (tmp_path / "rows.csv").read_bytes()
+        assert b"".join(chunks) == (tmp_path / "rows.csv").read_bytes()
         assert len(chunks) == 4 and max(map(len, chunks)) < 128 * 1024
 
     def test_a_multi_chunk_file_overwrites_a_longer_one_and_is_trimmed(self, tmp_path):
@@ -744,8 +762,8 @@ class TestSweepCsv:
         values += [math.inf, -math.inf, 1e300, -0.0, 0.0, 0.1, -2.225073858507201e-308]
         order = np.random.default_rng(3).permutation(len(values))
         column = np.array(values)[order]
-        assert _formatted(column) == [f"{value:.17g}," for value in column.tolist()]
-        assert _formatted(column[:0]) == []
+        assert g17_texts(column) == [f"{value:.17g}" for value in column.tolist()]
+        assert _g17_rows(column[:0]).shape == (0, 32)
         # Subnormal shared scalars put rhs at 1, and only F ~ 0 is optimal.
         result = SweepResult(
             entropy=column.copy(), fisher=column[::-1].copy(), qfi=5e-324, seminorm_sq=5e-324
@@ -760,6 +778,63 @@ class TestSweepCsv:
         assert written == (tmp_path / "rows.csv").read_bytes()
         fields = set(written.decode().replace("\r\n", ",").split(","))
         assert {"0", "-0", "inf", "-inf", "4.9406564584124654e-324"} <= fields
+
+
+class TestG17Rows:
+    """``_g17_rows`` writes the bytes of ``'%.17g' % x``: Python's own formatter is the oracle."""
+
+    def assert_formats_as_percent(self, values):
+        column = np.asarray(values, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # log10(0) or an invalid cast would warn
+            texts = g17_texts(column)
+        assert texts == ["%.17g" % x for x in column.tolist()]
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(2205)
+        bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64)
+        self.assert_formats_as_percent(bits.view(float))
+
+    def test_uniform_and_log_uniform_values(self):
+        rng = np.random.default_rng(11411)
+        log_uniform = 10.0 ** rng.uniform(-280.0, 280.0, 20_000)
+        self.assert_formats_as_percent(np.concatenate([rng.uniform(0.0, 1.0, 20_000), log_uniform]))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+        below, above = np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)
+        self.assert_formats_as_percent(np.concatenate([powers, below, above, -powers]))
+
+    def test_exact_decimal_ties_round_half_even(self):
+        # Doubles in [2**50, 2**51) step by 1/4: an odd number of quarters has
+        # 18 significant digits ending in 5, an exact tie at 17 digits.
+        quarters = np.random.default_rng(3).integers(2**52, 2**53, 5_000) | 1
+        ties = np.concatenate([[1234567890123456.75, 1234567890123456.25], quarters / 4.0])
+        assert all(Decimal(x).as_tuple().digits[17:] == (5,) for x in ties[:50])
+        assert "%.17g" % ties[0] == "1234567890123456.8" and "%.17g" % ties[1] == "1234567890123456.2"
+        self.assert_formats_as_percent(np.concatenate([ties, -ties]))
+
+    def test_band_edges(self):
+        edges = np.array([1e-280, 1e280])
+        self.assert_formats_as_percent(
+            np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf), -edges])
+        )
+
+    def test_subnormals_zeros_infinities_and_nan(self):
+        subnormals = np.random.default_rng(5).integers(1, 2**52, 2_000, dtype=np.uint64).view(float)
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324]
+        specials += [2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+        self.assert_formats_as_percent(np.concatenate([subnormals, -subnormals, specials]))
+
+    def test_every_layout(self):
+        # 1 to 17 significant digits at each exponent k from -42 to 40, so
+        # fixed and scientific notation, and every place of the point.
+        digits = [int("123456789" * 2) // 10 ** (18 - m) for m in range(1, 18)]
+        values = [float(f"{d}e{e}") for d in digits for e in range(-42, 25)]
+        self.assert_formats_as_percent(values + [-v for v in values])
+
+    def test_empty_column(self):
+        assert _g17_rows(np.zeros(0)).shape == (0, 32)
 
 
 class TestSweepResult:

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -14,12 +15,15 @@ from fisherlab import (
     crb_experiment,
     derivative,
     evaluate,
+    q_family_measurement,
     rotated_qubit_measurement,
     sample_outcomes,
+    sld,
     sweep_phi,
     sweep_q,
 )
 from fisherlab.errors import DimMismatchError, NonHermitianError
+from fisherlab.state_family import _grid
 from test_numerics import taylor_expm
 
 
@@ -127,6 +131,19 @@ class TestDerivative:
             assert abs(np.vdot(sd.state, sd.dstate).real) <= 1e-9
 
 
+# Values that the rule for a real parameter refuses, with the error and message it gives.
+BAD_REALS = [
+    (True, TypeError, "must be a real number, got True"),
+    (np.True_, TypeError, "must be a real number, got np.True_"),
+    ("0.7", TypeError, "must be a real number, got '0.7'"),
+    (math.nan, ValueError, "must be finite, got nan"),
+    (math.inf, ValueError, "must be finite, got inf"),
+    (-math.inf, ValueError, "must be finite, got -inf"),
+    (10**400, ValueError, "must be finite, got 1000"),
+]
+BAD_REAL_IDS = ["true", "np-true", "string", "nan", "inf", "minus-inf", "int-past-double"]
+
+
 class TestParameterValue:
     """A parameter value is a finite real number at every entry point that takes one."""
 
@@ -148,16 +165,8 @@ class TestParameterValue:
     @pytest.mark.parametrize("call", CALLS)
     @pytest.mark.parametrize(
         "value, error, message",
-        [
-            (True, TypeError, "must be a real number, got True"),
-            (np.True_, TypeError, "must be a real number, got np.True_"),
-            ("0.7", TypeError, "must be a real number, got '0.7'"),
-            (math.nan, ValueError, "must be finite, got nan"),
-            (math.inf, ValueError, "must be finite, got inf"),
-            (-math.inf, ValueError, "must be finite, got -inf"),
-            (10**400, ValueError, "must be finite, got 1000"),
-        ],
-        ids=["true", "np-true", "string", "nan", "inf", "minus-inf", "int-past-double"],
+        BAD_REALS,
+        ids=BAD_REAL_IDS,
     )
     def test_bad_value_is_named(self, call, value, error, message):
         name, run = self.CALLS[call]
@@ -172,6 +181,63 @@ class TestParameterValue:
         family, povm = paper_qubit_family(), rotated_qubit_measurement(0.7)
         for value in (1, np.float64(0.7)):
             run(family, povm, value)
+
+
+class TestMeasurementAndGridValues:
+    """The constructors' angle and q, and each sweep grid entry, follow the rule for ``lam``."""
+
+    CALLS = {
+        "rotated": ("phi", lambda family, value: rotated_qubit_measurement(value)),
+        "q_family": (
+            "q",
+            lambda family, value: q_family_measurement(sld(derivative(family, 0.7)), value),
+        ),
+        "sweep_q": ("q_grid[1]", lambda family, value: sweep_q(family, 0.7, [0.3, value])),
+        "sweep_phi": ("phi_grid[1]", lambda family, value: sweep_phi(family, 0.7, [0.3, value])),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize(
+        "value, error, message",
+        BAD_REALS,
+        ids=BAD_REAL_IDS,
+    )
+    def test_bad_value_is_named(self, call, value, error, message):
+        name, run = self.CALLS[call]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=re.escape(f"{name} {message}")):
+                run(paper_qubit_family(), value)
+
+    @pytest.mark.parametrize("sweep", [sweep_q, sweep_phi])
+    def test_grid_rule(self, sweep):
+        family, name = paper_qubit_family(), f"{sweep.__name__[6:]}_grid"
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be 1-D, got shape (2, 1)")):
+            sweep(family, 0.7, [[0.3], [0.4]])
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be 1-D, got shape ()")):
+            sweep(family, 0.7, 0.3)
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be 1-D, got [[0.3], 0.4]")):
+            sweep(family, 0.7, [[0.3], 0.4])
+        bad = np.linspace(0.0, 1.0, 11)
+        bad[[4, 7]] = [np.inf, np.nan]
+        with pytest.raises(ValueError, match=re.escape(f"{name}[4] must be finite, got inf")):
+            sweep(family, 0.7, bad)
+        with pytest.raises(TypeError, match=re.escape(f"{name}[0] must be a real number")):
+            sweep(family, 0.7, np.array([True, False]))
+        # An empty grid is a grid: it gives a 0-row result, as a config's
+        # sweep cannot (a config grid must be non-empty).
+        assert len(sweep(family, 0.7, [])) == 0
+        ints = sweep(family, 0.7, np.array([0, 1]))
+        assert ints.entropy.tolist() == sweep(family, 0.7, [0.0, 1.0]).entropy.tolist()
+
+    def test_a_float_array_is_checked_without_a_python_loop(self, monkeypatch):
+        module, seen = sys.modules["fisherlab.state_family"], []
+        real = module._real
+        monkeypatch.setattr(module, "_real", lambda *args: seen.append(args) or real(*args))
+        grid = np.linspace(0.0, 1.0, 2001)
+        assert _grid("q_grid", grid) is grid
+        assert len(sweep_q(paper_qubit_family(), 0.7, grid)) == 2001
+        assert [name for name, _ in seen] == ["lam"]
 
 
 class TestStateAndDerivative:
