@@ -30,7 +30,7 @@ from .measurement import (
     sld_measurement,
 )
 from .metrology import QfiReport, SldData, qfi, qfi_report, seminorm_bound, sld
-from .numerics import EigenDecomposition, hermitian_eig, seminorm
+from .numerics import hermitian_eig, seminorm
 from .state_family import StateAndDerivative, StateFamily, derivative, evaluate
 
 __version__ = "0.1.0"
@@ -41,7 +41,6 @@ __all__ = [
     "CrbReport",
     "DegenerateGeneratorError",
     "DimMismatchError",
-    "EigenDecomposition",
     "FisherlabError",
     "FlatLikelihoodError",
     "InvalidQError",

@@ -38,7 +38,7 @@ from .measurement import (
     shannon_entropy,
 )
 from .metrology import qfi_report, sld
-from .state_family import StateAndDerivative, StateFamily, _grid, derivative
+from .state_family import StateFamily, _grid, derivative
 
 __all__ = [
     "TOL_AUDIT",
@@ -142,10 +142,11 @@ class SweepResult(_Inequality, Sequence):
         return AuditReport(entropy, fisher, self.qfi, self.seminorm_sq)
 
 
-def _audit_grid(family: StateFamily, sd: StateAndDerivative, terms) -> SweepResult:
-    """Audit G measurements from their ``(G, K)`` Born terms, ``terms()``, once ``||h||^2 > 0``."""
+def _audit_grid(family: StateFamily, lam: float, terms) -> SweepResult:
+    """Audit G measurements by their Born terms ``terms(sd)``, once lam and the generator pass."""
+    sd = derivative(family, lam)
     report = qfi_report(family, sd)
-    probs, dprobs, limits = terms()
+    probs, dprobs, limits = terms(sd)
     entropy = shannon_entropy(OutcomeDistribution(probs=np.minimum(probs, 1.0), dprobs=dprobs))
     fisher = _fisher_sum(probs, dprobs, limits)
     return SweepResult(entropy, fisher, report.qfi, report.seminorm_sq)
@@ -153,8 +154,8 @@ def _audit_grid(family: StateFamily, sd: StateAndDerivative, terms) -> SweepResu
 
 def audit(family: StateFamily, lam: float, povm: Povm) -> AuditReport:
     """Evaluate the inequality for one family, parameter value and POVM."""
-    sd = derivative(family, lam)
-    return _audit_grid(family, sd, lambda: _born_terms(povm.rows[None], sd.state, sd.tangent))[0]
+    rows = povm.rows[None]
+    return _audit_grid(family, lam, lambda sd: _born_terms(rows, sd.state, sd.tangent))[0]
 
 
 def sweep_q(family: StateFamily, lam: float, q_grid) -> SweepResult:
@@ -164,21 +165,22 @@ def sweep_q(family: StateFamily, lam: float, q_grid) -> SweepResult:
     2x2 coefficient matrices in that plane, one result entry per point.
     ``q_grid`` is 1-D, of finite reals in [0, 1]; an empty grid gives 0 rows.
     """
-    sd = derivative(family, lam)
-    coeffs, basis = _q_coeffs(_grid("q_grid", q_grid)), _q_basis(sld(sd))
-    return _audit_grid(family, sd, lambda: _plane_terms(sd, coeffs, basis))
+    return _audit_grid(
+        family,
+        lam,
+        lambda sd: _plane_terms(sd, _q_coeffs(_grid("q_grid", q_grid)), _q_basis(sld(sd))),
+    )
 
 
 def sweep_phi(family: StateFamily, lam: float, phi_grid) -> SweepResult:
     """Audit the equatorial qubit measurement over a 1-D grid of finite angles, in its basis."""
     if family.dim != 2:
         raise DimMismatchError(f"angle sweep needs a qubit family, got dim {family.dim}")
-    sd = derivative(family, lam)
-
-    def terms():  # the grid is read after the generator check
-        return _plane_terms(sd, _rotated_bras(_grid("phi_grid", phi_grid)), np.eye(2))
-
-    return _audit_grid(family, sd, terms)
+    return _audit_grid(
+        family,
+        lam,
+        lambda sd: _plane_terms(sd, _rotated_bras(_grid("phi_grid", phi_grid)), np.eye(2)),
+    )
 
 
 def reproduce_counterexample(lam: float = 0.7) -> AuditReport:

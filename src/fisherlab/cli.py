@@ -184,8 +184,6 @@ def _parse_sim(data) -> SimSpec:
             if key != "interval":
                 values[key] = _setting(key, value)
             elif value is not None:
-                if not isinstance(value, list) or len(value) != 2:
-                    raise ConfigError("field 'sim.interval': expected [low, high]")
                 values[key] = _finite_interval(_numbers(value, 1, "sim.interval").tolist())
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"field 'sim.{key}': {exc}")

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 
@@ -44,7 +43,7 @@ import numpy as np
 from .errors import DimMismatchError, FlatLikelihoodError
 from .measurement import Povm, _short_sum, classical_fisher, outcome_distribution
 from .metrology import EPS_QFI, seminorm_bound
-from .state_family import StateAndDerivative, StateFamily, _real, derivative
+from .state_family import StateAndDerivative, StateFamily, _real, _shown, derivative
 
 __all__ = [
     "SampleRecord",
@@ -122,12 +121,12 @@ def _sampling_probs(povm: Povm, sd: StateAndDerivative) -> np.ndarray:
 def _setting(name: str, value) -> int:
     """Setting ``name`` as an ``int`` in its bounds; a ``bool`` or non-integer raises TypeError."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
+        raise TypeError(f"{name} must be an integer, got {_shown(value)}")
     value = operator.index(value)
     low, high = _BOUNDS[name]
     if not low <= value <= high:
         bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
-        raise ValueError(f"{name} must be {bound}, got {value}")
+        raise ValueError(f"{name} must be {bound}, got {_shown(value)}")
     return value
 
 
@@ -171,12 +170,9 @@ def _finite_interval(search_interval) -> tuple:
     ends = tuple(search_interval)
     if len(ends) != 2:
         raise ValueError(f"search interval must have two ends, got {len(ends)}")
-    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in ends):
-        raise TypeError(f"search interval ends must be real numbers, got {ends!r}")
-    try:
-        lo, hi = map(float, ends)
-    except OverflowError:
-        raise ValueError("search interval ends must be finite doubles") from None
+    for i, end in enumerate(ends):
+        _real(f"search_interval[{i}]", end)
+    lo, hi = map(float, ends)
     if not (hi > lo and math.isfinite(hi - lo)):
         raise ValueError(f"search interval must have a positive finite length, got ({lo}, {hi})")
     return lo, hi

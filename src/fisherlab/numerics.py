@@ -8,15 +8,12 @@ derived from it, so unitarity and spectrum ordering hold by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimMismatchError, NonHermitianError
 
 __all__ = [
     "HERMITICITY_RTOL",
-    "EigenDecomposition",
     "as_state_vector",
     "require_hermitian",
     "hermitian_eig",
@@ -63,23 +60,9 @@ def require_hermitian(matrix) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Spectral data of a Hermitian operator.
-
-    ``eigenvalues`` are real and ascending; column ``i`` of
-    ``eigenvectors`` is the unit eigenvector paired with
-    ``eigenvalues[i]``, in the phase LAPACK returns it.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(op) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian operator, eigenvalues ascending."""
-    mat = require_hermitian(op)
-    return EigenDecomposition(*np.linalg.eigh(mat))
+def hermitian_eig(op):
+    """``np.linalg.eigh`` of a Hermitian operator: ascending eigenvalues, LAPACK's vector phases."""
+    return np.linalg.eigh(require_hermitian(op))
 
 
 def seminorm(op) -> float:

@@ -38,7 +38,7 @@ class StateFamily:
     _eigvecs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dec = hermitian_eig(self.generator)
+        eigvals, eigvecs = hermitian_eig(self.generator)
         gen = np.asarray(self.generator, dtype=complex)
         psi = as_state_vector(self.input_state)
         if gen.shape[0] != psi.size:
@@ -51,8 +51,8 @@ class StateFamily:
             raise ValueError(f"input state is not normalized: ||psi|| = {norm!r}")
         object.__setattr__(self, "generator", gen)
         object.__setattr__(self, "input_state", psi)
-        object.__setattr__(self, "_eigvals", dec.eigenvalues)
-        object.__setattr__(self, "_eigvecs", dec.eigenvectors)
+        object.__setattr__(self, "_eigvals", eigvals)
+        object.__setattr__(self, "_eigvecs", eigvecs)
 
     @property
     def dim(self) -> int:
@@ -96,16 +96,24 @@ class StateAndDerivative:
         object.__setattr__(self, "tangent", once - np.vdot(state, once) * state)
 
 
+def _shown(value) -> str:
+    """``repr(value)``, but an integer past the double range by its count of digits."""
+    if not isinstance(value, int) or abs(value) < 2**1024:
+        return repr(value)  # a longer int's repr can pass Python's 4,300-digit limit
+    k = round(math.log10(abs(value)))  # off by under 0.5, so the comparison makes the count exact
+    return f"{'a negative' if value < 0 else 'an'} integer of {k + (abs(value) >= 10**k)} digits"
+
+
 def _real(name: str, value) -> None:
     """TypeError unless ``value`` is a real number other than a bool; ValueError unless finite."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a real number, got {value!r}")
+        raise TypeError(f"{name} must be a real number, got {_shown(value)}")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # a number beyond the double range, such as 10**400
         finite = False
     if not finite:
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise ValueError(f"{name} must be finite, got {_shown(value)}")
 
 
 def _grid(name: str, values) -> np.ndarray:

@@ -380,11 +380,6 @@ class TestSweepPerPointChecks:
         with pytest.raises(DegenerateGeneratorError):
             sweep_phi(family, 0.0, np.linspace(0.0, 1.0, 11))
 
-    def test_degenerate_generator_is_reported_before_completeness(self):
-        family = StateFamily(generator=np.eye(2), input_state=np.array([1.0, 0.0]))
-        with pytest.raises(DegenerateGeneratorError):
-            sweep_phi(family, 0.0, [0.0, np.nan])
-
     @pytest.mark.parametrize("excess, complete", [(0.9e-9, True), (1.1e-9, False)])
     def test_completeness_band_edge_at_one_point_deep_in_the_grid(self, excess, complete):
         # d = 8, bras <0| and <1| at every point, plus the shared projector
@@ -401,6 +396,49 @@ class TestSweepPerPointChecks:
         else:
             with pytest.raises(ValueError, match="identity"):
                 _check_complete(rows, common)
+
+
+def constant_generator_family() -> StateFamily:
+    """A qubit family whose generator spectrum is constant, so ``||h||^2 = 0``."""
+    return StateFamily(generator=np.eye(2), input_state=np.array([1.0, 0.0]))
+
+
+# Every audit entry point with a bad measurement argument: a 3-dim POVM on a
+# qubit, or a grid with a NaN entry or a q outside [0, 1].
+BAD_MEASUREMENTS = {
+    "audit-3-dim-povm": (audit, lambda: Povm.from_effects([np.eye(3)])),
+    "sweep_q-nan": (sweep_q, lambda: [0.0, np.nan]),
+    "sweep_q-q-1.5": (sweep_q, lambda: [0.0, 1.5]),
+    "sweep_phi-nan": (sweep_phi, lambda: [0.0, np.nan]),
+}
+GOOD_FAMILY_ERRORS = {
+    "audit-3-dim-povm": (DimMismatchError, "POVM dim 3 does not match state dim 2"),
+    "sweep_q-nan": (ValueError, "q_grid[1] must be finite, got nan"),
+    "sweep_q-q-1.5": (InvalidQError, "q must lie in [0, 1], got 1.5"),
+    "sweep_phi-nan": (ValueError, "phi_grid[1] must be finite, got nan"),
+}
+
+
+class TestCheckOrder:
+    """Each audit entry point checks ``lam``, then the generator, then the measurement."""
+
+    @pytest.mark.parametrize("case", BAD_MEASUREMENTS)
+    def test_lam_is_checked_first(self, case):
+        entry, measurement = BAD_MEASUREMENTS[case]
+        with pytest.raises(ValueError, match=re.escape("lam must be finite, got nan")):
+            entry(constant_generator_family(), math.nan, measurement())
+
+    @pytest.mark.parametrize("case", BAD_MEASUREMENTS)
+    def test_a_constant_generator_is_reported_before_the_measurement(self, case):
+        entry, measurement = BAD_MEASUREMENTS[case]
+        with pytest.raises(DegenerateGeneratorError):
+            entry(constant_generator_family(), 0.0, measurement())
+
+    @pytest.mark.parametrize("case", BAD_MEASUREMENTS)
+    def test_a_good_generator_reaches_the_measurement_check(self, case):
+        (entry, measurement), (error, message) = BAD_MEASUREMENTS[case], GOOD_FAMILY_ERRORS[case]
+        with pytest.raises(error, match=re.escape(message)):
+            entry(paper_qubit_family(), 0.0, measurement())
 
 
 def plane_qubit_in_eight_dims() -> StateFamily:

@@ -746,6 +746,18 @@ class TestCmdAudit:
         assert main(["audit", "--config", path]) == 3
         assert "StationaryState" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("param", ["q", "phi"])
+    def test_sweep_on_a_constant_generator_exits_three(self, tmp_path, capsys, param):
+        # The generator is checked before the sweep's measurement, so before the SLD.
+        config = qubit_config(
+            generator=[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+            sweep={"param": param, "grid": [0.5]},
+        )
+        path = write_config(tmp_path, config)
+        assert main(["audit", "--config", path, "--out", str(tmp_path / "sweep.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: DegenerateGeneratorError: generator spectrum is constant")
+
     def test_phi_sweep_with_violation_flag(self, tmp_path):
         config = qubit_config(sweep={"param": "phi", "grid": [0.7, 0.7 + np.pi / 2.0]})
         path = write_config(tmp_path, config)
@@ -1056,7 +1068,11 @@ class TestExitCodes:
             ("audit", {"sweep": {"param": "x", "grid": [0.5]}}, "field 'sweep.param'"),
             ("audit", {"sweep": {**SWEEP, "step": 1}}, "field 'sweep': unknown keys ['step']"),
             ("simulate", {"sim": 5}, "field 'sim': expected an object"),
-            ("simulate", {"sim": {**SIM, "interval": [0.0]}}, "'sim.interval': expected [low, high]"),
+            (
+                "simulate",
+                {"sim": {**SIM, "interval": [0.0]}},
+                "field 'sim.interval': search interval must have two ends, got 1",
+            ),
             (
                 "simulate",
                 {"sim": {**SIM, "interval": [1.0, 0.0]}},
@@ -1176,8 +1192,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "interval",
-        [[1.0, 0.0], [0.5, 0.5], [-1e308, 1e308], [0.0, 1.5]],
-        ids=["reversed", "equal", "length-overflows", "valid"],
+        [[1.0, 0.0], [0.5, 0.5], [-1e308, 1e308], [0.0], [0.0, 1.0, 2.0], [0.0, 1.5]],
+        ids=["reversed", "equal", "length-overflows", "one-end", "three-ends", "valid"],
     )
     def test_sim_interval_has_the_library_message(self, tmp_path, capsys, interval):
         rule = fisherlab.estimation._finite_interval

@@ -277,6 +277,26 @@ class TestSampleOutcomes:
             estimation._setting(name, value)
         assert estimation._setting(name, np.int64(7)) == 7
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: estimation._setting("n", 10**5000),
+                "n must be in [1, 9223372036854775807], got an integer of 5001 digits",
+            ),
+            (
+                lambda: SampleRecord(counts=[1], seed=-(10**5000)),
+                "seed must be >= 0, got a negative integer of 5001 digits",
+            ),
+        ],
+        ids=["n", "record-seed"],
+    )
+    def test_settings_past_the_digit_limit_are_named(self, call, message):
+        # str() of an integer past 4,300 digits raises a ValueError of its own.
+        with pytest.raises(ValueError, match=re.escape(message)) as caught:
+            call()
+        assert len(str(caught.value)) < 200
+
     @pytest.mark.parametrize("flag", [True, False, np.True_], ids=repr)
     def test_bool_true_lambda_is_refused(self, flag):
         # A config's JSON true is not a lambda; the library does not read it as 1 either.
@@ -290,16 +310,17 @@ class TestSampleOutcomes:
             ((0.0, 1.5, 99), "search interval must have two ends, got 3"),
             ([0.0], "search interval must have two ends, got 1"),
             ((), "search interval must have two ends, got 0"),
-            ((0, 10**400), "search interval ends must be finite doubles"),
-            ((-(10**400), 1.5), "search interval ends must be finite doubles"),
+            ((0, 10**400), "search_interval[1] must be finite, got an integer of 401 digits"),
+            ((-(10**400), 1.5), "search_interval[0] must be finite, got a negative integer of 401"),
         ],
         ids=["three-ends", "one-end", "no-ends", "int-past-double", "negative-int-past-double"],
     )
     def test_interval_has_two_ends_in_the_double_range(self, interval, message):
         family, povm, _ = qubit_case(None)
         record = sample_outcomes(povm, family, TRUE_LAMBDA, 100, seed=0)
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=re.escape(message)) as caught:
             crb_experiment(family, povm, TRUE_LAMBDA, 100, 2, 0, search_interval=interval)
+        assert len(str(caught.value)) < 200
         with pytest.raises(ValueError, match=re.escape(message)):
             mle_estimate(family, povm, record, interval)
 

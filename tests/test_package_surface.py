@@ -62,6 +62,10 @@ def test_test_only_names_are_gone():
     with pytest.raises(TypeError):
         fisherlab.Povm.from_effects(tuple(povm.rows.conj().swapaxes(1, 2) @ povm.rows), ("+", "-"))
     assert not hasattr(fisherlab.audit, "_audit_plane")
+    # hermitian_eig returns NumPy's own eigh result, which has the same two fields.
+    assert not hasattr(fisherlab, "EigenDecomposition")
+    assert not hasattr(fisherlab.numerics, "EigenDecomposition")
+    assert "EigenDecomposition" not in fisherlab.__all__ + fisherlab.numerics.__all__
     # The central difference and the optimal input are test oracles (conftest.py).
     removed = {
         "state_family": ["finite_difference_derivative", "DEFAULT_FD_STEP"],
@@ -195,7 +199,6 @@ CONFIG_TEXT = (
     '"sweep": {"param": "q", "grid": [0.1, 0.5]}, "sim": {"n": 100, "trials": 5, "seed": 3}}'
 )
 ARRAY_HOLDERS = [
-    "EigenDecomposition",
     "ExperimentConfig",
     "OutcomeDistribution",
     "Povm",
@@ -215,7 +218,6 @@ def fresh_instances() -> dict:
     povm = fisherlab.sld_measurement(sldd)
     config = cli.parse_config_text(CONFIG_TEXT)
     return {
-        "EigenDecomposition": fisherlab.numerics.hermitian_eig(np.diag([0.5, -0.5])),
         "ExperimentConfig": config,
         "OutcomeDistribution": fisherlab.outcome_distribution(povm, sd),
         "Povm": povm,

@@ -139,9 +139,20 @@ BAD_REALS = [
     (math.nan, ValueError, "must be finite, got nan"),
     (math.inf, ValueError, "must be finite, got inf"),
     (-math.inf, ValueError, "must be finite, got -inf"),
-    (10**400, ValueError, "must be finite, got 1000"),
+    (10**400, ValueError, "must be finite, got an integer of 401 digits"),
+    # str() of an integer past 4,300 digits raises a ValueError of its own.
+    (-(10**5000), ValueError, "must be finite, got a negative integer of 5001 digits"),
 ]
-BAD_REAL_IDS = ["true", "np-true", "string", "nan", "inf", "minus-inf", "int-past-double"]
+BAD_REAL_IDS = [
+    "true",
+    "np-true",
+    "string",
+    "nan",
+    "inf",
+    "minus-inf",
+    "int-past-double",
+    "int-past-digit-limit",
+]
 
 
 class TestParameterValue:
@@ -172,8 +183,9 @@ class TestParameterValue:
         name, run = self.CALLS[call]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(error, match=re.escape(f"{name} {message}")):
+            with pytest.raises(error, match=re.escape(f"{name} {message}")) as caught:
                 run(paper_qubit_family(), rotated_qubit_measurement(0.7), value)
+        assert len(str(caught.value)) < 200
 
     @pytest.mark.parametrize("call", CALLS)
     def test_int_and_numpy_float_run(self, call):
@@ -206,8 +218,9 @@ class TestMeasurementAndGridValues:
         name, run = self.CALLS[call]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(error, match=re.escape(f"{name} {message}")):
+            with pytest.raises(error, match=re.escape(f"{name} {message}")) as caught:
                 run(paper_qubit_family(), value)
+        assert len(str(caught.value)) < 200
 
     @pytest.mark.parametrize("sweep", [sweep_q, sweep_phi])
     def test_grid_rule(self, sweep):
