@@ -134,10 +134,10 @@ class Povm:
         return self.rows.shape[0]
 
 
-def _check_complete(rows: np.ndarray, common=None, tol: float = _COMPLETENESS_TOL) -> None:
+def _check_complete(rows: np.ndarray, common=None) -> None:
     """Require the effects of each ``rows[g]`` plus the shared rows ``common`` to sum to I.
 
-    ``rows`` has shape ``(G, K, r, d)``; each sum may miss I by ``tol`` per entry.
+    ``rows`` has shape ``(G, K, r, d)``; each sum may miss I by 1e-9 per entry.
     """
     dim = rows.shape[-1]
     flat = rows.reshape(len(rows), rows.shape[1] * rows.shape[2], dim)
@@ -147,7 +147,10 @@ def _check_complete(rows: np.ndarray, common=None, tol: float = _COMPLETENESS_TO
         offset = offset + shared.conj().T @ shared
     # A C-ordered adjoint keeps matmul on its fast path for small matrices.
     adjoint = np.ascontiguousarray(flat.swapaxes(1, 2)).conj()
-    deviation = np.max(np.abs(adjoint @ flat + offset), initial=0.0)
+    _require_identity(np.max(np.abs(adjoint @ flat + offset), initial=0.0), _COMPLETENESS_TOL)
+
+
+def _require_identity(deviation, tol: float) -> None:
     if not deviation <= tol:
         raise ValueError(f"effects sum to identity only within {deviation:.3e}")
 
@@ -244,29 +247,48 @@ def _complement(bras: np.ndarray):
     return (np.eye(dim) - bras.conj().T @ bras)[None]
 
 
+def _gram_deviation(x, y):
+    """Largest entry of ``[x y]^H [x y] - I``, each inner product summed over the last axis.
+
+    The (0, 1) entry is conjugated, which complex columns need; NaN gives NaN.
+    """
+    norms = [abs(_short_sum((v.conj() * v).real) - 1.0) for v in (x, y)]
+    return np.maximum(abs(_short_sum(x.conj() * y)), np.maximum(*norms)).max(initial=0.0)
+
+
 def _plane_terms(sd: StateAndDerivative, coeffs: np.ndarray, basis: np.ndarray):
     """Born terms ``(G, K)`` of the projective measurements with bras ``coeffs[g] @ basis``.
 
-    ``basis`` (``(2, d)``) has orthonormal rows; ``coeffs`` is ``(G, 2, 2)``. The
-    state and tangent are projected once, so Born terms are taken in C^2, and the
-    :func:`_complement` ``P`` of the plane, an outcome every point shares
-    when ``d > 2``, is evaluated once in ``d`` dimensions and appended.
-    Point g's effect sum minus I is ``V^H (C^H C - I) V + (V^H V + P^H P - I)``
-    (``V = basis``, ``C = coeffs[g]``). If ``eps`` and ``delta`` bound the
-    entries of ``C^H C - I`` and of the second term, entry (i, j) of the
-    first is at most ``eps (|V_0i| + |V_1i|)(|V_0j| + |V_1j|) <= 2 (1 + delta) eps``,
-    as ``|V_0i|^2 + |V_1i|^2 <= (V^H V + P^H P)_ii <= 1 + delta``. Checks at
-    1e-9/4 apiece keep each point within ``2 (1 + delta) eps + delta < 1e-9``.
+    ``basis`` (``V``, ``(2, d)``) has orthonormal rows; ``coeffs`` is ``(G, 2, 2)``. The
+    state and tangent are projected once, and each outcome's amplitudes
+    ``C[:, a, 0] psi_0 + C[:, a, 1] psi_1`` are taken elementwise on ``(G,)`` columns.
+    When ``d > 2`` every point shares one more outcome, ``P = I - V^H V``, whose
+    amplitudes ``psi - V^H V psi`` are taken once.
+    Point g's effect sum minus I is ``V^H (C^H C - I + V V^H - I) V`` (``C = coeffs[g]``),
+    or ``V^H (C^H C - I) V - P`` at ``d = 2``, where ``P`` has the spectrum of ``I - V V^H``.
+    With ``eps`` and ``delta`` bounding the entries of ``C^H C - I`` and ``V V^H - I``,
+    entry (i, j) of ``V^H M V`` is at most ``max|M| (|V_0i| + |V_1i|)(|V_0j| + |V_1j|)
+    <= 2 max|M| ||V||^2``, ``||V||^2 <= 1 + 2 delta``, and ``P``'s are at most ``2 delta``.
+    Checks at 1e-9/4 apiece keep each point within ``2 (eps + delta)(1 + 2 delta)``,
+    which is 1e-9 plus 5e-19, less than the rounding of any check.
     """
-    rows = coeffs[:, :, None, :]
-    common = _complement(basis)
-    _check_complete(basis[None, :, None, :], common, tol=_COMPLETENESS_TOL / 4.0)
-    _check_complete(rows, tol=_COMPLETENESS_TOL / 4.0)
-    plane = _born_terms(rows, basis @ sd.state, basis @ sd.tangent)
-    return tuple(
-        np.concatenate([t, np.broadcast_to(c, t.shape[:-1] + c.shape)], axis=-1)
-        for t, c in zip(plane, _born_terms(common, sd.state, sd.tangent))
-    )
+    tol = _COMPLETENESS_TOL / 4.0
+    _require_identity(_gram_deviation(*basis), tol)
+    _require_identity(_gram_deviation(coeffs[:, :, 0], coeffs[:, :, 1]), tol)
+    psi, tan = basis @ sd.state, basis @ sd.tangent
+    terms = np.empty((3, len(coeffs), 2 + (basis.shape[1] > 2)))
+    probs, dprobs, limits = terms
+    for a, (first, second) in enumerate(coeffs.transpose(1, 2, 0)):  # columns C[:, a, j]
+        amp = first * psi[0] + second * psi[1]
+        damp = first * tan[0] + second * tan[1]
+        probs[:, a] = amp.real * amp.real + amp.imag * amp.imag
+        dprobs[:, a] = 2.0 * (damp.real * amp.real + damp.imag * amp.imag)
+        limits[:, a] = 4.0 * (damp.real * damp.real + damp.imag * damp.imag)
+    if basis.shape[1] > 2:
+        rest, drest = sd.state - psi @ basis.conj(), sd.tangent - tan @ basis.conj()
+        probs[:, 2], limits[:, 2] = np.vdot(rest, rest).real, 4.0 * np.vdot(drest, drest).real
+        dprobs[:, 2] = 2.0 * np.vdot(drest, rest).real
+    return probs, dprobs, limits
 
 
 def _complete(bras: np.ndarray) -> Povm:

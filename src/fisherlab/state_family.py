@@ -97,11 +97,15 @@ class StateAndDerivative:
 
 
 def _shown(value) -> str:
-    """``repr(value)``, but an integer past the double range by its count of digits."""
-    if not isinstance(value, int) or abs(value) < 2**1024:
-        return repr(value)  # a longer int's repr can pass Python's 4,300-digit limit
-    k = round(math.log10(abs(value)))  # off by under 0.5, so the comparison makes the count exact
-    return f"{'a negative' if value < 0 else 'an'} integer of {k + (abs(value) >= 10**k)} digits"
+    """``repr(value)``, but a rational past the double range by the digits of its integer part."""
+    if not isinstance(value, numbers.Rational) or abs(value) < 2**1024:
+        return repr(value)  # a longer numerator's repr can pass Python's 4,300-digit limit
+    whole = int(abs(value))
+    k = round(math.log10(whole))  # off by under 0.5, so the comparison makes the count exact
+    digits = k + (whole >= 10**k)
+    if isinstance(value, int):
+        return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+    return f"{'a negative' if value < 0 else 'a'} rational whose integer part has {digits} digits"
 
 
 def _real(name: str, value) -> None:

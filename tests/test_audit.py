@@ -9,7 +9,15 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from conftest import SIGMA_X, assert_overwrites_in_place, paper_qubit_family, random_family
+from conftest import (
+    SIGMA_X,
+    assert_overwrites_in_place,
+    haar_basis,
+    paper_qubit_family,
+    random_family,
+    random_hermitian,
+    random_state,
+)
 from fisherlab import (
     Povm,
     StateFamily,
@@ -42,6 +50,7 @@ from fisherlab.measurement import (
     _check_complete,
     _complement,
     _plane_terms,
+    _q_basis,
     _q_coeffs,
     _rotated_bras,
 )
@@ -107,6 +116,26 @@ def g17_texts(column) -> list:
     rows = _g17_rows(np.asarray(column, dtype=float))
     lines = np.concatenate([rows, np.full((len(rows), 1), ord("\n"), np.uint8)], axis=1)
     return lines.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+
+
+def assert_plane_terms_agree(plane, rows, sd, kappa: float, rho: float = 1.0) -> None:
+    """Born terms ``(p, dp, 4|dA|^2)`` of two paths whose amplitudes differ by at most
+    ``kappa eps ||psi||`` (``A``) and ``kappa eps ||t||`` (``dA``), every bra of norm 1.
+
+    Then ``|A| <= ||psi||`` and ``|dA| <= ||t||`` on both paths, and each path rounds
+    its sums of squares to within ``rho eps`` of their size (``rho = 1`` for one complex
+    amplitude). So the paths' ``p`` differ by at most
+    ``(|A| + |A'|) |A - A'| + 2 rho eps ||psi||^2 <= (2 kappa + 2 rho) eps ||psi||^2``,
+    their ``dp`` by ``2 (|dA| |A - A'| + |A'| |dA - dA'|) + 4 rho eps ||psi|| ||t||``
+    ``<= (4 kappa + 4 rho) eps ||psi|| ||t||``, and their limits by
+    ``(8 kappa + 8 rho) eps ||t||^2``.
+    """
+    eps = np.finfo(float).eps
+    psi, t = np.linalg.norm(sd.state), np.linalg.norm(sd.tangent)
+    size = (psi**2, 2 * psi * t, 4 * t**2)
+    for new, old, scale in zip(plane, rows, size):
+        assert new.shape == old.shape
+        assert np.abs(new - old).max(initial=0.0) <= 2 * (kappa + rho) * scale * eps
 
 
 def assert_reports_agree(batched, oracle):
@@ -306,19 +335,57 @@ class TestSweepOracle:
             batched = sweep_phi(family, lam, grid)
             assert_reports_agree(batched, per_point_sweep_phi(family, lam, grid))
 
-    def test_phi_plane_terms_equal_the_qubit_row_path_bit_for_bit(self, rng):
+    def test_phi_plane_terms_agree_with_the_qubit_row_path(self, rng):
         # The path sweep_phi took before the plane evaluator: the rotated
         # bras as the qubit's amplitude rows, each point checked at 1e-9.
+        # With basis I the projection is exact, so both paths round only
+        # C_a0 psi_0 + C_a1 psi_1 (and the same for t): two complex products and
+        # an add, within 2 eps (|C_a0| |psi_0| + |C_a1| |psi_1|) <= 2 eps ||psi||
+        # of exact for a bra of norm 1. The paths then differ by kappa = 4.
         grid = np.concatenate([np.linspace(-np.pi, np.pi, 1997), [0.0, -0.0, 1e-300, -1e-300]])
         bras = _rotated_bras(grid)
         rows = bras[:, :, None, :]
         _check_complete(rows)
         for family in (paper_qubit_family(), random_family(2, rng)):
             sd = derivative(family, float(rng.uniform(-np.pi, np.pi)))
-            old_terms = _born_terms(rows, sd.state, sd.tangent)
-            for old, new in zip(old_terms, _plane_terms(sd, bras, np.eye(2))):
-                assert new.shape == (2001, 2)
-                assert (new.view(np.uint64) == old.view(np.uint64)).all()
+            plane = _plane_terms(sd, bras, np.eye(2))
+            assert plane[0].shape == (2001, 2)
+            assert_plane_terms_agree(plane, _born_terms(rows, sd.state, sd.tangent), sd, kappa=4.0)
+
+    @pytest.mark.parametrize("dim", [2, 8, 32])
+    def test_q_plane_terms_agree_with_the_d_dimensional_bras(self, dim, rng):
+        # Oracle: the bras C @ V as d-dimensional rows, and the rows P = I - V^H V of
+        # _complement. With an n-term complex dot product within (n + 2) eps
+        # sum_i |x_i| |y_i| of exact, and unit rows in C and V:
+        # - plane: V psi is within (d + 2) eps ||psi|| per entry, which C carries
+        #   into A as sqrt(2) (d + 2) eps ||psi||; C's own 2-term sum adds 4 eps ||psi||;
+        # - rows: each (C V)_ai is within 4 eps (|C_a0| |V_0i| + |C_a1| |V_1i|), which
+        #   the d-term sum carries as 4 sqrt(2) eps ||psi||; that sum adds (d + 2) eps ||psi||.
+        # The outcomes of C differ by kappa = (1 + sqrt(2)) (d + 2) + 4 + 4 sqrt(2).
+        # The complement's amplitude vectors, for d > 2:
+        # - plane: psi - V^H (V psi) is within 2 (d + 2) + 4 sqrt(2) + 1 eps ||psi||;
+        # - rows: P's entries are within 4 eps (|V_0i| |V_0j| + |V_1i| |V_1j|) + eps |P_ij|,
+        #   which P psi carries as (8 + sqrt(d)) eps ||psi|| (||P||_F = sqrt(d - 2)), and
+        #   its d-term sums add (d + 2) sqrt(d - 2) eps ||psi||.
+        # Their sums of 2 d squares round within (d + 2) eps apiece.
+        # The q family's plane holds the state; a Haar-random plane leaves part outside.
+        # Generators of spectral radius d make ||t|| reach ~20 at d = 32.
+        root2 = math.sqrt(2.0)
+        kappa = (1.0 + root2) * (dim + 2) + 4.0 + 4.0 * root2
+        kappa_rest = 2 * (dim + 2) + 4 * root2 + 9 + math.sqrt(dim) + (dim + 2) * math.sqrt(dim - 2)
+        coeffs = _q_coeffs(np.logspace(-14.0, 0.0, 251))
+        for _ in range(20):
+            family = StateFamily(
+                generator=random_hermitian(dim, rng, spectral_radius=float(dim)),
+                input_state=random_state(dim, rng),
+            )
+            sd = derivative(family, float(rng.uniform(0.0, 2.0 * np.pi)))
+            for basis in (_q_basis(sld(sd)), haar_basis(rng, dim)[:2]):
+                plane = _plane_terms(sd, coeffs, basis)
+                rows = _born_terms((coeffs @ basis)[:, :, None, :], sd.state, sd.tangent)
+                assert_plane_terms_agree([t[:, :2] for t in plane], rows, sd, kappa)
+                rest = _born_terms(_complement(basis), sd.state, sd.tangent)
+                assert_plane_terms_agree([t[0, 2:] for t in plane], rest, sd, kappa_rest, dim + 2)
 
     def test_empty_q_grid_keeps_the_shared_scalars_of_an_audit(self, rng):
         family = random_family(8, rng)
@@ -503,6 +570,39 @@ class TestPlaneCompleteness:
         assert self.plane_terms(coeffs, basis)[0].shape == (2001, 3)
         rows = (coeffs[1500] @ basis)[None, :, None, :]
         _check_complete(rows, _complement(basis))
+
+
+class TestPlaneOffDiagonalCompleteness:
+    """A phi-bra point whose whole completeness deviation is the off-diagonal of ``C^H C - I``.
+
+    Grid point 1500 is phi = pi/2, whose rotated bras ``C`` have rows
+    ``(1, +-w) / sqrt(2)`` with ``w = e^{-i phi} = -i``. Replacing them by
+    ``C (I + D/2)``, ``D = [[0, x], [x, 0]]``, gives ``C^H C - I = D + x^2 I / 4``:
+    deviation ``x`` off the diagonal alone. Without its conjugate that entry
+    would read ``C_00 C_01 + C_10 C_11 = x (1 + w^2) / 2 = 0``.
+    """
+
+    BUDGET = 1e-9 / 4.0
+
+    def bras(self, excess: float) -> np.ndarray:
+        grid = np.linspace(-np.pi, np.pi, 2001)
+        grid[1500] = np.pi / 2.0
+        bras = _rotated_bras(grid)
+        bras[1500] = bras[1500] @ np.array([[1.0, excess / 2.0], [excess / 2.0, 1.0]])
+        point = bras[1500]
+        assert abs(point[0, 0] * point[0, 1] + point[1, 0] * point[1, 1]) <= 1e-15
+        assert np.abs(np.sum(np.abs(point) ** 2, axis=0) - 1.0).max() <= 1e-15
+        return bras
+
+    @pytest.mark.parametrize("offset, complete", [(-1e-11, True), (1e-11, False)])
+    def test_off_diagonal_band_edge_at_one_point_deep_in_the_grid(self, offset, complete):
+        bras = self.bras(self.BUDGET + offset)
+        sd = derivative(paper_qubit_family(), 0.7)
+        if complete:
+            assert _plane_terms(sd, bras, np.eye(2))[0].shape == (2001, 2)
+        else:
+            with pytest.raises(ValueError, match="identity"):
+                _plane_terms(sd, bras, np.eye(2))
 
 
 class TestEpsProbBandEdge:

@@ -1396,3 +1396,71 @@ class TestEntryPoint:
         assert run.returncode == 2 and run.stdout == ""
         assert run.stderr.startswith("config error:")
         assert "Traceback" not in run.stderr
+
+
+class TestOneParserPerCommand:
+    """``main`` parses a known command with that command's parser alone.
+
+    The full parser's route is the oracle: every argv gives the same output,
+    exit code and, for a valid call, command function and argument values.
+    """
+
+    @staticmethod
+    def full_route(argv):
+        """``main``'s exit code when the top-level parser alone rejects ``argv`` (None if not)."""
+        try:
+            fisherlab.cli._parsers()[0].parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code else 0
+        return None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["audit", "-h"],
+            ["audit"],
+            ["audit", "--config", "CONFIG", "--bogus"],
+            ["bogus"],
+            ["golden", "x"],
+        ],
+        ids=["empty", "help", "audit-help", "audit-no-config", "audit-bogus", "bogus", "golden-x"],
+    )
+    def test_parse_errors_and_help_match_the_full_parser(self, tmp_path, capsys, argv):
+        config = write_config(tmp_path, qubit_config())
+        argv = [config if arg == "CONFIG" else arg for arg in argv]
+        code = main(argv)
+        seen = capsys.readouterr()
+        want = self.full_route(argv)
+        assert (code, seen) == (want, capsys.readouterr())
+        if "--bogus" in argv:
+            assert seen.err.startswith("usage: fisherlab [-h]")
+            assert seen.err.endswith("fisherlab: error: unrecognized arguments: --bogus\n")
+
+    @pytest.mark.parametrize(
+        "argv, command",
+        [
+            (["qfi", "--config", "c.json"], "cmd_qfi"),
+            (["audit", "--config", "c.json", "--out", "o.csv", "--bits"], "cmd_audit"),
+            (["audit", "--fail-on-violation", "--config=c.json"], "cmd_audit"),
+            (["simulate", "--config", "c.json", "--out", "o.csv"], "cmd_simulate"),
+            (["golden"], "cmd_golden"),
+        ],
+        ids=["qfi", "audit", "audit-fail-on-violation", "simulate", "golden"],
+    )
+    def test_a_valid_call_reaches_its_command_with_the_same_arguments(
+        self, monkeypatch, argv, command
+    ):
+        parser, commands = fisherlab.cli._parsers.__wrapped__()
+        seen = []
+        for name, sub in commands.items():
+            func = sub.get_default("func")
+            sub.set_defaults(func=lambda args, func=func: seen.append((func, vars(args))) or 0)
+        monkeypatch.setattr(fisherlab.cli, "_parsers", lambda: (parser, commands))
+        assert main(argv) == 0
+        full = parser.parse_args(argv)
+        full.func(full)
+        assert seen[0] == seen[1]
+        assert seen[0][0] is getattr(fisherlab.cli, command)
+        assert seen[0][1]["command"] == argv[0]

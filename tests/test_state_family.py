@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from fisherlab import (
     sweep_q,
 )
 from fisherlab.errors import DimMismatchError, NonHermitianError
-from fisherlab.state_family import _grid
+from fisherlab.state_family import _grid, _real
 from test_numerics import taylor_expm
 
 
@@ -251,6 +252,43 @@ class TestMeasurementAndGridValues:
         assert _grid("q_grid", grid) is grid
         assert len(sweep_q(paper_qubit_family(), 0.7, grid)) == 2001
         assert [name for name, _ in seen] == ["lam"]
+
+
+class TestRationalPastTheDoubleRange:
+    """A rational past the double range is shown by the digits of its integer part.
+
+    Its ``repr`` would print the numerator in full: 438 characters for
+    ``Fraction(10**400)``, and Python's 4,300-digit limit raises past that.
+    """
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            (Fraction(10**5000), "a rational whose integer part has 5001 digits"),
+            (Fraction(10**400), "a rational whose integer part has 401 digits"),
+            (Fraction(-(10**400), 3), "a negative rational whose integer part has 400 digits"),
+        ],
+    )
+    def test_the_rule_names_the_value_by_its_size(self, value, shown):
+        with pytest.raises(ValueError) as caught:
+            _real("lam", value)
+        assert str(caught.value) == f"lam must be finite, got {shown}"
+
+    @pytest.mark.parametrize(
+        "run, name",
+        [
+            (lambda family, big: audit(family, big, rotated_qubit_measurement(0.7)), "lam"),
+            (lambda family, big: sweep_q(family, big, [0.3]), "lam"),
+            (lambda family, big: sweep_q(family, 0.7, [0.3, big]), "q_grid[1]"),
+        ],
+        ids=["audit-lam", "sweep_q-lam", "sweep_q-grid"],
+    )
+    def test_entry_points_name_the_argument(self, run, name):
+        with pytest.raises(ValueError) as caught:
+            run(paper_qubit_family(), Fraction(10**400))
+        message = str(caught.value)
+        assert message == f"{name} must be finite, got a rational whose integer part has 401 digits"
+        assert len(message) < 200
 
 
 class TestStateAndDerivative:
