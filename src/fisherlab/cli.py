@@ -447,10 +447,9 @@ def cmd_golden(args) -> int:
 
 
 # Built on first use and shared by every call of main: parsing leaves
-# the parsers unchanged.
+# the parser unchanged.
 @functools.cache
-def _parsers() -> tuple:
-    """The top-level parser and its subparsers by command name."""
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fisherlab",
         description="Pure-state quantum metrology toolbox and inequality auditor.",
@@ -484,22 +483,12 @@ def _parsers() -> tuple:
     p_golden = sub.add_parser("golden", help="run the built-in counterexample checks")
     p_golden.set_defaults(func=cmd_golden)
 
-    return parser, sub.choices
+    return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
     try:
-        # A command's own parser reads its arguments, as the full parser would. Any
-        # other argv, or arguments left over, take the full parser and its usage.
-        if command is None:
-            args = parser.parse_args(argv)
-        else:
-            args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-            if rest:
-                args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

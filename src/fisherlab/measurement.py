@@ -85,7 +85,7 @@ class Povm:
         rows = np.asarray(self.rows, dtype=complex)
         if rows.ndim != 3 or rows.shape[0] < 1 or rows.shape[2] < 1:
             raise DimMismatchError(f"POVM rows must have shape (K, r, d), got {rows.shape}")
-        _check_complete(rows[None])
+        _check_complete(rows)
         object.__setattr__(self, "rows", rows)
 
     @classmethod
@@ -134,20 +134,11 @@ class Povm:
         return self.rows.shape[0]
 
 
-def _check_complete(rows: np.ndarray, common=None) -> None:
-    """Require the effects of each ``rows[g]`` plus the shared rows ``common`` to sum to I.
-
-    ``rows`` has shape ``(G, K, r, d)``; each sum may miss I by 1e-9 per entry.
-    """
-    dim = rows.shape[-1]
-    flat = rows.reshape(len(rows), rows.shape[1] * rows.shape[2], dim)
-    offset = -np.eye(dim)
-    if common is not None:
-        shared = common.reshape(-1, dim)
-        offset = offset + shared.conj().T @ shared
-    # A C-ordered adjoint keeps matmul on its fast path for small matrices.
-    adjoint = np.ascontiguousarray(flat.swapaxes(1, 2)).conj()
-    _require_identity(np.max(np.abs(adjoint @ flat + offset), initial=0.0), _COMPLETENESS_TOL)
+def _check_complete(rows: np.ndarray) -> None:
+    """Require the effects ``rows[a]^H rows[a]`` of a ``(K, r, d)`` stack to sum to I to 1e-9."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    deviation = np.max(np.abs(flat.conj().T @ flat - np.eye(flat.shape[1])))
+    _require_identity(deviation, _COMPLETENESS_TOL)
 
 
 def _require_identity(deviation, tol: float) -> None:
@@ -168,7 +159,7 @@ class OutcomeDistribution:
         if probs.shape != dprobs.shape or probs.ndim < 1:
             raise DimMismatchError("probs and dprobs must be arrays of equal shape")
         # Negated comparisons, so that NaN entries fail the checks too; an
-        # empty (0, K) stack passes them, as it passes _check_complete.
+        # empty (0, K) stack passes them.
         lowest = probs.min(initial=0.0)
         if not lowest >= -1e-12:
             raise ValueError(f"negative probability {lowest:.3e}")
@@ -235,16 +226,12 @@ def shannon_entropy(dist):
     return float(entropy) if entropy.ndim == 0 else entropy
 
 
-def _complement(bras: np.ndarray):
-    """Rows ``(1, d, d)`` of the projector onto the complement of span(``bras^H``).
+def _complement(bras: np.ndarray) -> np.ndarray:
+    """The projector ``I - bras^H bras`` onto the complement of span(``bras^H``).
 
-    A projector is its own amplitude row set, since ``P^H P = P``. No rows,
-    ``(0, d, d)``, when the bras span the space (dimension <= 2).
+    A projector is its own amplitude row set, since ``P^H P = P``.
     """
-    dim = bras.shape[-1]
-    if dim <= 2:
-        return np.zeros((0, dim, dim), dtype=complex)
-    return (np.eye(dim) - bras.conj().T @ bras)[None]
+    return np.eye(bras.shape[-1]) - bras.conj().T @ bras
 
 
 def _gram_deviation(x, y):
@@ -297,13 +284,12 @@ def _complete(bras: np.ndarray) -> Povm:
     When the bras leave part of the space uncovered, a lumped "rest"
     outcome with the :func:`_complement` rows is appended.
     """
-    rest = _complement(bras)
-    if not len(rest):
-        return Povm(rows=bras[:, None, :])
     count, dim = bras.shape
+    if dim <= 2:  # two orthonormal bras span the space
+        return Povm(rows=bras[:, None, :])
     rows = np.zeros((count + 1, dim, dim), dtype=complex)
     rows[:count, 0] = bras
-    rows[count] = rest[0]
+    rows[count] = _complement(bras)
     return Povm(rows=rows)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +49,7 @@ class StateFamily:
         norm = np.linalg.norm(psi)
         # Negated comparisons here and below, so that NaN and Inf entries fail.
         if not abs(norm - 1.0) <= _NORM_TOL:
-            raise ValueError(f"input state is not normalized: ||psi|| = {norm!r}")
+            raise ValueError(f"input state is not normalized: ||psi|| = {float(norm)!r}")
         object.__setattr__(self, "generator", gen)
         object.__setattr__(self, "input_state", psi)
         object.__setattr__(self, "_eigvals", eigvals)
@@ -97,9 +98,11 @@ class StateAndDerivative:
 
 
 def _shown(value) -> str:
-    """``repr(value)``, but a rational past the double range by the digits of its integer part."""
+    """Bounded ``repr(value)``: a NumPy float as its float, a huge rational by its digits."""
+    if isinstance(value, np.floating):
+        value = value.item()  # np.longdouble has no Python twin and stays as it is
     if not isinstance(value, numbers.Rational) or abs(value) < 2**1024:
-        return repr(value)  # a longer numerator's repr can pass Python's 4,300-digit limit
+        return reprlib.repr(value)  # a longer numerator's repr can pass the 4,300-digit limit
     whole = int(abs(value))
     k = round(math.log10(whole))  # off by under 0.5, so the comparison makes the count exact
     digits = k + (whole >= 10**k)
@@ -128,7 +131,7 @@ def _grid(name: str, values) -> np.ndarray:
     try:
         grid = np.asarray(values)
     except ValueError:  # NumPy's message for a ragged nesting names neither the grid nor a value
-        raise ValueError(f"{name} must be 1-D, got {values!r}") from None
+        raise ValueError(f"{name} must be 1-D, got {reprlib.repr(values)}") from None
     if grid.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {grid.shape}")
     numeric = isinstance(values, np.ndarray) and grid.dtype.kind in "fiu"

@@ -345,7 +345,8 @@ class TestSweepOracle:
         grid = np.concatenate([np.linspace(-np.pi, np.pi, 1997), [0.0, -0.0, 1e-300, -1e-300]])
         bras = _rotated_bras(grid)
         rows = bras[:, :, None, :]
-        _check_complete(rows)
+        for point in rows:
+            _check_complete(point)
         for family in (paper_qubit_family(), random_family(2, rng)):
             sd = derivative(family, float(rng.uniform(-np.pi, np.pi)))
             plane = _plane_terms(sd, bras, np.eye(2))
@@ -384,8 +385,11 @@ class TestSweepOracle:
                 plane = _plane_terms(sd, coeffs, basis)
                 rows = _born_terms((coeffs @ basis)[:, :, None, :], sd.state, sd.tangent)
                 assert_plane_terms_agree([t[:, :2] for t in plane], rows, sd, kappa)
-                rest = _born_terms(_complement(basis), sd.state, sd.tangent)
-                assert_plane_terms_agree([t[0, 2:] for t in plane], rest, sd, kappa_rest, dim + 2)
+                assert plane[0].shape == (len(coeffs), 2 + (dim > 2))
+                if dim > 2:
+                    rest = _born_terms(_complement(basis)[None], sd.state, sd.tangent)
+                    rest_plane = [t[0, 2:] for t in plane]
+                    assert_plane_terms_agree(rest_plane, rest, sd, kappa_rest, dim + 2)
 
     def test_empty_q_grid_keeps_the_shared_scalars_of_an_audit(self, rng):
         family = random_family(8, rng)
@@ -448,21 +452,25 @@ class TestSweepPerPointChecks:
             sweep_phi(family, 0.0, np.linspace(0.0, 1.0, 11))
 
     @pytest.mark.parametrize("excess, complete", [(0.9e-9, True), (1.1e-9, False)])
-    def test_completeness_band_edge_at_one_point_deep_in_the_grid(self, excess, complete):
-        # d = 8, bras <0| and <1| at every point, plus the shared projector
-        # onto the other six basis states; one point's first effect is
-        # scaled by 1 + excess, which is its whole completeness deviation.
-        dim, points = 8, 2001
-        rows = np.zeros((points, 2, 1, dim), dtype=complex)
-        rows[:, 0, 0, 0] = 1.0
-        rows[:, 1, 0, 1] = 1.0
-        rows[1500, 0, 0, 0] = np.sqrt(1.0 + excess)
-        common = np.diag([0.0, 0.0] + [1.0] * (dim - 2)).astype(complex)[None]
+    def test_completeness_band_edge_with_the_shared_complement(self, excess, complete):
+        # d = 8, one point's bras <0| and <1| padded to (3, d, d) rows with the
+        # complement of the plane, the projector onto the other six basis
+        # states; the first effect is scaled by 1 + excess, which is the whole
+        # completeness deviation.
+        dim = 8
+        basis = np.eye(dim, dtype=complex)[:2]
+        rows = np.zeros((3, dim, dim), dtype=complex)
+        rows[:2, 0] = basis
+        rows[0, 0, 0] = np.sqrt(1.0 + excess)
+        rows[2] = _complement(basis)
         if complete:
-            _check_complete(rows, common)
+            _check_complete(rows)
+            assert len(Povm(rows=rows)) == 3
         else:
             with pytest.raises(ValueError, match="identity"):
-                _check_complete(rows, common)
+                _check_complete(rows)
+            with pytest.raises(ValueError, match="identity"):
+                Povm(rows=rows)
 
 
 def constant_generator_family() -> StateFamily:
@@ -522,7 +530,7 @@ class TestPlaneCompleteness:
     identity. Grid point 1500 is q = 0, whose coefficients are a swap, so
     scaling its first row by ``sqrt(1 + x)`` makes its 2x2 deviation
     exactly ``x``; scaling the basis's second row the same way makes the
-    basis deviation ``x + x^2``.
+    basis deviation, read from ``V V^H - I``, exactly ``x`` too.
     """
 
     BUDGET = 1e-9 / 4.0
@@ -560,16 +568,18 @@ class TestPlaneCompleteness:
                 self.plane_terms(self.coeffs(), basis)
 
     def test_both_checks_at_their_edge_keep_the_point_within_its_budget(self):
-        # The derived bound 2 (1 + delta) eps + delta <= 1e-9 on an instance:
-        # the point's d-dimensional effects, built from the scaled bras and
-        # complement, pass the single-POVM check at 1e-9.
+        # The derived bound 2 (eps + delta)(1 + 2 delta) <= 1e-9 on an instance:
+        # the point's d-dimensional effects, its scaled bras padded to (3, d, d)
+        # rows with the complement, pass the single-POVM check at 1e-9.
         scale = np.sqrt(1.0 + self.BUDGET - 1e-11)
         coeffs, basis = self.coeffs(), self.basis()
         coeffs[1500, 0] *= scale
         basis[1] *= scale
         assert self.plane_terms(coeffs, basis)[0].shape == (2001, 3)
-        rows = (coeffs[1500] @ basis)[None, :, None, :]
-        _check_complete(rows, _complement(basis))
+        rows = np.zeros((3, 8, 8), dtype=complex)
+        rows[:2, 0] = coeffs[1500] @ basis
+        rows[2] = _complement(basis)
+        _check_complete(rows)
 
 
 class TestPlaneOffDiagonalCompleteness:

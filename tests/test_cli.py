@@ -969,6 +969,14 @@ class TestExitCodes:
     def test_usage_error_exits_two(self, capsys):
         assert main(["no-such-command"]) == 2
 
+    def test_unnormalized_input_state_shows_its_norm_as_a_python_float(self, tmp_path, capsys):
+        config = qubit_config(input_state=[[0.7076, 0.0], [0.7076, 0.0]])
+        assert main(["audit", "--config", write_config(tmp_path, config)]) == 2
+        norm = float(np.linalg.norm([0.7076 + 0j, 0.7076 + 0j]))
+        assert capsys.readouterr().err == (
+            f"config error: input state is not normalized: ||psi|| = {norm!r}\n"
+        )
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["qfi", "--config", "/nonexistent/config.json"]) == 2
 
@@ -1398,69 +1406,77 @@ class TestEntryPoint:
         assert "Traceback" not in run.stderr
 
 
-class TestOneParserPerCommand:
-    """``main`` parses a known command with that command's parser alone.
+# argv, exit code, first words of the usage, and the start of the error line (None for help).
+PARSE_CASES = {
+    "empty": ([], 2, "usage: fisherlab [-h]", "fisherlab: error: the following arguments"),
+    "help": (["-h"], 0, "usage: fisherlab [-h]", None),
+    "audit-help": (["audit", "-h"], 0, "usage: fisherlab audit [-h]", None),
+    "audit-no-config": (
+        ["audit"],
+        2,
+        "usage: fisherlab audit [-h]",
+        "fisherlab audit: error: the following arguments are required: --config",
+    ),
+    "audit-bogus": (
+        ["audit", "--config", "CONFIG", "--bogus"],
+        2,
+        "usage: fisherlab [-h]",
+        "fisherlab: error: unrecognized arguments: --bogus",
+    ),
+    "bogus": (["bogus"], 2, "usage: fisherlab [-h]", "fisherlab: error: argument command: invalid"),
+    "golden-x": (["golden", "x"], 2, "usage: fisherlab [-h]", "fisherlab: error: unrecognized"),
+}
 
-    The full parser's route is the oracle: every argv gives the same output,
-    exit code and, for a valid call, command function and argument values.
-    """
 
-    @staticmethod
-    def full_route(argv):
-        """``main``'s exit code when the top-level parser alone rejects ``argv`` (None if not)."""
-        try:
-            fisherlab.cli._parsers()[0].parse_args(argv)
-        except SystemExit as exc:
-            return 2 if exc.code else 0
-        return None
+class TestParseArgv:
+    """``main`` parses its argv with the one top-level parser."""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            [],
-            ["-h"],
-            ["audit", "-h"],
-            ["audit"],
-            ["audit", "--config", "CONFIG", "--bogus"],
-            ["bogus"],
-            ["golden", "x"],
-        ],
-        ids=["empty", "help", "audit-help", "audit-no-config", "audit-bogus", "bogus", "golden-x"],
-    )
-    def test_parse_errors_and_help_match_the_full_parser(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("case", PARSE_CASES)
+    def test_help_and_parse_errors(self, tmp_path, capsys, case):
+        argv, code, usage, error = PARSE_CASES[case]
         config = write_config(tmp_path, qubit_config())
-        argv = [config if arg == "CONFIG" else arg for arg in argv]
-        code = main(argv)
+        assert main([config if arg == "CONFIG" else arg for arg in argv]) == code
         seen = capsys.readouterr()
-        want = self.full_route(argv)
-        assert (code, seen) == (want, capsys.readouterr())
-        if "--bogus" in argv:
-            assert seen.err.startswith("usage: fisherlab [-h]")
-            assert seen.err.endswith("fisherlab: error: unrecognized arguments: --bogus\n")
+        if error is None:
+            assert seen.out.startswith(usage) and seen.err == ""
+        else:
+            assert seen.out == "" and seen.err.startswith(usage)
+            assert seen.err.splitlines()[-1].startswith(error)
 
     @pytest.mark.parametrize(
-        "argv, command",
+        "argv, command, values",
         [
-            (["qfi", "--config", "c.json"], "cmd_qfi"),
-            (["audit", "--config", "c.json", "--out", "o.csv", "--bits"], "cmd_audit"),
-            (["audit", "--fail-on-violation", "--config=c.json"], "cmd_audit"),
-            (["simulate", "--config", "c.json", "--out", "o.csv"], "cmd_simulate"),
-            (["golden"], "cmd_golden"),
+            (["qfi", "--config", "c.json"], "cmd_qfi", {"config": "c.json"}),
+            (
+                ["audit", "--config", "c.json", "--out", "o.csv", "--bits"],
+                "cmd_audit",
+                {"config": "c.json", "out": "o.csv", "fail_on_violation": False, "bits": True},
+            ),
+            (
+                ["audit", "--fail-on-violation", "--config=c.json"],
+                "cmd_audit",
+                {"config": "c.json", "out": None, "fail_on_violation": True, "bits": False},
+            ),
+            (
+                ["simulate", "--config", "c.json", "--out", "o.csv"],
+                "cmd_simulate",
+                {"config": "c.json", "out": "o.csv"},
+            ),
+            (["golden"], "cmd_golden", {}),
         ],
         ids=["qfi", "audit", "audit-fail-on-violation", "simulate", "golden"],
     )
-    def test_a_valid_call_reaches_its_command_with_the_same_arguments(
-        self, monkeypatch, argv, command
+    def test_a_valid_call_reaches_its_command_with_the_parsed_values(
+        self, monkeypatch, argv, command, values
     ):
-        parser, commands = fisherlab.cli._parsers.__wrapped__()
         seen = []
-        for name, sub in commands.items():
-            func = sub.get_default("func")
-            sub.set_defaults(func=lambda args, func=func: seen.append((func, vars(args))) or 0)
-        monkeypatch.setattr(fisherlab.cli, "_parsers", lambda: (parser, commands))
+        for name in ("cmd_qfi", "cmd_audit", "cmd_simulate", "cmd_golden"):
+            monkeypatch.setattr(
+                fisherlab.cli, name, lambda args, name=name: seen.append((name, vars(args))) or 0
+            )
+        parser = fisherlab.cli._parser.__wrapped__()  # its defaults are the recording commands
+        monkeypatch.setattr(fisherlab.cli, "_parser", lambda: parser)
         assert main(argv) == 0
-        full = parser.parse_args(argv)
-        full.func(full)
-        assert seen[0] == seen[1]
-        assert seen[0][0] is getattr(fisherlab.cli, command)
-        assert seen[0][1]["command"] == argv[0]
+        ((name, parsed),) = seen
+        del parsed["func"]
+        assert (name, parsed) == (command, {"command": argv[0], **values})

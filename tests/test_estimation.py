@@ -269,6 +269,8 @@ class TestSampleOutcomes:
             ("seed", -1, "seed must be >= 0, got -1"),
             ("seed", 1.0, "seed must be an integer, got 1.0"),
             ("trials", np.bool_(True), "trials must be an integer, got np.True_"),
+            ("seed", np.float64(1.5), "seed must be an integer, got 1.5"),
+            ("n", [1] * 10**4, "n must be an integer, got [1, 1, 1, 1, 1, 1, ...]"),
         ],
     )
     def test_setting_messages(self, name, value, message):

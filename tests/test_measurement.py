@@ -606,7 +606,7 @@ def short_sum_case(kind: str):
     basis = _q_basis(sld(sd))
     if kind == "complement":
         terms = reduced_born_terms(sld_measurement(sld(sd)).rows, sd.state, sd.tangent)
-        return _complement(basis), sd.state, sd.tangent, terms
+        return _complement(basis)[None], sd.state, sd.tangent, terms
     grid = np.concatenate([[0.0, 1.0, 0.5, 1e-12, 1.0 - 1e-12], rng.random(300)])
     coeffs = _q_coeffs(grid)
     terms = _plane_terms(sd, coeffs, basis)

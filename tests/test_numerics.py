@@ -47,6 +47,17 @@ class TestHermitianEig:
         mat = SIGMA_X + np.array([[0.0, 1e-15], [0.0, 0.0]])
         require_hermitian(mat)
 
+    @pytest.mark.parametrize("size", [1.0, 1e6])
+    @pytest.mark.parametrize("skew, accepted", [(0.9e-12, True), (1.1e-12, False)])
+    def test_hermiticity_band_edge(self, size, skew, accepted):
+        # max|M| = size and max|M - M^H| = skew * size, against HERMITICITY_RTOL * max|M|.
+        mat = size * np.array([[1.0, skew], [0.0, -1.0]])
+        if accepted:
+            require_hermitian(mat)
+        else:
+            with pytest.raises(NonHermitianError, match="is not Hermitian"):
+                require_hermitian(mat)
+
     def test_reconstruction_and_orthonormality(self, rng):
         for dim in (2, 4, 8):
             mat = random_hermitian(dim, rng, spectral_radius=3.0)

@@ -103,6 +103,45 @@ def test_every_public_name_has_a_user_outside_the_tests():
     assert sorted(_public_names() - loaded - mentioned) == []
 
 
+def _private_definitions(tree) -> dict:
+    """Module-level ``_name`` definitions in ``tree`` by name, dunder names aside."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        defined |= {name: node for name in names if re.fullmatch(r"_(?!_)\w*", name)}
+    return defined
+
+
+def test_every_private_name_has_a_user_in_the_package():
+    # A helper that only the tests load is test code kept in the package. A user
+    # is a load of the name outside its own definition, in its own module or in
+    # one that imports it from there.
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    loads = {}  # (defining module, name) -> ids of the nodes that load it
+    for module, tree in trees.items():
+        local = {name: (module, name) for name in _private_definitions(tree)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                for alias in node.names:
+                    local[alias.asname or alias.name] = (node.module, alias.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in local:
+                loads.setdefault(local[node.id], set()).add(id(node))
+    unused = []
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree).items():
+            own = {id(node) for node in ast.walk(definition)}
+            if not loads.get((module, name), set()) - own:
+                unused.append(f"{module}.{name}")
+    assert unused == []
+
+
 def test_qfi_report_takes_the_state_and_derivative_like_qfi_and_sld():
     for function in (fisherlab.qfi, fisherlab.sld):
         assert list(inspect.signature(function).parameters) == ["sd"]

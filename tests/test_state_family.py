@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import central_difference, paper_qubit_family, random_family
+from conftest import SIGMA_X, central_difference, paper_qubit_family, random_family
 from fisherlab import (
     StateAndDerivative,
     StateFamily,
@@ -32,6 +32,27 @@ class TestConstruction:
     def test_rejects_unnormalized_state(self):
         with pytest.raises(ValueError):
             StateFamily(generator=np.eye(2), input_state=np.array([1.0, 1.0]))
+
+    def test_unnormalized_state_shows_its_norm_as_a_python_float(self):
+        psi = np.array([1.0007, 0.0])
+        with pytest.raises(ValueError) as caught:
+            StateFamily(generator=np.eye(2), input_state=psi)
+        norm = float(np.linalg.norm(psi.astype(complex)))
+        assert str(caught.value) == f"input state is not normalized: ||psi|| = {norm!r}"
+
+    @pytest.mark.parametrize("offset, accepted", [(0.9e-10, True), (1.1e-10, False)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_norm_band_edge(self, offset, accepted, sign):
+        # ||psi|| = 1 + sign * offset to within an ulp, against the band _NORM_TOL = 1e-10.
+        psi = np.array([1.0 + sign * offset, 0.0])
+        if accepted:
+            StateFamily(generator=SIGMA_X, input_state=psi)
+            StateAndDerivative(state=psi, dstate=np.array([0.0, 1j]))
+        else:
+            with pytest.raises(ValueError, match="input state is not normalized"):
+                StateFamily(generator=SIGMA_X, input_state=psi)
+            with pytest.raises(ValueError, match="^state is not normalized"):
+                StateAndDerivative(state=psi, dstate=np.array([0.0, 1j]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_rejects_non_finite_input_state(self, bad):
@@ -143,6 +164,11 @@ BAD_REALS = [
     (10**400, ValueError, "must be finite, got an integer of 401 digits"),
     # str() of an integer past 4,300 digits raises a ValueError of its own.
     (-(10**5000), ValueError, "must be finite, got a negative integer of 5001 digits"),
+    # NumPy floats show as the Python floats they hold, not as np.float64(nan).
+    (np.float64(math.nan), ValueError, "must be finite, got nan"),
+    (np.float32(math.inf), ValueError, "must be finite, got inf"),
+    # Long values show in short: the full repr is 100,002 characters.
+    ("7" * 10**5, TypeError, "must be a real number, got '777777777777...7777777777777'"),
 ]
 BAD_REAL_IDS = [
     "true",
@@ -153,6 +179,9 @@ BAD_REAL_IDS = [
     "minus-inf",
     "int-past-double",
     "int-past-digit-limit",
+    "np-float64-nan",
+    "np-float32-inf",
+    "long-string",
 ]
 
 
@@ -187,6 +216,15 @@ class TestParameterValue:
             with pytest.raises(error, match=re.escape(f"{name} {message}")) as caught:
                 run(paper_qubit_family(), rotated_qubit_measurement(0.7), value)
         assert len(str(caught.value)) < 200
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_a_long_list_is_shown_in_short(self, call):
+        # Its full repr is 50,002 characters.
+        name, run = self.CALLS[call]
+        with pytest.raises(TypeError) as caught:
+            run(paper_qubit_family(), rotated_qubit_measurement(0.7), [0.1] * 10**4)
+        shown = "[0.1, 0.1, 0.1, 0.1, 0.1, 0.1, ...]"
+        assert str(caught.value) == f"{name} must be a real number, got {shown}"
 
     @pytest.mark.parametrize("call", CALLS)
     def test_int_and_numpy_float_run(self, call):
@@ -232,6 +270,9 @@ class TestMeasurementAndGridValues:
             sweep(family, 0.7, 0.3)
         with pytest.raises(ValueError, match=re.escape(f"{name} must be 1-D, got [[0.3], 0.4]")):
             sweep(family, 0.7, [[0.3], 0.4])
+        with pytest.raises(ValueError) as caught:  # a full repr of 25,012 characters
+            sweep(family, 0.7, [0.1] * 5000 + [[0.2]])
+        assert str(caught.value) == f"{name} must be 1-D, got [0.1, 0.1, 0.1, 0.1, 0.1, 0.1, ...]"
         bad = np.linspace(0.0, 1.0, 11)
         bad[[4, 7]] = [np.inf, np.nan]
         with pytest.raises(ValueError, match=re.escape(f"{name}[4] must be finite, got inf")):
