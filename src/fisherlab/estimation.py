@@ -57,6 +57,8 @@ __all__ = [
 _MAX_SHOTS = 2**63 - 1
 _BOUNDS = {"n": (1, _MAX_SHOTS), "trials": (2, math.inf), "seed": (0, math.inf)}
 _GRID_POINTS = 256
+# Trials per slab of the grid scan's product buffer.
+_SCAN_ROWS = 16
 _FLAT_TOL = 1e-14
 # Floor for probabilities: keeps the log-likelihood and the score finite
 # at p = 0 without moving the argmax.
@@ -227,10 +229,10 @@ def _mle(
     Every sum over a last axis is :func:`~fisherlab.measurement._short_sum`,
     elementwise adds with the reduction's bits. The grid scan adds each
     outcome's ``counts * log p`` product into the ``(T, 256)`` grid
-    values, and both live in one ``(2, T, 256)`` block, one allocation
-    per call: two full-size arrays freed side by side would let the
-    allocator trim the heap top, and the next call would fault those
-    pages back in.
+    values through a fixed ``(16, 256)`` buffer, 16 rows at a time, so
+    the scan holds one full-size array. The 32 KB buffer sits below the
+    mmap threshold, so it comes from the heap and is never trimmed; the
+    adds are those of a full-size product, bit for bit.
     """
     if povm.dim != family.dim:
         raise DimMismatchError(f"POVM dim {povm.dim} does not match state dim {family.dim}")
@@ -248,10 +250,12 @@ def _mle(
     grid = np.linspace(lo, hi, _GRID_POINTS)
     amps = _amplitudes(weights, eigvals, grid)
     log_probs = np.log(np.maximum(_short_sum(amps * amps), _LOG_FLOOR))
-    values, product = np.empty((2, len(counts), _GRID_POINTS))
-    np.multiply(counts[:, 0, None], log_probs[:, 0], out=values)
-    for k in range(1, counts.shape[-1]):
-        values += np.multiply(counts[:, k, None], log_probs[:, k], out=product)
+    values = np.multiply(counts[:, 0, None], log_probs[:, 0])
+    product = np.empty((_SCAN_ROWS, _GRID_POINTS))
+    for r in range(0, len(counts), _SCAN_ROWS):
+        slab, part = values[r : r + _SCAN_ROWS], product[: len(counts) - r]
+        for k in range(1, counts.shape[-1]):
+            slab += np.multiply(counts[r : r + _SCAN_ROWS, k, None], log_probs[:, k], out=part)
     rows, pick = np.arange(len(counts)), values.argmax(1)
     top = values[rows, pick]
     if np.any(top - values.min(1) < _FLAT_TOL * max(1.0, float(n))):
@@ -267,7 +271,7 @@ def _mle(
         pick[tied] = near.argmin(1)
     left, right = np.maximum(pick - 1, 0), np.minimum(pick + 1, _GRID_POINTS - 1)
     below, above = values[rows, left] - top, values[rows, right] - top
-    del values, product
+    del values, product, slab, part
     a, b, curve = grid[left], grid[right], below + above
     # below, above <= 0 put the vertex within half a grid step of the pick;
     # on an interval end the clip to the bracket keeps the start on the pick.

@@ -101,14 +101,16 @@ def _shown(value) -> str:
     """Bounded ``repr(value)``: a NumPy float as its float, a huge rational by its digits."""
     if isinstance(value, np.floating):
         value = value.item()  # np.longdouble has no Python twin and stays as it is
-    if not isinstance(value, numbers.Rational) or abs(value) < 2**1024:
-        return reprlib.repr(value)  # a longer numerator's repr can pass the 4,300-digit limit
-    whole = int(abs(value))
-    k = round(math.log10(whole))  # off by under 0.5, so the comparison makes the count exact
-    digits = k + (whole >= 10**k)
+    rational = isinstance(value, numbers.Rational)
+    if not rational or max(abs(value.numerator), value.denominator) < 2**1024:
+        return reprlib.repr(value)  # a longer term's repr can pass the 4,300-digit limit
+    # A small rational with a huge denominator has no integer part to count.
+    size, part = max((int(abs(value)), "integer part"), (value.denominator, "denominator"))
+    k = round(math.log10(size))  # off by under 0.5, so the comparison makes the count exact
+    digits = k + (size >= 10**k)
     if isinstance(value, int):
         return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
-    return f"{'a negative' if value < 0 else 'a'} rational whose integer part has {digits} digits"
+    return f"{'a negative' if value < 0 else 'a'} rational whose {part} has {digits} digits"
 
 
 def _real(name: str, value) -> None:

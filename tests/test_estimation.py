@@ -2,7 +2,9 @@ import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -271,12 +273,20 @@ class TestSampleOutcomes:
             ("trials", np.bool_(True), "trials must be an integer, got np.True_"),
             ("seed", np.float64(1.5), "seed must be an integer, got 1.5"),
             ("n", [1] * 10**4, "n must be an integer, got [1, 1, 1, 1, 1, 1, ...]"),
+            # Its denominator's repr passes the 4,300-digit limit, and reprlib
+            # would show it by its object address.
+            (
+                "n",
+                Fraction(1, 10**5000),
+                "n must be an integer, got a rational whose denominator has 5001 digits",
+            ),
         ],
     )
     def test_setting_messages(self, name, value, message):
         error = ValueError if isinstance(value, int) else TypeError
-        with pytest.raises(error, match=re.escape(message)):
+        with pytest.raises(error, match=re.escape(message)) as caught:
             estimation._setting(name, value)
+        assert " at 0x" not in str(caught.value) and len(str(caught.value)) < 200
         assert estimation._setting(name, np.int64(7)) == 7
 
     @pytest.mark.parametrize(
@@ -712,10 +722,16 @@ class TestScalarOracle:
 
 
 class TestBatchInvariance:
-    @pytest.mark.parametrize("case", ["sld", "rotated-1.2", "d8-sld"])
-    def test_each_trial_equals_its_single_trial_estimate(self, case):
+    # 35 trials fill the grid scan's 16-row product buffer twice and then
+    # in part, on 2 outcomes (sld) and 3 (d8-sld).
+    @pytest.mark.parametrize(
+        "case, trials",
+        [("sld", 10), ("rotated-1.2", 10), ("d8-sld", 10), ("sld", 35), ("d8-sld", 35)],
+        ids=["sld", "rotated-1.2", "d8-sld", "sld-35", "d8-sld-35"],
+    )
+    def test_each_trial_equals_its_single_trial_estimate(self, case, trials):
         family, povm, interval = ORACLE_CASES[case]()
-        n, trials, seed = 10**4, 10, 404
+        n, seed = 10**4, 404
         _, estimates = batched_run(family, povm, n, trials, seed, interval)
         counts = stream_counts(n, sampling_probs(family, povm), seed, trials)
         for i, value in enumerate(estimates):
@@ -1002,6 +1018,24 @@ class TestShortAxisSums:
             for value, term in zip(got, (slope, bend)):
                 bound = 1e-12 * outcome_sum(counts, np.abs(term))
                 assert np.all(np.abs(value - outcome_sum(counts, term)) <= bound)
+
+
+class TestScanMemory:
+    def test_one_mle_call_holds_one_grid_sized_array(self):
+        # The grid scan's (T, 256) values plus a fixed product buffer; a
+        # second full-size temporary would put the peak near twice this.
+        family, povm, interval = qubit_case(None)
+        trials = 2000
+        counts = stream_counts(10**4, sampling_probs(family, povm), 3, trials)
+        estimation._mle(family, povm, counts, 10**4, *interval)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            estimation._mle(family, povm, counts, 10**4, *interval)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * trials * 256 * 8
 
 
 class TestPaperQubitDigest:
