@@ -49,6 +49,9 @@ EPS_PROB = 1e-10
 # NaN from non-finite input fails them instead of slipping through.
 _PSD_TOL = -1e-10
 _COMPLETENESS_TOL = 1e-9
+# Stacks of up to this many products K r d^2 (a qubit's up to 16 rows) form their Gram
+# elementwise, so qubit-only processes never fault in zgemm; the matmul is faster.
+_ELEMENTWISE_GRAM = 64
 
 
 def _short_sum(terms: np.ndarray) -> np.ndarray:
@@ -135,9 +138,15 @@ class Povm:
 
 
 def _check_complete(rows: np.ndarray) -> None:
-    """Require the effects ``rows[a]^H rows[a]`` of a ``(K, r, d)`` stack to sum to I to 1e-9."""
+    """Require the effects ``rows[a]^H rows[a]`` of a ``(K, r, d)`` stack to sum to I to 1e-9.
+
+    The Gram of the ``(K r, d)`` rows is summed from elementwise products up to
+    ``_ELEMENTWISE_GRAM`` of them (no zgemm pages), and is the faster matmul above.
+    """
     flat = rows.reshape(-1, rows.shape[-1])
-    deviation = np.max(np.abs(flat.conj().T @ flat - np.eye(flat.shape[1])))
+    small = flat.size * flat.shape[1] <= _ELEMENTWISE_GRAM
+    gram = (flat.conj()[:, :, None] * flat[:, None, :]).sum(0) if small else flat.conj().T @ flat
+    deviation = np.max(np.abs(gram - np.eye(flat.shape[1])))
     _require_identity(deviation, _COMPLETENESS_TOL)
 
 

@@ -16,7 +16,7 @@ import orjson
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import povm_effects
+from conftest import povm_effects, random_hermitian, random_state
 import fisherlab.audit
 import fisherlab.cli
 import fisherlab.estimation
@@ -30,7 +30,7 @@ from fisherlab.cli import (
     parse_config_text,
 )
 from fisherlab.errors import ConfigError
-from test_measurement import binary_entropy
+from test_measurement import binary_entropy, count_eigh, watch_gram
 
 LN2 = math.log(2.0)
 
@@ -1480,3 +1480,41 @@ class TestParseArgv:
         ((name, parsed),) = seen
         del parsed["func"]
         assert (name, parsed) == (command, {"command": argv[0], **values})
+
+
+def encoded(array) -> list:
+    """Complex entries as config ``[re, im]`` pairs."""
+    return np.stack([array.real, array.imag], axis=-1).tolist()
+
+
+class TestLinearAlgebraKernels:
+    """Which LAPACK and BLAS kernels a command reaches; a fresh process faults in each one's pages.
+
+    The paper qubit's generator is diagonal and its measurements have (2, 1, 2)
+    rows, so its commands sort the generator and form Grams elementwise: no
+    ``eigh`` and no complex matrix product in ``_check_complete``. A random
+    d = 32 family with its SLD measurement takes both.
+    """
+
+    def test_paper_qubit_simulate_calls_no_eigh_and_no_gram_matmul(self, tmp_path, monkeypatch):
+        sim = {"n": 10**4, "trials": 100, "seed": 2101}
+        path = write_config(tmp_path, qubit_config(measurement="sld", sim=sim))
+        eigh, gram = count_eigh(monkeypatch), watch_gram(monkeypatch)
+        assert main(["simulate", "--config", path]) == 0
+        assert (eigh, gram) == ([], ["conjugate", "multiply"])
+
+    def test_golden_calls_no_eigh_and_no_gram_matmul(self, monkeypatch):
+        eigh, gram = count_eigh(monkeypatch), watch_gram(monkeypatch)
+        assert main(["golden"]) == 0
+        assert (eigh, gram) == ([], ["conjugate", "multiply"])
+
+    def test_d32_sld_audit_takes_eigh_and_the_gram_matmul(self, tmp_path, monkeypatch, rng):
+        config = qubit_config(
+            generator=encoded(random_hermitian(32, rng)),
+            input_state=encoded(random_state(32, rng)),
+            measurement="sld",
+        )
+        path = write_config(tmp_path, config)
+        eigh, gram = count_eigh(monkeypatch), watch_gram(monkeypatch)
+        assert main(["audit", "--config", path]) == 0
+        assert (eigh, gram) == ([(32, 32)], ["conjugate", "matmul"])

@@ -1037,6 +1037,27 @@ class TestScanMemory:
             tracemalloc.stop()
         assert peak <= 1.25 * trials * 256 * 8
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 18: _score's (T, 3 K r, d) products over the rank-padded "
+        "(3, 8, 8) SLD rows peak at ~5.2x one (T, 256) array",
+    )
+    def test_rank_padded_rows_stay_within_the_same_bound(self):
+        # random_family(8)'s SLD measurement pads its two plane outcomes to the
+        # complement's rank 8, and _score multiplies every padded row.
+        family, povm, interval = d8_sld_case()
+        trials = 2000
+        counts = stream_counts(10**4, sampling_probs(family, povm), 3, trials)
+        estimation._mle(family, povm, counts, 10**4, *interval)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            estimation._mle(family, povm, counts, 10**4, *interval)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * trials * 256 * 8
+
 
 class TestPaperQubitDigest:
     # sha256 of the little-endian float64 estimates of the paper qubit's SLD

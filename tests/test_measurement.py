@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import fisherlab.measurement as measurement
+import referee
 from conftest import haar_basis, paper_qubit_family, povm_effects, random_family
 from fisherlab import (
     OutcomeDistribution,
@@ -106,6 +109,98 @@ class TestPovmValidation:
     def test_rejects_rows_of_the_wrong_shape(self, shape):
         with pytest.raises(DimMismatchError, match=r"shape \(K, r, d\)"):
             Povm(rows=np.zeros(shape))
+
+
+def watch_gram(monkeypatch) -> list:
+    """A list that gains the name of each ufunc that a later ``_check_complete`` applies to its rows.
+
+    The Gram is ``matmul`` for a matrix product and ``multiply`` for elementwise products.
+    """
+    seen = []
+
+    class Watched(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            seen.append(ufunc.__name__)
+            plain = [x.view(np.ndarray) if isinstance(x, Watched) else x for x in inputs]
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    check = measurement._check_complete
+    monkeypatch.setattr(measurement, "_check_complete", lambda rows: check(rows.view(Watched)))
+    return seen
+
+
+def isometry_rows(shape, rng, excess: float = 0.0) -> np.ndarray:
+    """A complete ``(K, r, d)`` stack: the rows of a Haar unitary, then zero rows.
+
+    The first row ``u`` is scaled by ``sqrt(1 + excess)``, which adds ``excess u^H u``
+    to the Gram: its deviation is then ``excess max|u_i|^2``.
+    """
+    count, rank, dim = shape
+    flat = np.zeros((count * rank, dim), dtype=complex)
+    flat[:dim] = haar_basis(rng, dim).conj().T
+    flat[0] *= np.sqrt(1.0 + excess)
+    return flat.reshape(shape)
+
+
+# Shapes either side of _ELEMENTWISE_GRAM = 64 products K r d^2: the paper
+# qubit's SLD rows, 16 qubit rows and (4, 1, 4) at the constant, then one
+# padding row past it, and the d = 8 and d = 32 SLD rows.
+GRAM_SHAPES = [(2, 1, 2), (16, 1, 2), (4, 1, 4), (17, 1, 2), (3, 8, 8), (3, 32, 32)]
+
+
+class TestGramForms:
+    """``_check_complete`` forms small Grams elementwise and large ones as a matmul."""
+
+    @staticmethod
+    def deviation(rows, monkeypatch, limit) -> float:
+        """``_check_complete``'s deviation of ``rows`` with the constant set to ``limit``."""
+        seen = []
+        monkeypatch.setattr(measurement, "_ELEMENTWISE_GRAM", limit)
+        monkeypatch.setattr(measurement, "_require_identity", lambda dev, tol: seen.append(dev))
+        measurement._check_complete(rows)
+        return seen[0]
+
+    @pytest.mark.parametrize("shape", GRAM_SHAPES)
+    def test_the_stack_size_selects_the_form(self, shape, monkeypatch, rng):
+        seen = watch_gram(monkeypatch)
+        Povm(rows=isometry_rows(shape, rng))
+        count, rank, dim = shape
+        small = count * rank * dim * dim <= measurement._ELEMENTWISE_GRAM
+        assert seen == ["conjugate", "multiply" if small else "matmul"]
+
+    @pytest.mark.parametrize("excess", [0.0, 3e-10])
+    @pytest.mark.parametrize("shape", GRAM_SHAPES)
+    def test_both_forms_agree_to_rounding(self, shape, excess, monkeypatch, rng):
+        # Each Gram entry is a sum of n = K r products of entries of unit
+        # columns, within (n + 2) eps of exact in either form.
+        rows = isometry_rows(shape, rng, excess)
+        elementwise = self.deviation(rows, monkeypatch, 10**9)
+        matmul = self.deviation(rows, monkeypatch, 0)
+        bound = 2 * (shape[0] * shape[1] + 2) * np.finfo(float).eps
+        assert abs(elementwise - matmul) <= bound
+        first = np.abs(rows.reshape(-1, shape[2])[0]).max() ** 2 / (1.0 + excess)
+        assert abs(elementwise - excess * first) <= bound
+
+    @pytest.mark.parametrize(
+        "limit", [0, measurement._ELEMENTWISE_GRAM, 10**9], ids=["matmul", "default", "elementwise"]
+    )
+    @pytest.mark.parametrize("dim", [2, 8, 32])
+    @pytest.mark.parametrize("excess, complete", [(0.9e-9, True), (1.1e-9, False)])
+    def test_completeness_band_edge_in_either_form(self, dim, limit, excess, complete, monkeypatch):
+        # The shared-complement stack of TestSweepPerPointChecks: bras <0| and
+        # <1| padded to (3, d, d) rows with the complement of their plane, the
+        # first scaled by sqrt(1 + excess), the whole completeness deviation.
+        monkeypatch.setattr(measurement, "_ELEMENTWISE_GRAM", limit)
+        basis = np.eye(dim, dtype=complex)[:2]
+        rows = np.zeros((3, dim, dim), dtype=complex)
+        rows[:2, 0] = basis
+        rows[0, 0, 0] = np.sqrt(1.0 + excess)
+        rows[2] = measurement._complement(basis)
+        if complete:
+            assert len(Povm(rows=rows)) == 3
+        else:
+            with pytest.raises(ValueError, match="identity"):
+                Povm(rows=rows)
 
 
 def count_eigh(monkeypatch) -> list:
@@ -378,6 +473,36 @@ class TestClassicalFisher:
             best = max(best, classical_fisher(projective_povm(haar_basis(rng)), sd))
         assert best <= target + 1e-8
         assert best >= 0.99 * target
+
+
+class TestExactReferee:
+    """``classical_fisher`` against the exact Fisher sum of its own float rows, state and tangent.
+
+    Measured relative errors on the paper qubit at lambda = 0.7: 0.73 eps for
+    the SLD rows and 0.38, 0.21 and 2.0 eps for q = 0.5, 1e-2 and 1e-6, where
+    the outcome with p ~ 1 - q takes dp from a cancelling sum (86 eps off);
+    the bound is 4 eps.
+    """
+
+    LAM = 0.7
+
+    @pytest.mark.parametrize("q", [None, 0.5, 1e-2, 1e-6], ids=["sld", "q=0.5", "q=1e-2", "q=1e-6"])
+    def test_paper_qubit_fisher_within_four_eps_of_exact(self, q):
+        sd = derivative(paper_qubit_family(), self.LAM)
+        sldd = sld(sd)
+        povm = sld_measurement(sldd) if q is None else q_family_measurement(sldd, q)
+        exact = referee.fisher(povm.rows, sd.state, sd.tangent)
+        error = abs(Fraction(classical_fisher(povm, sd)) - exact)
+        assert error <= 4 * Fraction(np.finfo(float).eps) * exact
+
+    def test_exact_terms_and_the_limit_of_a_vanishing_outcome(self):
+        # Dyadic entries: outcome 0 has p = dp = limit = 1/4; outcome 1
+        # annihilates the state, so p = dp = 0 and F takes its limit 4 |t_1|^2 = 1.
+        rows = np.eye(2)[:, None, :]
+        state, tangent = np.array([0.5, 0.0]), np.array([0.25, -0.5j])
+        quarter = Fraction(1, 4)
+        assert referee.born_terms(rows, state, tangent) == [(quarter,) * 3, (0, 0, 1)]
+        assert referee.fisher(rows, state, tangent) == Fraction(5, 4)
 
 
 class TestShannonEntropy:

@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 from conftest import SIGMA_X, SIGMA_Z, random_hermitian
 from fisherlab import StateFamily, evaluate, hermitian_eig, seminorm
 from fisherlab.errors import DimMismatchError, NonHermitianError
-from fisherlab.numerics import as_state_vector, require_hermitian
+from fisherlab.numerics import HERMITICITY_RTOL, as_state_vector, require_hermitian
+from test_measurement import count_eigh
 
 
 def taylor_expm(matrix: np.ndarray, terms: int = 60) -> np.ndarray:
@@ -72,6 +73,106 @@ class TestHermitianEig:
         dec = hermitian_eig(mat)
         for val, vec in zip(dec.eigenvalues, dec.eigenvectors.T):
             assert np.linalg.norm(mat @ vec - val * vec) <= 1e-10 * (1.0 + abs(val))
+
+
+def diagonal_cases():
+    """2,790 diagonal operators with distinct entries, which ``hermitian_eig`` sorts.
+
+    d = 2..32; magnitudes drawn from 1e-30..1e-20, 1e-5..1e5, 1e20..1e30 and
+    1e-30..1e30, or distinct integers around 0; stored real, complex, or
+    complex with diagonal imaginary parts inside the Hermiticity band, which
+    LAPACK does not read.
+    """
+    rng = np.random.default_rng(36)
+    scales = [(-30, -20), (-5, 5), (20, 30), (-30, 30), None]
+    for dim in range(2, 33):
+        for scale in scales:
+            for kind in ("real", "complex", "rounding"):
+                for _ in range(6):
+                    if scale is None:
+                        entries = (rng.permutation(dim) - dim // 2).astype(float)
+                    else:
+                        entries = rng.choice([-1.0, 1.0], dim) * 10.0 ** rng.uniform(*scale, dim)
+                    assert len(set(entries.tolist())) == dim
+                    mat = np.diag(entries)
+                    if kind != "real":
+                        mat = mat.astype(complex)
+                    if kind == "rounding":
+                        band = 0.4 * HERMITICITY_RTOL * np.abs(entries).max()
+                        mat[np.diag_indices(dim)] += 1j * band * rng.uniform(-1.0, 1.0, dim)
+                    yield mat
+
+
+def assert_eigh_result(got, mat, eigh=np.linalg.eigh) -> None:
+    """``got`` is what ``eigh`` returns for ``mat`` as a complex array, bit for bit."""
+    want = eigh(np.asarray(mat, dtype=complex))
+    assert type(got) is type(want)
+    for part, other in zip(got, want):
+        assert (part.dtype, part.shape) == (other.dtype, other.shape)
+        assert part.flags.c_contiguous and other.flags.c_contiguous
+        assert part.tobytes() == other.tobytes()
+
+
+class TestDiagonalEig:
+    """``hermitian_eig`` sorts a diagonal with distinct entries into ``eigh``'s own result."""
+
+    def test_sorted_diagonals_equal_eigh_bit_for_bit(self, monkeypatch):
+        eigh = np.linalg.eigh
+        calls = count_eigh(monkeypatch)
+        count = 0
+        for mat in diagonal_cases():
+            assert_eigh_result(hermitian_eig(mat), mat, eigh)
+            count += 1
+        assert (count, calls) == (2790, [])
+
+    @pytest.mark.parametrize(
+        "top, sorted_here",
+        [
+            (2.0**-485, True),
+            (2.0**485, True),
+            (np.nextafter(2.0**-485, 0.0), False),
+            (np.nextafter(2.0**485, np.inf), False),
+            (1e-200, False),
+            (1e200, False),
+        ],
+    )
+    def test_lapacks_scaling_range_bounds_the_sorted_path(self, top, sorted_here, monkeypatch):
+        # zheevd rescales a matrix whose largest entry lies outside [2**-485, 2**485],
+        # which rounds its eigenvalues: 1e-200 and 1e200 diagonals do not come back as given.
+        eigh = np.linalg.eigh
+        calls = count_eigh(monkeypatch)
+        mat = np.diag([-0.3 * top, 0.0, 0.7 * top, top])
+        assert_eigh_result(hermitian_eig(mat), mat, eigh)
+        assert len(calls) == (0 if sorted_here else 1)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[1.0, 1.0], [0.0, -0.0, 1.0], [-0.0, 0.0], [2.0, 1.0, 2.0], [3.0, -1.0, 5.0, -1.0]],
+    )
+    def test_tied_entries_reach_eigh(self, entries, monkeypatch):
+        eigh = np.linalg.eigh
+        calls = count_eigh(monkeypatch)
+        mat = np.diag(entries)
+        assert_eigh_result(hermitian_eig(mat), mat, eigh)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("value", [1e-300, 1e-300j, 5e-324, -5e-324j, 0.5])
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_any_nonzero_off_diagonal_entry_reaches_eigh(self, dim, value, monkeypatch):
+        eigh = np.linalg.eigh
+        calls = count_eigh(monkeypatch)
+        base = np.diag(np.arange(1.0, dim + 1.0)).astype(complex)
+        for row, col in zip(*np.triu_indices(dim, 1)):
+            mat = base.copy()
+            mat[row, col], mat[col, row] = value, np.conj(value)
+            assert_eigh_result(hermitian_eig(mat), mat, eigh)
+        assert len(calls) == dim * (dim - 1) // 2
+
+    def test_one_dimensional_operator_reaches_eigh(self, monkeypatch):
+        eigh = np.linalg.eigh
+        calls = count_eigh(monkeypatch)
+        assert_eigh_result(hermitian_eig([[2.5]]), [[2.5]], eigh)
+        assert calls == [(1, 1)]
 
 
 class TestStateVector:

@@ -63,7 +63,9 @@ class TestConstruction:
         with pytest.raises(DimMismatchError):
             StateFamily(generator=np.eye(3), input_state=np.array([1.0, 0.0]))
 
-    def test_checks_and_decomposes_the_generator_once(self, monkeypatch, rng):
+    @staticmethod
+    def construction_calls(generator, monkeypatch, rng) -> list:
+        """Hermiticity checks and ``eigh`` calls, in order, of one family's construction."""
         import fisherlab.numerics as numerics
         import fisherlab.state_family as state_family
 
@@ -75,8 +77,16 @@ class TestConstruction:
         monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append("eigh") or eigh(m))
         state = rng.normal(size=4) + 1j * rng.normal(size=4)
         state /= np.linalg.norm(state)
-        StateFamily(generator=np.diag([0.0, 1.0, 2.0, 3.0]), input_state=state)
-        assert calls == ["check", "eigh"]
+        StateFamily(generator=generator, input_state=state)
+        return calls
+
+    def test_checks_and_decomposes_the_generator_once(self, monkeypatch, rng):
+        generator = np.diag([0.0, 1.0, 2.0, 3.0]) + 0.5 * (np.eye(4, k=1) + np.eye(4, k=-1))
+        assert self.construction_calls(generator, monkeypatch, rng) == ["check", "eigh"]
+
+    def test_sorts_a_diagonal_generator_after_one_check(self, monkeypatch, rng):
+        generator = np.diag([0.0, 1.0, 2.0, 3.0])
+        assert self.construction_calls(generator, monkeypatch, rng) == ["check"]
 
     def test_rejects_non_hermitian_generator(self):
         with pytest.raises(NonHermitianError):
