@@ -36,8 +36,9 @@ import functools
 import gc
 import json
 import math
+import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -252,17 +253,75 @@ def _reject_constant(name: str):
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
-    """Decode a JSON config and build its :class:`ExperimentConfig`.
+# Explicit effects in a config longer than this are decoded a slab of
+# whole matrices at a time, which holds one slab's tree, not all of them.
+_SLAB_BYTES = 1 << 18
+_ARRAY_START = re.compile(rb'"measurement"[ \t\n\r]*:[ \t\n\r]*\[')
+_COMMA = re.compile(rb"[ \t\n\r]*,[ \t\n\r]*")
+
+
+def _slab_config(data: bytes) -> ExperimentConfig | None:
+    """The config of ``data`` with its ``"measurement"`` array read in slabs, or None.
+
+    The array is cut after the first ``]]]`` (a matrix's end) past each
+    ``_SLAB_BYTES`` mark, and the rest of the text is decoded with ``null``
+    in its place. The result stands only if every slab reads with one
+    matrix shape, the slabs are separated by one comma, neither
+    ``measurement`` nor a backslash (which could spell that key) follows
+    the array, and :func:`parse_config` accepts the rest with no
+    measurement: the whole text then decodes to the same tree, so this is
+    its config, bit for bit. Otherwise the caller decodes the whole text.
+    """
+    head = _ARRAY_START.search(data)
+    stop = data.rfind(b"]]]]") + 3
+    after = max(data.find(b"measurement", stop), data.find(b"\\", stop))
+    if not head or stop < head.end() or after >= 0:
+        return None
+    start, parts = head.end(), []
+    with memoryview(data) as view:
+        while True:
+            cut = data.find(b"]]]", start + _SLAB_BYTES, stop)
+            cut = stop if cut < 0 else cut + 3
+            try:
+                tree = orjson.loads(b"".join((b"[", view[start:cut], b"]")))
+                parts.append(_numbers(tree, 3, "measurement", pair=True))
+            except (orjson.JSONDecodeError, ConfigError):
+                return None
+            tree = None  # freed before the next slab is decoded
+            if cut == stop:
+                break
+            comma = _COMMA.match(data, cut)
+            if comma is None:
+                return None
+            start = comma.end()
+        rest = b"".join((view[: head.end() - 1], b"null", view[stop + 1 :]))
+    if len({part.shape[1:] for part in parts}) != 1:
+        return None
+    try:
+        config = parse_config(orjson.loads(rest))
+    except (orjson.JSONDecodeError, ConfigError):
+        return None
+    if config.measurement is not None:
+        return None
+    return replace(config, measurement=np.concatenate(parts))
+
+
+def parse_config_text(text: str | bytes) -> ExperimentConfig:
+    """Decode a JSON config (``str`` or UTF-8 ``bytes``) and build its :class:`ExperimentConfig`.
 
     orjson decodes the text, several times faster than ``json`` on large
     configs. It reads integers outside [-2**63, 2**64) as floats and
     accepts any nesting depth; :func:`parse_config` rejects both, and the
     decoders agree otherwise. So a text that orjson or
     :func:`parse_config` rejects is decoded again by ``json``, and that
-    read's config or error stands. The cyclic garbage collector is paused
-    while the text is decoded and read, and re-enabled on return only if
-    it was enabled on entry.
+    read's config or error stands; ``bytes`` are first decoded as a file
+    opened in text mode reads them (strict UTF-8, universal newlines), so
+    a text's errors read the same either way. ``bytes`` longer than
+    ``_SLAB_BYTES`` with an explicit measurement try :func:`_slab_config`
+    first, which decodes the effects a slab at a time and gives the same
+    config. The cyclic garbage collector is paused while the text is
+    decoded and read, and re-enabled on return only if it was enabled on
+    entry.
     """
     # The decoded tree has no cycles, but d = 32 explicit effects are
     # ~34,000 lists, enough for ~50 collections that walk them; the tree
@@ -271,9 +330,16 @@ def parse_config_text(text: str) -> ExperimentConfig:
     gc.disable()
     try:
         try:
+            if isinstance(text, bytes) and len(text) > _SLAB_BYTES:
+                config = _slab_config(text)
+                if config is not None:
+                    return config
             return parse_config(orjson.loads(text))
         except (orjson.JSONDecodeError, ConfigError):
             pass
+        if isinstance(text, bytes):
+            # A UnicodeDecodeError propagates, as it did from a text-mode read.
+            text = text.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         try:
             data = _DECODER.decode(text)
         except json.JSONDecodeError as exc:
@@ -290,8 +356,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
+    """Read the config file at ``path`` as bytes and decode it with :func:`parse_config_text`."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}")

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import chain
 from pathlib import Path
 
@@ -241,14 +242,21 @@ _MUTATION_TOKENS = [
 ]  # fmt: skip
 
 
-def _mutated_configs(rng, count: int):
-    """``count`` valid configs, each with one to three tokens inserted, deleted or replaced."""
+EXPLICIT_QUBIT = qubit_config(measurement=real_matrices([[1, 0], [0, 0]], [[0, 0], [0, 1]]))
+
+
+def _mutated_configs(rng, count: int, bases=None):
+    """``count`` valid configs, each with one to three tokens inserted, deleted or replaced.
+
+    The configs are drawn from ``bases``, by default a spec, a sweep and
+    an explicit-effect config.
+    """
     # A seed past 64 bits is valid, but orjson reads it as a double.
     sim = {**SIM, "seed": 2**64 + 3, "interval": [0, 2]}
-    bases = [
+    bases = bases or [
         json.dumps(qubit_config(measurement="sld", sim=sim)),
         json.dumps(sweep_config([0.1, -0.0, 1e-300, 1])),
-        json.dumps(qubit_config(measurement=real_matrices([[1, 0], [0, 0]], [[0, 0], [0, 1]]))),
+        json.dumps(EXPLICIT_QUBIT),
     ]
     for _ in range(count):
         text = rng.choice(bases)
@@ -327,6 +335,241 @@ class TestTwoReaders:
         lines = out.read_text().splitlines()
         assert f" seed={seed} " in lines[0]
         assert [float(line.split(",")[1]) for line in lines[2:-1]] == list(report.estimates)
+
+
+def _outcome(text):
+    """The config bits of ``text``, or the type and message of the error it raises."""
+    try:
+        return _config_bits(parse_config_text(text))
+    except (ConfigError, UnicodeDecodeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def random_basis_config_text(dim: int, seed: int) -> str:
+    """A random family measured in a Haar-random basis given as explicit effects."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    unitary, upper = np.linalg.qr(raw)
+    kets = (unitary * (np.diag(upper) / np.abs(np.diag(upper)))).T
+    fields = {
+        "generator": random_hermitian(dim, rng),
+        "input_state": random_state(dim, rng),
+        "measurement": np.einsum("ki,kj->kij", kets, kets.conj()),
+    }
+    config = {key: np.stack([a.real, a.imag], axis=-1).tolist() for key, a in fields.items()}
+    return json.dumps({**config, "lambda": float(rng.uniform(0.0, 2.0 * math.pi))})
+
+
+class TestByteRead:
+    """Configs are read as bytes; each reads as it did from a file opened in text mode."""
+
+    @pytest.mark.parametrize("text", ["{bad", '{"generator": 1}', "[1e999]", '{"lambda": NaN}'])
+    def test_bytes_and_str_raise_the_same_config_error(self, text):
+        with pytest.raises(ConfigError) as from_str:
+            parse_config_text(text)
+        with pytest.raises(ConfigError) as from_bytes:
+            parse_config_text(text.encode())
+        assert str(from_bytes.value) == str(from_str.value)
+
+    def test_mutated_configs_read_alike_from_str_and_bytes(self):
+        texts = list(_mutated_configs(random.Random(2101), 1500))
+        texts = [text for text in texts if not any("\ud800" <= c <= "\udfff" for c in text)]
+        outcomes = [_outcome(text) for text in texts]
+        assert [_outcome(text.encode()) for text in texts] == outcomes
+        assert sum(not isinstance(result[0], str) for result in outcomes) > 30
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (
+                b'{"generator": \xff}',
+                "config error: 'utf-8' codec can't decode byte 0xff in position 14: "
+                "invalid start byte",
+            ),
+            (
+                b'{"lambda": 0.7}\xe2\x82',
+                "config error: 'utf-8' codec can't decode bytes in position 15-16: "
+                "unexpected end of data",
+            ),
+            (
+                b'{\r  "generator": [],\r x\r}',
+                "config error: ConfigError: invalid JSON at line 3, column 2: "
+                "Expecting property name enclosed in double quotes",
+            ),
+            (
+                b'{\r\n\r\n x}',
+                "config error: ConfigError: invalid JSON at line 3, column 2: "
+                "Expecting property name enclosed in double quotes",
+            ),
+            (
+                b"\xef\xbb\xbf" + json.dumps(qubit_config(measurement="sld")).encode(),
+                "config error: ConfigError: invalid JSON at line 1, column 1: Expecting value",
+            ),
+        ],
+        ids=["invalid-utf8", "truncated-utf8", "lone-cr", "crlf", "bom"],
+    )
+    def test_file_errors_read_as_from_a_text_mode_file(self, tmp_path, capsys, data, message):
+        path = tmp_path / "config.json"
+        path.write_bytes(data)
+        assert main(["qfi", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == message + "\n"
+
+    def test_carriage_returns_are_whitespace(self, tmp_path):
+        text = json.dumps(qubit_config(measurement="sld"), indent=1)
+        path = tmp_path / "config.json"
+        path.write_bytes(text.replace("\n", "\r").encode())
+        assert _config_bits(fisherlab.cli.load_config(str(path))) == _outcome(text)
+
+
+def _explicit_text(matrices: str, **fields) -> bytes:
+    """An explicit qubit config with the ``"measurement"`` array written as ``matrices``."""
+    config = json.dumps(qubit_config(**fields))
+    return f'{config[:-1]}, "measurement": {matrices}}}'.encode()
+
+
+EFFECTS = json.dumps(EXPLICIT_QUBIT["measurement"])
+FIRST, SECOND = (json.dumps(matrix) for matrix in EXPLICIT_QUBIT["measurement"])
+
+
+@pytest.fixture
+def slab_reads(monkeypatch):
+    """What each call of ``cli._slab_config`` returned: a config, or None to read the whole text."""
+    read = fisherlab.cli._slab_config
+    returned = []
+
+    def spy(data):
+        returned.append(read(data))
+        return returned[-1]
+
+    monkeypatch.setattr(fisherlab.cli, "_slab_config", spy)
+    return returned
+
+
+def _sliced_and_whole(monkeypatch, data: bytes) -> tuple:
+    """Outcomes of ``data`` read in slabs of about one qubit matrix, and read whole."""
+    monkeypatch.setattr(fisherlab.cli, "_SLAB_BYTES", 40)
+    sliced = _outcome(data)
+    monkeypatch.setattr(fisherlab.cli, "_SLAB_BYTES", 1 << 62)
+    return sliced, _outcome(data)
+
+
+class TestSlabReader:
+    """Large explicit effects are decoded a slab at a time, to the whole-text read's bits."""
+
+    def test_mutated_explicit_configs_read_alike(self, monkeypatch, slab_reads):
+        texts = list(_mutated_configs(random.Random(37), 1500, [json.dumps(EXPLICIT_QUBIT)]))
+        texts += _mutated_configs(random.Random(38), 500, [explicit_config_text(3)])
+        texts += _mutated_configs(random.Random(39), 200, [random_basis_config_text(4, 39)])
+        for text in texts:
+            sliced, whole = _sliced_and_whole(monkeypatch, text.encode("utf-8", "surrogatepass"))
+            assert sliced == whole, text
+        # ~7% of mutants take the slab path; most others fall back or fail.
+        taken = sum(config is not None for config in slab_reads)
+        assert taken > 100 and len(slab_reads) > taken + 1000
+
+    @pytest.mark.parametrize(
+        "data, expected",
+        [
+            (_explicit_text(EFFECTS), "slabs"),
+            (_explicit_text(f"[{FIRST},\n\t{SECOND}]"), "slabs"),
+            (_explicit_text(f"[{FIRST} ,{FIRST}, {SECOND}]"), "slabs"),
+            (_explicit_text(json.dumps(EXPLICIT_QUBIT["measurement"], indent=2)), "whole"),
+            (_explicit_text(f"[ {FIRST}, {SECOND} ]"), "whole"),
+            (_explicit_text(f'[{FIRST}, {SECOND}] , "measurement": null'), "whole"),
+            (_explicit_text(f'[{FIRST}, {SECOND}], "\\u006deasurement": null'), "whole"),
+            (_explicit_text(f'[{FIRST}, {SECOND}], "measurement": "sld"'), "whole"),
+            (_explicit_text(f'[{FIRST}, "]]]]", {SECOND}]'), "error"),
+            (_explicit_text(f'[{FIRST}, {SECOND}], "x]]]]": 1'), "error"),
+            (_explicit_text(f"[{FIRST}, {FIRST}, [[[1, 0]]]]"), "error"),
+            (_explicit_text(f"[{FIRST}, {FIRST}, {FIRST[:-1]}, [[1, 0], [0, 0]]]]"), "error"),
+            (_explicit_text(f"[{FIRST}, {SECOND.replace('1.0', str(2**64 + 3))}]"), "slabs"),
+            (_explicit_text(f"[{FIRST}, {FIRST}, {SECOND.replace('1.0', str(10**400))}]"), "error"),
+            (_explicit_text(EFFECTS, sim={**SIM, "measurement": EFFECTS}), "error"),
+            (_explicit_text(EFFECTS, sim={**SIM, "seed": 2**64 + 3}), "whole"),
+            (_explicit_text(EFFECTS, **{"lambda": "0.7"}), "error"),
+        ],
+        ids=[
+            "compact",
+            "newline-and-tab",
+            "spaced-commas",
+            "indented",
+            "spaced-brackets",
+            "duplicate-key-null",
+            "escaped-duplicate-key",
+            "duplicate-key-spec",
+            "string-in-array",
+            "key-holding-brackets",
+            "smaller-matrix",
+            "three-row-matrix",
+            "integer-past-64-bits",
+            "integer-past-a-double",
+            "key-in-sim",
+            "seed-past-64-bits",
+            "bad-field-after-slabs",
+        ],
+    )
+    def test_hand_cases_read_alike(self, monkeypatch, slab_reads, data, expected):
+        sliced, whole = _sliced_and_whole(monkeypatch, data)
+        assert sliced == whole
+        assert (slab_reads[0] is not None) == (expected == "slabs")
+        assert isinstance(whole[0], str) == (expected == "error")
+
+    @pytest.mark.parametrize("key", ['"measurement"', '"\\u006deasurement"'])
+    def test_a_later_null_key_leaves_no_measurement(self, monkeypatch, slab_reads, key):
+        monkeypatch.setattr(fisherlab.cli, "_SLAB_BYTES", 40)
+        config = parse_config_text(_explicit_text(f"[{FIRST}, {SECOND}], {key}: null"))
+        assert config.measurement is None and slab_reads == [None]
+
+    def test_a_bad_entry_is_named_by_its_whole_array_index(self, monkeypatch):
+        data = _explicit_text(f"[{FIRST}, {FIRST}, {SECOND.replace('1.0', 'true')}]")
+        message = "field 'measurement[2][1][1]': expected a [re, im] pair, got [True, 0.0]"
+        assert _sliced_and_whole(monkeypatch, data) == (("ConfigError", message),) * 2
+
+
+class TestSlabMemory:
+    def test_only_a_large_explicit_config_is_read_in_slabs(self, tmp_path, slab_reads):
+        texts = {
+            "explicit-d32": random_basis_config_text(32, 2101),
+            "q-sweep": json.dumps(sweep_config(np.linspace(0, 1, 2001).tolist())),
+            "simulate": json.dumps(qubit_config(measurement="sld", sim=SIM)),
+        }
+        for name, text in texts.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            config = fisherlab.cli.load_config(str(path))
+            assert _config_bits(config) == _config_bits(parse_config_text(text))
+        (config,) = slab_reads  # only the d = 32 config enters the slab read, and it stands
+        assert config.measurement.shape == (32, 32, 32)
+        assert len(texts["explicit-d32"]) > 5 * fisherlab.cli._SLAB_BYTES
+        assert len(texts["q-sweep"]) < fisherlab.cli._SLAB_BYTES
+
+    def test_no_collection_runs_while_slabs_are_read(self, slab_reads):
+        data, starts = random_basis_config_text(32, 2101).encode(), []
+
+        def record(phase, info):
+            starts.append(phase)
+
+        assert gc.isenabled()
+        gc.callbacks.append(record)
+        try:
+            parse_config_text(data)
+        finally:
+            gc.callbacks.remove(record)
+        assert starts == [] and slab_reads[0] is not None and gc.isenabled()
+
+    def test_reading_holds_the_text_and_one_slab(self, tmp_path):
+        # A whole-text read peaks at ~4.5x the 1.6 MB text (text, tree and
+        # decoder scratch at once); the slab read at ~1.9x.
+        path = tmp_path / "config.json"
+        path.write_text(random_basis_config_text(32, 2101))
+        fisherlab.cli.load_config(str(path))
+        tracemalloc.start()
+        try:
+            fisherlab.cli.load_config(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * path.stat().st_size
 
 
 class TestArrayReader:
