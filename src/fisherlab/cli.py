@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import io
 import json
 import math
 import re
@@ -253,75 +254,106 @@ def _reject_constant(name: str):
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-# Explicit effects in a config longer than this are decoded a slab of
-# whole matrices at a time, which holds one slab's tree, not all of them.
-_SLAB_BYTES = 1 << 18
+# Explicit effects in a config longer than this are read from the file and
+# decoded a slab of whole matrices at a time, which holds one slab's text
+# and tree, not the whole text and all of them.
+_SLAB_BYTES = 1 << 16
 _ARRAY_START = re.compile(rb'"measurement"[ \t\n\r]*:[ \t\n\r]*\[')
 _COMMA = re.compile(rb"[ \t\n\r]*,[ \t\n\r]*")
 
 
-def _slab_config(data: bytes) -> ExperimentConfig | None:
-    """The config of ``data`` with its ``"measurement"`` array read in slabs, or None.
+def _slab_config(text: bytes, stream) -> ExperimentConfig | None:
+    """The config of ``text`` and the rest of ``stream``, its effects read in slabs, or None.
 
-    The array is cut after the first ``]]]`` (a matrix's end) past each
-    ``_SLAB_BYTES`` mark, and the rest of the text is decoded with ``null``
-    in its place. The result stands only if every slab reads with one
-    matrix shape, the slabs are separated by one comma, neither
-    ``measurement`` nor a backslash (which could spell that key) follows
-    the array, and :func:`parse_config` accepts the rest with no
+    The stream is read ``_SLAB_BYTES`` at a time into one buffer. The
+    ``"measurement"`` array is cut after the first ``]]]`` (a matrix's end)
+    past each ``_SLAB_BYTES`` mark and ends at the text's last ``]]]]``.
+    A slab is decoded where it lies in the buffer, the bytes on either side
+    set to brackets, its matrices are appended to one array grown in place,
+    and the buffer then drops it. The rest of the text is decoded with
+    ``null`` in the array's place. The result stands only if every slab
+    reads with one matrix shape, the slabs are separated by one comma,
+    neither ``measurement`` nor a backslash (which could spell that key)
+    follows the array, and :func:`parse_config` accepts the rest with no
     measurement: the whole text then decodes to the same tree, so this is
     its config, bit for bit. Otherwise the caller decodes the whole text.
     """
-    head = _ARRAY_START.search(data)
-    stop = data.rfind(b"]]]]") + 3
-    after = max(data.find(b"measurement", stop), data.find(b"\\", stop))
-    if not head or stop < head.end() or after >= 0:
-        return None
-    start, parts = head.end(), []
-    with memoryview(data) as view:
-        while True:
-            cut = data.find(b"]]]", start + _SLAB_BYTES, stop)
-            cut = stop if cut < 0 else cut + 3
-            try:
-                tree = orjson.loads(b"".join((b"[", view[start:cut], b"]")))
-                parts.append(_numbers(tree, 3, "measurement", pair=True))
-            except (orjson.JSONDecodeError, ConfigError):
-                return None
-            tree = None  # freed before the next slab is decoded
-            if cut == stop:
+    buf = bytearray(text)
+
+    def more() -> bool:
+        chunk = stream.read(_SLAB_BYTES)
+        buf.extend(chunk)
+        return bool(chunk)
+
+    lo = 0
+    while (head := _ARRAY_START.search(buf, lo)) is None:
+        # A match not read whole starts at the last '"measurement"' or in the last 12 bytes.
+        found = buf.rfind(b'"measurement"', lo)
+        lo = found if found >= 0 else max(len(buf) - 12, 0)
+        if not more():
+            return None
+    prefix = buf[: head.end() - 1]
+    del buf[: head.end() - 1]  # the buffer starts one byte before each slab: here, the "["
+    stack = np.empty(0, complex)
+    while True:
+        # A "]]]" past the mark with a byte after it, or, at the end of the text, its last "]]]]".
+        lo = _SLAB_BYTES
+        while (cut := buf.find(b"]]]", lo, len(buf) - 1)) < 0:
+            lo = max(lo, len(buf) - 3)  # each byte is searched once
+            if not more():
                 break
-            comma = _COMMA.match(data, cut)
-            if comma is None:
-                return None
-            start = comma.end()
-        rest = b"".join((view[: head.end() - 1], b"null", view[stop + 1 :]))
-    if len({part.shape[1:] for part in parts}) != 1:
+        cut = (cut if cut >= 0 else buf.rfind(b"]]]]")) + 3
+        comma = _COMMA.match(buf, cut)
+        if cut < 4 or (comma is None and buf[cut] != ord("]")):
+            return None  # no "]]]]" at the end, or the slab has neither a comma nor "]" after it
+        buf[0], buf[cut] = ord("["), ord("]")
+        try:
+            with memoryview(buf) as view:
+                part = _numbers(orjson.loads(view[: cut + 1]), 3, "measurement", pair=True)
+        except (orjson.JSONDecodeError, ConfigError):
+            return None
+        size = len(stack)
+        if size and part.shape[1:] != stack.shape[1:]:
+            return None
+        # Grown by realloc: parts joined at the end would hold the effects twice.
+        stack.resize((size + len(part), *part.shape[1:]), refcheck=False)
+        stack[size:] = part
+        if comma is None:
+            break
+        del buf[: comma.end() - 1]
+    while more():
+        pass
+    if max(buf.find(b"]]]]", cut - 2), buf.find(b"measurement", cut), buf.find(b"\\", cut)) >= 0:
         return None
+    del buf[: cut + 1]
+    prefix += b"null"
+    prefix += buf  # the text with null in the array's place
     try:
-        config = parse_config(orjson.loads(rest))
+        config = parse_config(orjson.loads(prefix))
     except (orjson.JSONDecodeError, ConfigError):
         return None
     if config.measurement is not None:
         return None
-    return replace(config, measurement=np.concatenate(parts))
+    return replace(config, measurement=stack)
 
 
-def parse_config_text(text: str | bytes) -> ExperimentConfig:
-    """Decode a JSON config (``str`` or UTF-8 ``bytes``) and build its :class:`ExperimentConfig`.
+def _read_config(source) -> ExperimentConfig:
+    """The config of ``source``, a ``str`` or a seekable binary stream read from its start.
 
     orjson decodes the text, several times faster than ``json`` on large
     configs. It reads integers outside [-2**63, 2**64) as floats and
     accepts any nesting depth; :func:`parse_config` rejects both, and the
     decoders agree otherwise. So a text that orjson or
     :func:`parse_config` rejects is decoded again by ``json``, and that
-    read's config or error stands; ``bytes`` are first decoded as a file
+    read's config or error stands; bytes are first decoded as a file
     opened in text mode reads them (strict UTF-8, universal newlines), so
-    a text's errors read the same either way. ``bytes`` longer than
-    ``_SLAB_BYTES`` with an explicit measurement try :func:`_slab_config`
-    first, which decodes the effects a slab at a time and gives the same
-    config. The cyclic garbage collector is paused while the text is
-    decoded and read, and re-enabled on return only if it was enabled on
-    entry.
+    a text's errors read the same either way. A stream longer than
+    ``_SLAB_BYTES`` goes to :func:`_slab_config` first, which reads and
+    decodes an explicit measurement a slab at a time and gives the same
+    config; if it declines, the stream is read again from its start and
+    decoded whole. The cyclic garbage collector is paused while the text
+    is decoded and read, and re-enabled on return only if it was enabled
+    on entry.
     """
     # The decoded tree has no cycles, but d = 32 explicit effects are
     # ~34,000 lists, enough for ~50 collections that walk them; the tree
@@ -329,15 +361,20 @@ def parse_config_text(text: str | bytes) -> ExperimentConfig:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        try:
-            if isinstance(text, bytes) and len(text) > _SLAB_BYTES:
-                config = _slab_config(text)
+        text = source
+        if not isinstance(source, str):
+            text = source.read(_SLAB_BYTES + 1)
+            if len(text) > _SLAB_BYTES:
+                config = _slab_config(text, source)
                 if config is not None:
                     return config
+                source.seek(0)
+                text = source.read()
+        try:
             return parse_config(orjson.loads(text))
         except (orjson.JSONDecodeError, ConfigError):
             pass
-        if isinstance(text, bytes):
+        if not isinstance(text, str):
             # A UnicodeDecodeError propagates, as it did from a text-mode read.
             text = text.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         try:
@@ -355,14 +392,26 @@ def parse_config_text(text: str | bytes) -> ExperimentConfig:
             gc.enable()
 
 
+def parse_config_text(text: str | bytes) -> ExperimentConfig:
+    """Decode a JSON config and build its :class:`ExperimentConfig`.
+
+    ``text`` is a ``str``, or UTF-8 ``bytes`` or any other bytes-like
+    object, which is read as a binary stream; see :func:`_read_config`.
+    """
+    return _read_config(text if isinstance(text, str) else io.BytesIO(text))
+
+
 def load_config(path: str) -> ExperimentConfig:
-    """Read the config file at ``path`` as bytes and decode it with :func:`parse_config_text`."""
+    """Read and decode the config file at ``path``; see :func:`_read_config`.
+
+    A regular file is read a slab at a time. A pipe, which cannot be read
+    twice, is read whole first.
+    """
     try:
         with open(path, "rb") as handle:
-            text = handle.read()
+            return _read_config(handle if handle.seekable() else io.BytesIO(handle.read()))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}")
-    return parse_config_text(text)
 
 
 def build_family(config: ExperimentConfig) -> StateFamily:

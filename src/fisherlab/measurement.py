@@ -52,6 +52,9 @@ _COMPLETENESS_TOL = 1e-9
 # Stacks of up to this many products K r d^2 (a qubit's up to 16 rows) form their Gram
 # elementwise, so qubit-only processes never fault in zgemm; the matmul is faster.
 _ELEMENTWISE_GRAM = 64
+# The rank-1 residual of explicit effects is formed this many effects at a time, so
+# its temporaries are a few effects' size, not the stack's.
+_RESIDUAL_EFFECTS = 4
 
 
 def _short_sum(terms: np.ndarray) -> np.ndarray:
@@ -103,25 +106,34 @@ class Povm:
         triangle ``eigh`` reads is then within ``b`` of ``v v^H`` (PSD) per entry,
         so its eigenvalues are >= -d b and its PSD check would pass. Any other
         stack takes one batched ``eigh``: the PSD check and the rows ``sqrt(w) v^H``.
+        A complex ``(K, d, d)`` array is that stack as it is, with no copy; other
+        inputs are stacked once. The residual is formed ``_RESIDUAL_EFFECTS``
+        effects at a time, and a NaN or overflow in it fails the bound.
         """
         mats = [require_hermitian(e) for e in effects]
         if not mats:
             raise DimMismatchError("a POVM needs at least one effect")
         if len({m.shape for m in mats}) != 1:
             raise DimMismatchError("POVM effects have mixed dimensions")
-        stack = np.stack(mats)
+        # A complex array is its own stack: its checked matrices are views into it.
+        own = isinstance(effects, np.ndarray) and effects.dtype == complex
+        stack = effects if own else np.stack(mats)
         index = np.arange(len(stack))
         pivot = stack.diagonal(axis1=1, axis2=2).real.argmax(1)
         heights = stack[index, pivot, pivot].real
-        if heights.min() > 0.0:
+        bound = 8 * stack.shape[1] * np.finfo(float).eps * heights.max()
+        if heights.min() > 0.0 and stack.shape[1] * bound <= 1e-11:
             # An effect far from rank-1 PSD may overflow here; it then fails the bound.
             with np.errstate(over="ignore", invalid="ignore"):
                 kets = stack[index, :, pivot] / np.sqrt(heights)[:, None]
-                residual = kets[:, :, None] * kets[:, None, :].conj()
-                residual -= stack  # in place: a second (K, d, d) temporary costs more than this
-            bound = 8 * stack.shape[1] * np.finfo(float).eps * heights.max()
-            if np.abs(residual).max() <= bound and stack.shape[1] * bound <= 1e-11:
-                return cls(rows=kets.conj()[:, None, :])
+                for low in range(0, len(stack), _RESIDUAL_EFFECTS):
+                    part = kets[low : low + _RESIDUAL_EFFECTS]
+                    residual = part[:, :, None] * part[:, None, :].conj()
+                    residual -= stack[low : low + _RESIDUAL_EFFECTS]
+                    if not np.abs(residual).max() <= bound:  # NaN fails too
+                        break
+                else:
+                    return cls(rows=kets.conj()[:, None, :])
         weights, vecs = np.linalg.eigh(stack)
         lowest = np.min(weights)
         if not lowest >= _PSD_TOL:

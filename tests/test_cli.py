@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from itertools import chain
 from pathlib import Path
@@ -22,7 +23,7 @@ import fisherlab.audit
 import fisherlab.cli
 import fisherlab.estimation
 import fisherlab.state_family
-from fisherlab import crb_experiment, derivative, qfi_report, sld
+from fisherlab import Povm, crb_experiment, derivative, qfi_report, sld
 from fisherlab.cli import (
     build_family,
     build_povm,
@@ -337,10 +338,10 @@ class TestTwoReaders:
         assert [float(line.split(",")[1]) for line in lines[2:-1]] == list(report.estimates)
 
 
-def _outcome(text):
-    """The config bits of ``text``, or the type and message of the error it raises."""
+def _outcome(text, read=parse_config_text):
+    """The config bits ``read`` gives for ``text``, or the type and message of the error it raises."""
     try:
-        return _config_bits(parse_config_text(text))
+        return _config_bits(read(text))
     except (ConfigError, UnicodeDecodeError) as exc:
         return type(exc).__name__, str(exc)
 
@@ -370,6 +371,18 @@ class TestByteRead:
         with pytest.raises(ConfigError) as from_bytes:
             parse_config_text(text.encode())
         assert str(from_bytes.value) == str(from_str.value)
+
+    @pytest.mark.parametrize("kind", ["bad-json", "bad-field", "spec", "explicit-d32"])
+    def test_every_bytes_like_input_reads_as_the_str(self, kind):
+        text = {
+            "bad-json": lambda: "{bad",
+            "bad-field": lambda: '{"generator": 1}',
+            "spec": lambda: json.dumps(qubit_config(measurement="sld", sim=SIM)),
+            "explicit-d32": lambda: random_basis_config_text(32, 2101),
+        }[kind]()
+        data = text.encode()
+        outcomes = [_outcome(source) for source in (text, data, bytearray(data), memoryview(data))]
+        assert outcomes == [outcomes[0]] * 4
 
     def test_mutated_configs_read_alike_from_str_and_bytes(self):
         texts = list(_mutated_configs(random.Random(2101), 1500))
@@ -437,35 +450,49 @@ def slab_reads(monkeypatch):
     read = fisherlab.cli._slab_config
     returned = []
 
-    def spy(data):
-        returned.append(read(data))
+    def spy(*args):
+        returned.append(read(*args))
         return returned[-1]
 
     monkeypatch.setattr(fisherlab.cli, "_slab_config", spy)
     return returned
 
 
-def _sliced_and_whole(monkeypatch, data: bytes) -> tuple:
-    """Outcomes of ``data`` read in slabs of about one qubit matrix, and read whole."""
+def _sliced_and_whole(monkeypatch, path, data: bytes) -> tuple:
+    """Outcomes of ``data`` read in slabs of about one qubit matrix from bytes and from the
+    file ``path``, and read whole."""
+
+    def load(data):
+        path.write_bytes(data)
+        return fisherlab.cli.load_config(str(path))
+
     monkeypatch.setattr(fisherlab.cli, "_SLAB_BYTES", 40)
-    sliced = _outcome(data)
+    sliced = _outcome(data), _outcome(data, load)
     monkeypatch.setattr(fisherlab.cli, "_SLAB_BYTES", 1 << 62)
-    return sliced, _outcome(data)
+    return *sliced, _outcome(data)
 
 
 class TestSlabReader:
-    """Large explicit effects are decoded a slab at a time, to the whole-text read's bits."""
+    """Large explicit effects are read and decoded a slab at a time, to the whole-text read's bits.
 
-    def test_mutated_explicit_configs_read_alike(self, monkeypatch, slab_reads):
+    Each case is read from bytes and from a file, both streamed in slabs.
+    """
+
+    def test_mutated_explicit_configs_read_alike(self, monkeypatch, tmp_path, slab_reads):
         texts = list(_mutated_configs(random.Random(37), 1500, [json.dumps(EXPLICIT_QUBIT)]))
         texts += _mutated_configs(random.Random(38), 500, [explicit_config_text(3)])
         texts += _mutated_configs(random.Random(39), 200, [random_basis_config_text(4, 39)])
+        path = tmp_path / "config.json"
         for text in texts:
-            sliced, whole = _sliced_and_whole(monkeypatch, text.encode("utf-8", "surrogatepass"))
-            assert sliced == whole, text
-        # ~7% of mutants take the slab path; most others fall back or fail.
-        taken = sum(config is not None for config in slab_reads)
-        assert taken > 100 and len(slab_reads) > taken + 1000
+            data = text.encode("utf-8", "surrogatepass")
+            sliced, from_file, whole = _sliced_and_whole(monkeypatch, path, data)
+            assert sliced == from_file == whole, text
+        # The bytes and the file take the same path; ~7% of mutants take slabs,
+        # most others fall back or fail.
+        from_bytes, from_files = slab_reads[::2], slab_reads[1::2]
+        assert [c is None for c in from_bytes] == [c is None for c in from_files]
+        taken = sum(config is not None for config in from_bytes)
+        assert taken > 100 and len(from_bytes) > taken + 1000
 
     @pytest.mark.parametrize(
         "data, expected",
@@ -487,6 +514,7 @@ class TestSlabReader:
             (_explicit_text(EFFECTS, sim={**SIM, "measurement": EFFECTS}), "error"),
             (_explicit_text(EFFECTS, sim={**SIM, "seed": 2**64 + 3}), "whole"),
             (_explicit_text(EFFECTS, **{"lambda": "0.7"}), "error"),
+            (_explicit_text(f"[{FIRST}, {SECOND} "), "error"),
         ],
         ids=[
             "compact",
@@ -506,13 +534,25 @@ class TestSlabReader:
             "key-in-sim",
             "seed-past-64-bits",
             "bad-field-after-slabs",
+            "unclosed-array",
         ],
     )
-    def test_hand_cases_read_alike(self, monkeypatch, slab_reads, data, expected):
-        sliced, whole = _sliced_and_whole(monkeypatch, data)
-        assert sliced == whole
-        assert (slab_reads[0] is not None) == (expected == "slabs")
+    def test_hand_cases_read_alike(self, monkeypatch, tmp_path, slab_reads, data, expected):
+        sliced, from_file, whole = _sliced_and_whole(monkeypatch, tmp_path / "config.json", data)
+        assert sliced == from_file == whole
+        assert [config is not None for config in slab_reads] == [expected == "slabs"] * 2
         assert isinstance(whole[0], str) == (expected == "error")
+
+    @pytest.mark.parametrize("gap", ["", " " * 100], ids=["compact", "blank-run"])
+    def test_the_array_is_found_across_reads(self, monkeypatch, tmp_path, slab_reads, gap):
+        # The '"measurement": [' of each text starts at a different offset around
+        # the first reads' ends (41 bytes, then 40 at a time), so some straddle them.
+        base = _explicit_text(f"[{FIRST}, {SECOND}]")
+        base = base.replace(b'"measurement": [', f'"measurement"{gap}: ['.encode())
+        for pad in range(0, 120, 3):
+            data = base.replace(b'"measurement"', b" " * pad + b'"measurement"')
+            assert len({*_sliced_and_whole(monkeypatch, tmp_path / "config.json", data)}) == 1
+        assert len(slab_reads) == 80 and all(config is not None for config in slab_reads)
 
     @pytest.mark.parametrize("key", ['"measurement"', '"\\u006deasurement"'])
     def test_a_later_null_key_leaves_no_measurement(self, monkeypatch, slab_reads, key):
@@ -520,10 +560,11 @@ class TestSlabReader:
         config = parse_config_text(_explicit_text(f"[{FIRST}, {SECOND}], {key}: null"))
         assert config.measurement is None and slab_reads == [None]
 
-    def test_a_bad_entry_is_named_by_its_whole_array_index(self, monkeypatch):
+    def test_a_bad_entry_is_named_by_its_whole_array_index(self, monkeypatch, tmp_path):
         data = _explicit_text(f"[{FIRST}, {FIRST}, {SECOND.replace('1.0', 'true')}]")
         message = "field 'measurement[2][1][1]': expected a [re, im] pair, got [True, 0.0]"
-        assert _sliced_and_whole(monkeypatch, data) == (("ConfigError", message),) * 2
+        read = _sliced_and_whole(monkeypatch, tmp_path / "config.json", data)
+        assert read == (("ConfigError", message),) * 3
 
 
 class TestSlabMemory:
@@ -538,9 +579,12 @@ class TestSlabMemory:
             path.write_text(text)
             config = fisherlab.cli.load_config(str(path))
             assert _config_bits(config) == _config_bits(parse_config_text(text))
-        (config,) = slab_reads  # only the d = 32 config enters the slab read, and it stands
+        # Only the d = 32 file enters the slab read, and it stands; a 2,001-point
+        # sweep fits in one 64 KiB slab.
+        (config,) = slab_reads
         assert config.measurement.shape == (32, 32, 32)
-        assert len(texts["explicit-d32"]) > 5 * fisherlab.cli._SLAB_BYTES
+        assert fisherlab.cli._SLAB_BYTES == 1 << 16
+        assert len(texts["explicit-d32"]) > 20 * fisherlab.cli._SLAB_BYTES
         assert len(texts["q-sweep"]) < fisherlab.cli._SLAB_BYTES
 
     def test_no_collection_runs_while_slabs_are_read(self, slab_reads):
@@ -557,19 +601,75 @@ class TestSlabMemory:
             gc.callbacks.remove(record)
         assert starts == [] and slab_reads[0] is not None and gc.isenabled()
 
-    def test_reading_holds_the_text_and_one_slab(self, tmp_path):
-        # A whole-text read peaks at ~4.5x the 1.6 MB text (text, tree and
-        # decoder scratch at once); the slab read at ~1.9x.
+    # The slab read holds the effect array, its buffer (a slab, the rest of the
+    # matrix at its mark and a read ahead), one slab's tree (~3x its text), and the
+    # text before the array; the realloc that grows the array counts once. Measured:
+    # ~8.6 slabs over the effects at d = 32, ~10.6 at d = 48 (where a matrix's
+    # text is 1.6 slabs). Reading the whole text holds ~38 slabs over them at
+    # d = 32; joining the slabs' arrays at the end, the effects twice.
+    @pytest.mark.parametrize("dim", [32, 48])
+    def test_reading_holds_the_effects_and_a_few_slabs(self, tmp_path, dim):
         path = tmp_path / "config.json"
-        path.write_text(random_basis_config_text(32, 2101))
+        path.write_text(random_basis_config_text(dim, 2101))
         fisherlab.cli.load_config(str(path))
         tracemalloc.start()
         try:
-            fisherlab.cli.load_config(str(path))
+            effects = fisherlab.cli.load_config(str(path)).measurement
+            Povm.from_effects(effects)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * path.stat().st_size
+        assert effects.shape == (dim, dim, dim)
+        assert peak <= effects.nbytes + 12 * fisherlab.cli._SLAB_BYTES
+
+
+def _pipe_outcome(argv, data: bytes, capsys) -> tuple:
+    """Exit code and output of ``main(argv + [config])`` with ``data`` written into a pipe."""
+    read_end, write_end = os.pipe()
+
+    def write():
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        code = main([*argv, f"/dev/fd/{read_end}"])
+    finally:
+        writer.join(timeout=60)
+        os.close(read_end)
+    assert not writer.is_alive()
+    return code, capsys.readouterr()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+class TestPipeRead:
+    """A pipe cannot be read twice; it is read whole, and then as a file would be."""
+
+    @pytest.mark.parametrize("kind", ["small", "explicit-d32", "indented"])
+    def test_a_pipe_reads_as_the_same_file(self, tmp_path, capsys, slab_reads, kind):
+        text = {
+            "small": lambda: json.dumps(EXPLICIT_QUBIT),
+            "explicit-d32": lambda: random_basis_config_text(32, 2101),
+            "indented": lambda: json.dumps(json.loads(random_basis_config_text(16, 5)), indent=1),
+        }[kind]()
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        argv = ["audit", "--config"]
+        from_file = main([*argv, str(path)]), capsys.readouterr()
+        assert _pipe_outcome(argv, text.encode(), capsys) == from_file
+        assert from_file[0] == 0 and "S = " in from_file[1].out
+        taken = {"small": [], "explicit-d32": [True, True], "indented": [False, False]}[kind]
+        assert [config is not None for config in slab_reads] == taken
+        assert len(text) > fisherlab.cli._SLAB_BYTES or kind == "small"
+
+    def test_a_bad_config_in_a_pipe_fails_as_the_same_file(self, tmp_path, capsys):
+        data = random_basis_config_text(32, 2101).replace("]]], [[[", "]]], true, [[[", 1).encode()
+        path = tmp_path / "config.json"
+        path.write_bytes(data)
+        from_file = main(["qfi", "--config", str(path)]), capsys.readouterr()
+        assert _pipe_outcome(["qfi", "--config"], data, capsys) == from_file
+        assert from_file[0] == 2 and "field 'measurement[1]'" in from_file[1].err
 
 
 class TestArrayReader:

@@ -305,6 +305,34 @@ class TestRankOneFactor:
         for povm in povms:
             assert_matches_dense_oracle(povm, effects, sd)
 
+    @pytest.mark.parametrize("bumped", [0, 3, 4, 9])
+    def test_every_effect_is_held_to_the_bound(self, bumped, monkeypatch):
+        # The residual is checked a few effects at a time: a bump of 10 b on any one
+        # of ten effects, in the first, a middle or the last, partial group, takes eigh.
+        rng = np.random.default_rng(10)
+        effects = [np.outer(col, col.conj()) for col in haar_basis(rng, 10).T]
+        pivot = int(np.argmax(effects[bumped].diagonal().real))
+        i, k = [j for j in range(10) if j != pivot][:2]
+        bump = 10 * rank_one_bound(effects) * np.exp(0.3j)
+        effects[bumped][i, k] += bump
+        effects[bumped][k, i] += np.conj(bump)
+        calls = count_eigh(monkeypatch)
+        assert Povm.from_effects(np.array(effects)).rows.shape == (10, 10, 10)
+        assert calls == [(10, 10, 10)]
+
+    @pytest.mark.parametrize("case", ["rank-one", "rank-two"])
+    def test_every_input_form_gives_the_same_rows(self, case):
+        # Real effects, so that a real array holds them exactly: the projectors of
+        # a real basis, or a rank-2 sum of two of them with the rest, which takes eigh.
+        basis, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((9, 9)))
+        effects = np.einsum("ik,jk->kij", basis, basis)
+        if case == "rank-two":
+            effects = np.concatenate([effects[:2].sum(0, keepdims=True), effects[2:]])
+        forms = [list(effects), tuple(effects), effects, effects.astype(complex)]
+        rows = [Povm.from_effects(form).rows for form in forms]
+        assert rows[0].shape == ((9, 1, 9) if case == "rank-one" else (8, 9, 9))
+        assert [(r.shape, r.tobytes()) for r in rows] == [(rows[0].shape, rows[0].tobytes())] * 4
+
     @pytest.mark.parametrize("dim, rank", [(75, 1), (76, 76)])
     def test_psd_margin_caps_the_rank_one_path(self, dim, rank):
         # With pivots of 1, d b = 8 d^2 eps passes 1e-11 between d = 75 and 76.
