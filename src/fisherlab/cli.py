@@ -62,7 +62,7 @@ from .measurement import (
     sld_measurement,
 )
 from .metrology import qfi_report, sld
-from .state_family import StateFamily, derivative
+from .state_family import StateFamily, _shown, derivative
 
 __all__ = [
     "ExperimentConfig",
@@ -145,15 +145,15 @@ def _numbers(value, depth: int, where: str, pair: bool = False) -> np.ndarray:
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts
     ):
         kind = "a [re, im] pair" if pair else "a number"
-        raise ConfigError(f"field '{where}': expected {kind}, got {value!r}")
+        raise ConfigError(f"field '{where}': expected {kind}, got {_shown(value)}")
     try:
         numbers = [float(x) for x in parts]
     except OverflowError:
-        raise ConfigError(f"field '{where}': {value!r} overflows a double")
+        raise ConfigError(f"field '{where}': {_shown(value)} overflows a double")
     if not all(map(math.isfinite, numbers)):
         if pair:
-            raise ConfigError(f"field '{where}': expected finite numbers, got {value!r}")
-        raise ConfigError(f"field '{where}': expected a finite number, got {numbers[0]!r}")
+            raise ConfigError(f"field '{where}': expected finite numbers, got {_shown(value)}")
+        raise ConfigError(f"field '{where}': expected a finite number, got {_shown(numbers[0])}")
     return np.array(complex(*numbers) if pair else numbers[0])
 
 
@@ -163,7 +163,7 @@ def _object(data, where: str, keys) -> dict:
         raise ConfigError(f"{where}: expected an object")
     unknown = set(data) - set(keys)
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown keys {_shown(sorted(unknown))}")
     return data
 
 
@@ -171,7 +171,7 @@ def _parse_sweep(data) -> SweepSpec:
     data = _object(data, "field 'sweep'", ("param", "grid"))
     param = data.get("param")
     if param not in ("q", "phi"):
-        raise ConfigError(f"field 'sweep.param': expected \"q\" or \"phi\", got {param!r}")
+        raise ConfigError(f"field 'sweep.param': expected \"q\" or \"phi\", got {_shown(param)}")
     return SweepSpec(param=param, grid=_numbers(data.get("grid"), 1, "sweep.grid"))
 
 
@@ -186,7 +186,7 @@ def _parse_sim(data) -> SimSpec:
             if key != "interval":
                 values[key] = _setting(key, value)
             elif value is not None:
-                values[key] = _finite_interval(_numbers(value, 1, "sim.interval").tolist())
+                values[key] = _finite_interval(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"field 'sim.{key}': {exc}")
     return SimSpec(**values)
@@ -195,30 +195,30 @@ def _parse_sim(data) -> SimSpec:
 def _spec(text: str) -> tuple:
     """``(name, argument)`` of a measurement spec; syntax, then name, then keys are checked."""
     name, _, arg_text = text.partition(":")
-    args = {}
+    spec, args = f"measurement spec {_shown(text)}", {}
     for part in arg_text.split(",") if arg_text else ():
         key, sep, raw = part.partition("=")
         if not sep or not key:
-            raise ConfigError(f"measurement spec {text!r}: expected name:key=value")
+            raise ConfigError(f"{spec}: expected name:key=value")
         if key in args:
-            raise ConfigError(f"measurement spec {text!r}: key {key!r} is given twice")
+            raise ConfigError(f"{spec}: key {_shown(key)} is given twice")
         try:
             # float() also reads " 0.7\n", "0_7" and non-ASCII digits.
             if not raw.isascii() or any(c.isspace() or c == "_" for c in raw):
                 raise ValueError
             value = float(raw)
         except ValueError:
-            raise ConfigError(f"measurement spec {text!r}: {raw!r} is not a number")
+            raise ConfigError(f"{spec}: {_shown(raw)} is not a number")
         if not math.isfinite(value):
-            raise ConfigError(f"measurement spec {text!r}: expected a finite number, got {value!r}")
+            raise ConfigError(f"{spec}: expected a finite number, got {_shown(value)}")
         args[key] = value
     if name not in ("sld", "q_family", "rotated"):
-        raise ConfigError(f"unknown measurement constructor {name!r}")
+        raise ConfigError(f"unknown measurement constructor {_shown(name)}")
     if name == "sld" and args:
         raise ConfigError("measurement spec 'sld' takes no arguments")
     key = {"q_family": "q", "rotated": "phi"}.get(name)
     if key and set(args) != {key}:
-        raise ConfigError(f"measurement spec {name!r} needs exactly {key}=<value>")
+        raise ConfigError(f"measurement spec {_shown(name)} needs exactly {key}=<value>")
     return name, args.get(key)
 
 
@@ -245,15 +245,6 @@ def parse_config(data: dict) -> ExperimentConfig:
     return ExperimentConfig(generator, input_state, lam, measurement, sweep, sim)
 
 
-def _reject_constant(name: str):
-    raise ConfigError(f"non-finite number {name} is not allowed in a config")
-
-
-# Python's json accepts NaN, Infinity and -Infinity literals; this
-# decoder turns them into config errors.
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
-
-
 # Explicit effects in a config longer than this are read from the file and
 # decoded a slab of whole matrices at a time, which holds one slab's text
 # and tree, not the whole text and all of them.
@@ -262,23 +253,26 @@ _ARRAY_START = re.compile(rb'"measurement"[ \t\n\r]*:[ \t\n\r]*\[')
 _COMMA = re.compile(rb"[ \t\n\r]*,[ \t\n\r]*")
 
 
-def _slab_config(text: bytes, stream) -> ExperimentConfig | None:
-    """The config of ``text`` and the rest of ``stream``, its effects read in slabs, or None.
+def _slab_config(buf: bytearray, stream) -> ExperimentConfig | None:
+    """The config of the text in ``buf`` and the rest of ``stream``, its effects read in slabs.
 
-    The stream is read ``_SLAB_BYTES`` at a time into one buffer. The
+    The stream is read ``_SLAB_BYTES`` at a time onto ``buf``. The
     ``"measurement"`` array is cut after the first ``]]]`` (a matrix's end)
     past each ``_SLAB_BYTES`` mark and ends at the text's last ``]]]]``.
     A slab is decoded where it lies in the buffer, the bytes on either side
     set to brackets, its matrices are appended to one array grown in place,
     and the buffer then drops it. The rest of the text is decoded with
-    ``null`` in the array's place. The result stands only if every slab
-    reads with one matrix shape, the slabs are separated by one comma,
-    neither ``measurement`` nor a backslash (which could spell that key)
-    follows the array, and :func:`parse_config` accepts the rest with no
-    measurement: the whole text then decodes to the same tree, so this is
-    its config, bit for bit. Otherwise the caller decodes the whole text.
+    ``null`` in the array's place. The result stands if every slab reads
+    with one matrix shape, the slabs are separated by one comma, neither
+    ``measurement`` nor a backslash (which could spell that key) follows
+    the array, and :func:`parse_config` accepts the rest. Wherever the cuts
+    fell, the slabs then join into one JSON array. ``"measurement"`` ends in
+    an unescaped quote, so ``null`` is a key's value, and :func:`parse_config`
+    accepts that key only as the root's ``measurement``, which no later key
+    repeats: the whole text decodes to the same config, bit for bit, with the
+    array as its measurement. Otherwise it returns None, and ``buf`` still
+    holds every byte read so far unless a slab was dropped from it.
     """
-    buf = bytearray(text)
 
     def more() -> bool:
         chunk = stream.read(_SLAB_BYTES)
@@ -292,25 +286,25 @@ def _slab_config(text: bytes, stream) -> ExperimentConfig | None:
         lo = found if found >= 0 else max(len(buf) - 12, 0)
         if not more():
             return None
-    prefix = buf[: head.end() - 1]
-    del buf[: head.end() - 1]  # the buffer starts one byte before each slab: here, the "["
+    start = head.end() - 1  # the "[": each slab starts one byte past it; the text before stays
     stack = np.empty(0, complex)
     while True:
         # A "]]]" past the mark with a byte after it, or, at the end of the text, its last "]]]]".
-        lo = _SLAB_BYTES
+        lo = start + _SLAB_BYTES
         while (cut := buf.find(b"]]]", lo, len(buf) - 1)) < 0:
             lo = max(lo, len(buf) - 3)  # each byte is searched once
             if not more():
                 break
-        cut = (cut if cut >= 0 else buf.rfind(b"]]]]")) + 3
+        cut = (cut if cut >= 0 else buf.rfind(b"]]]]", start)) + 3
         comma = _COMMA.match(buf, cut)
-        if cut < 4 or (comma is None and buf[cut] != ord("]")):
+        if cut < start + 4 or (comma is None and buf[cut] != ord("]")):
             return None  # no "]]]]" at the end, or the slab has neither a comma nor "]" after it
-        buf[0], buf[cut] = ord("["), ord("]")
+        end, buf[start], buf[cut] = buf[cut], ord("["), ord("]")
         try:
             with memoryview(buf) as view:
-                part = _numbers(orjson.loads(view[: cut + 1]), 3, "measurement", pair=True)
+                part = _numbers(orjson.loads(view[start : cut + 1]), 3, "measurement", pair=True)
         except (orjson.JSONDecodeError, ConfigError):
+            buf[cut] = end  # the caller decodes the buffer as read if no slab was dropped
             return None
         size = len(stack)
         if size and part.shape[1:] != stack.shape[1:]:
@@ -320,21 +314,16 @@ def _slab_config(text: bytes, stream) -> ExperimentConfig | None:
         stack[size:] = part
         if comma is None:
             break
-        del buf[: comma.end() - 1]
+        del buf[start : comma.end() - 1]
     while more():
         pass
-    if max(buf.find(b"]]]]", cut - 2), buf.find(b"measurement", cut), buf.find(b"\\", cut)) >= 0:
+    if max(buf.find(b"measurement", cut), buf.find(b"\\", cut)) >= 0:
         return None
-    del buf[: cut + 1]
-    prefix += b"null"
-    prefix += buf  # the text with null in the array's place
+    buf[start : cut + 1] = b"null"  # the text with null in the array's place
     try:
-        config = parse_config(orjson.loads(prefix))
+        return replace(parse_config(orjson.loads(buf)), measurement=stack)
     except (orjson.JSONDecodeError, ConfigError):
         return None
-    if config.measurement is not None:
-        return None
-    return replace(config, measurement=stack)
 
 
 def _read_config(source) -> ExperimentConfig:
@@ -344,16 +333,18 @@ def _read_config(source) -> ExperimentConfig:
     configs. It reads integers outside [-2**63, 2**64) as floats and
     accepts any nesting depth; :func:`parse_config` rejects both, and the
     decoders agree otherwise. So a text that orjson or
-    :func:`parse_config` rejects is decoded again by ``json``, and that
-    read's config or error stands; bytes are first decoded as a file
-    opened in text mode reads them (strict UTF-8, universal newlines), so
-    a text's errors read the same either way. A stream longer than
-    ``_SLAB_BYTES`` goes to :func:`_slab_config` first, which reads and
-    decodes an explicit measurement a slab at a time and gives the same
-    config; if it declines, the stream is read again from its start and
-    decoded whole. The cyclic garbage collector is paused while the text
-    is decoded and read, and re-enabled on return only if it was enabled
-    on entry.
+    :func:`parse_config` rejects is decoded again by ``json``, whose NaN
+    and Infinity fail the field checks, and that read's config or error
+    stands. Bytes are first decoded as a file opened in text mode reads
+    them (strict UTF-8, universal newlines), so a text's errors read the
+    same either way. A stream longer than ``_SLAB_BYTES`` goes to
+    :func:`_slab_config` first, which reads and decodes an explicit
+    measurement a slab at a time and gives the same config. If it
+    declines, the text it read and the rest of the stream are decoded
+    whole; the stream is read again from its start only if a slab was
+    dropped. The cyclic garbage collector is paused while the text is
+    decoded and read, and re-enabled on return only if it was enabled on
+    entry.
     """
     # The decoded tree has no cycles, but d = 32 explicit effects are
     # ~34,000 lists, enough for ~50 collections that walk them; the tree
@@ -363,13 +354,15 @@ def _read_config(source) -> ExperimentConfig:
     try:
         text = source
         if not isinstance(source, str):
-            text = source.read(_SLAB_BYTES + 1)
+            text = bytearray(source.read(_SLAB_BYTES + 1))
             if len(text) > _SLAB_BYTES:
                 config = _slab_config(text, source)
                 if config is not None:
                     return config
-                source.seek(0)
-                text = source.read()
+                if len(text) < source.tell():  # slabs were dropped from the buffer
+                    source.seek(0)
+                    text.clear()
+                text += source.read()
         try:
             return parse_config(orjson.loads(text))
         except (orjson.JSONDecodeError, ConfigError):
@@ -378,7 +371,7 @@ def _read_config(source) -> ExperimentConfig:
             # A UnicodeDecodeError propagates, as it did from a text-mode read.
             text = text.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         try:
-            data = _DECODER.decode(text)
+            data = json.JSONDecoder().decode(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
         except ValueError as exc:  # an integer literal past Python's digit limit

@@ -169,6 +169,8 @@ def sample_outcomes(
 
 
 def _finite_interval(search_interval) -> tuple:
+    if not np.iterable(search_interval):
+        raise TypeError(f"search interval must be a sequence, got {_shown(search_interval)}")
     ends = tuple(search_interval)
     if len(ends) != 2:
         raise ValueError(f"search interval must have two ends, got {len(ends)}")

@@ -90,6 +90,5 @@ def hermitian_eig(op):
 
 def seminorm(op) -> float:
     """Spread of the spectrum, ``e_max - e_min``, of a Hermitian operator."""
-    mat = require_hermitian(op)
-    eigenvalues = np.linalg.eigvalsh(mat)
+    eigenvalues = hermitian_eig(op).eigenvalues
     return float(eigenvalues[-1] - eigenvalues[0])

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import decimal
 import gc
+import io
 import json
 import math
 import os
@@ -32,6 +33,7 @@ from fisherlab.cli import (
     parse_config_text,
 )
 from fisherlab.errors import ConfigError
+from fisherlab.state_family import _shown
 from test_measurement import binary_entropy, count_eigh, watch_gram
 
 LN2 = math.log(2.0)
@@ -320,7 +322,7 @@ class TestTwoReaders:
             "q-sweep": lambda: json.dumps(sweep_config(np.linspace(0, 1, 2001).tolist())),
             "simulate": lambda: json.dumps(qubit_config(measurement="sld", sim=SIM)),
         }[kind]()
-        monkeypatch.setattr(fisherlab.cli._DECODER, "decode", refuse)
+        monkeypatch.setattr(json.JSONDecoder, "decode", refuse)
         parse_config_text(text)
 
     def test_a_seed_past_64_bits_is_read_by_the_stdlib_decoder(self, tmp_path, capsys):
@@ -515,6 +517,7 @@ class TestSlabReader:
             (_explicit_text(EFFECTS, sim={**SIM, "seed": 2**64 + 3}), "whole"),
             (_explicit_text(EFFECTS, **{"lambda": "0.7"}), "error"),
             (_explicit_text(f"[{FIRST}, {SECOND} "), "error"),
+            (_explicit_text(EFFECTS, measurement=None), "slabs"),
         ],
         ids=[
             "compact",
@@ -535,6 +538,7 @@ class TestSlabReader:
             "seed-past-64-bits",
             "bad-field-after-slabs",
             "unclosed-array",
+            "earlier-null-key",
         ],
     )
     def test_hand_cases_read_alike(self, monkeypatch, tmp_path, slab_reads, data, expected):
@@ -567,6 +571,17 @@ class TestSlabReader:
         assert read == (("ConfigError", message),) * 3
 
 
+class _CountingStream(io.BytesIO):
+    """A byte stream that counts the bytes read from it."""
+
+    bytes_read = 0
+
+    def read(self, size=-1):
+        chunk = super().read(size)
+        self.bytes_read += len(chunk)
+        return chunk
+
+
 class TestSlabMemory:
     def test_only_a_large_explicit_config_is_read_in_slabs(self, tmp_path, slab_reads):
         texts = {
@@ -587,6 +602,21 @@ class TestSlabMemory:
         assert len(texts["explicit-d32"]) > 20 * fisherlab.cli._SLAB_BYTES
         assert len(texts["q-sweep"]) < fisherlab.cli._SLAB_BYTES
 
+    @pytest.mark.parametrize("kind", ["indented-d16", "sweep-100001", "key-after-slabs"])
+    def test_the_text_is_read_again_only_after_slabs_are_dropped(self, slab_reads, kind):
+        text = {
+            "indented-d16": lambda: json.dumps(
+                json.loads(random_basis_config_text(16, 5)), indent=1
+            ),
+            "sweep-100001": lambda: json.dumps(sweep_config(np.linspace(0, 1, 100001).tolist())),
+            "key-after-slabs": lambda: random_basis_config_text(32, 2101)[:-1] + ', "x": 1}',
+        }[kind]()
+        data = text.encode()
+        stream = _CountingStream(data)
+        assert _outcome(stream, fisherlab.cli._read_config) == _outcome(text)
+        assert len(data) > 4 * fisherlab.cli._SLAB_BYTES and slab_reads == [None]
+        assert stream.bytes_read == len(data) * (2 if kind == "key-after-slabs" else 1)
+
     def test_no_collection_runs_while_slabs_are_read(self, slab_reads):
         data, starts = random_basis_config_text(32, 2101).encode(), []
 
@@ -604,7 +634,7 @@ class TestSlabMemory:
     # The slab read holds the effect array, its buffer (a slab, the rest of the
     # matrix at its mark and a read ahead), one slab's tree (~3x its text), and the
     # text before the array; the realloc that grows the array counts once. Measured:
-    # ~8.6 slabs over the effects at d = 32, ~10.6 at d = 48 (where a matrix's
+    # ~7.5 slabs over the effects at d = 32, ~10.7 at d = 48 (where a matrix's
     # text is 1.6 slabs). Reading the whole text holds ~38 slabs over them at
     # d = 32; joining the slabs' arrays at the end, the effects twice.
     @pytest.mark.parametrize("dim", [32, 48])
@@ -813,15 +843,15 @@ def _oracle_first_bad(value, depth: int, where: str, pair: bool):
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts
     ):
         kind = "a [re, im] pair" if pair else "a number"
-        return f"field '{where}': expected {kind}, got {value!r}"
+        return f"field '{where}': expected {kind}, got {_shown(value)}"
     try:
         numbers = [float(x) for x in parts]
     except OverflowError:
-        return f"field '{where}': {value!r} overflows a double"
+        return f"field '{where}': {_shown(value)} overflows a double"
     if not all(map(math.isfinite, numbers)):
         if pair:
-            return f"field '{where}': expected finite numbers, got {value!r}"
-        return f"field '{where}': expected a finite number, got {numbers[0]!r}"
+            return f"field '{where}': expected finite numbers, got {_shown(value)}"
+        return f"field '{where}': expected a finite number, got {_shown(numbers[0])}"
     return None
 
 
@@ -1376,6 +1406,61 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "fields, field",
+        [
+            ({"lambda": "@"}, "lambda"),
+            (
+                {"generator": [[[0.5, "@"], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]},
+                "generator[0][0]",
+            ),
+            ({"sweep": {"param": "q", "grid": [0.1, "@"]}}, "sweep.grid[1]"),
+            ({"sim": {**SIM, "interval": [0, "@"]}}, "sim.interval"),
+            ({"sim": {**SIM, "n": "@"}}, "sim.n"),
+        ],
+        ids=["lambda", "generator", "sweep-grid", "sim-interval", "sim-n"],
+    )
+    def test_non_finite_literals_name_their_field(self, tmp_path, capsys, literal, fields, field):
+        # Python's json reads the literals as floats; the field checks reject them.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(qubit_config(**fields)).replace('"@"', literal))
+        assert main(["qfi", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: ConfigError: field '{field}': ")
+        assert repr(float(literal)) in captured.err and captured.out == ""
+        if field == "lambda":
+            assert captured.err.endswith(f"expected a finite number, got {float(literal)!r}\n")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"lambda": 10**4000},
+            {"lambda": list(range(3000))},
+            {"input_state": [list(range(3000)), [0.0, 0.0]]},
+            {"sweep": {"param": "q" * 5000, "grid": [0.5]}},
+            {"measurement": "rotated:phi=" + "7" * 5000 + "x"},
+            {"measurement": "q" * 5000},
+            {"sim": {**SIM, **{f"k{i}": 0 for i in range(3000)}}},
+            {"k" * 5000: 0},
+        ],
+        ids=[
+            "integer-of-4001-digits",
+            "number-as-list",
+            "pair-as-list",
+            "sweep-param",
+            "spec-value",
+            "spec-name",
+            "unknown-keys",
+            "unknown-long-key",
+        ],
+    )
+    def test_a_huge_value_is_echoed_bounded(self, tmp_path, capsys, fields):
+        assert main(["qfi", "--config", write_config(tmp_path, qubit_config(**fields))]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ConfigError: ") and captured.out == ""
+        assert len(captured.err) <= 200
+
     @pytest.mark.parametrize(
         "sim, field",
         [
@@ -1543,8 +1628,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "interval",
-        [[1.0, 0.0], [0.5, 0.5], [-1e308, 1e308], [0.0], [0.0, 1.0, 2.0], [0.0, 1.5]],
-        ids=["reversed", "equal", "length-overflows", "one-end", "three-ends", "valid"],
+        [[1.0, 0.0], [0.5, 0.5], [-1e308, 1e308], [0.0], [0.0, 1.0, 2.0], [0.0, 1.5]]
+        + [[0, "x"], [0, True], 5],
+        ids=["reversed", "equal", "length-overflows", "one-end", "three-ends", "valid"]
+        + ["string-end", "bool-end", "not-a-list"],
     )
     def test_sim_interval_has_the_library_message(self, tmp_path, capsys, interval):
         rule = fisherlab.estimation._finite_interval
