@@ -161,8 +161,7 @@ def _object(data, where: str, keys) -> dict:
     """``data`` if it is a JSON object with no keys outside ``keys``; ``where`` names it."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object")
-    unknown = set(data) - set(keys)
-    if unknown:
+    if unknown := set(data) - set(keys):
         raise ConfigError(f"{where}: unknown keys {_shown(sorted(unknown))}")
     return data
 
@@ -256,22 +255,21 @@ _COMMA = re.compile(rb"[ \t\n\r]*,[ \t\n\r]*")
 def _slab_config(buf: bytearray, stream) -> ExperimentConfig | None:
     """The config of the text in ``buf`` and the rest of ``stream``, its effects read in slabs.
 
-    The stream is read ``_SLAB_BYTES`` at a time onto ``buf``. The
+    The stream is read ``_SLAB_BYTES`` at a time onto ``buf``. The first
     ``"measurement"`` array is cut after the first ``]]]`` (a matrix's end)
     past each ``_SLAB_BYTES`` mark and ends at the text's last ``]]]]``.
-    A slab is decoded where it lies in the buffer, the bytes on either side
-    set to brackets, its matrices are appended to one array grown in place,
-    and the buffer then drops it. The rest of the text is decoded with
-    ``null`` in the array's place. The result stands if every slab reads
-    with one matrix shape, the slabs are separated by one comma, neither
-    ``measurement`` nor a backslash (which could spell that key) follows
-    the array, and :func:`parse_config` accepts the rest. Wherever the cuts
-    fell, the slabs then join into one JSON array. ``"measurement"`` ends in
-    an unescaped quote, so ``null`` is a key's value, and :func:`parse_config`
-    accepts that key only as the root's ``measurement``, which no later key
-    repeats: the whole text decodes to the same config, bit for bit, with the
-    array as its measurement. Otherwise it returns None, and ``buf`` still
-    holds every byte read so far unless a slab was dropped from it.
+    Each slab is decoded where it lies, the bytes either side set to
+    brackets, appended to one array grown in place and dropped from the
+    buffer; the rest is decoded with ``null`` in the array's place. The
+    result stands if the root's ``{`` is the only one before the array, the
+    slabs share one matrix shape and are joined by single commas (so they
+    form one JSON array wherever the cuts fell), neither ``measurement`` nor
+    a backslash (which could spell that key) follows, and
+    :func:`parse_config` accepts the rest with no measurement. ``null`` is
+    then the value of the root's last ``measurement`` key, so the whole text
+    gives the same config, bit for bit, with the array as its measurement.
+    Otherwise it returns None, and ``buf`` holds every byte read so far, or
+    none once a slab was decoded.
     """
 
     def more() -> bool:
@@ -287,6 +285,8 @@ def _slab_config(buf: bytearray, stream) -> ExperimentConfig | None:
         if not more():
             return None
     start = head.end() - 1  # the "[": each slab starts one byte past it; the text before stays
+    if buf.count(b"{", 0, start) != 1:
+        return None  # the key may be a nested object's
     stack = np.empty(0, complex)
     while True:
         # A "]]]" past the mark with a byte after it, or, at the end of the text, its last "]]]]".
@@ -298,32 +298,36 @@ def _slab_config(buf: bytearray, stream) -> ExperimentConfig | None:
         cut = (cut if cut >= 0 else buf.rfind(b"]]]]", start)) + 3
         comma = _COMMA.match(buf, cut)
         if cut < start + 4 or (comma is None and buf[cut] != ord("]")):
-            return None  # no "]]]]" at the end, or the slab has neither a comma nor "]" after it
+            break  # no "]]]]" at the end, or the slab has neither a comma nor "]" after it
         end, buf[start], buf[cut] = buf[cut], ord("["), ord("]")
         try:
             with memoryview(buf) as view:
                 part = _numbers(orjson.loads(view[start : cut + 1]), 3, "measurement", pair=True)
         except (orjson.JSONDecodeError, ConfigError):
-            buf[cut] = end  # the caller decodes the buffer as read if no slab was dropped
-            return None
+            buf[cut] = end  # the first slab's text is then as read
+            break
         size = len(stack)
         if size and part.shape[1:] != stack.shape[1:]:
-            return None
+            break
         # Grown by realloc: parts joined at the end would hold the effects twice.
         stack.resize((size + len(part), *part.shape[1:]), refcheck=False)
         stack[size:] = part
         if comma is None:
+            while more():
+                pass
+            if max(buf.find(b"measurement", cut), buf.find(b"\\", cut)) < 0:
+                buf[start : cut + 1] = b"null"  # the text with null in the array's place
+                try:
+                    config = parse_config(orjson.loads(buf))
+                except (orjson.JSONDecodeError, ConfigError):
+                    break
+                if config.measurement is None:
+                    return replace(config, measurement=stack)
             break
         del buf[start : comma.end() - 1]
-    while more():
-        pass
-    if max(buf.find(b"measurement", cut), buf.find(b"\\", cut)) >= 0:
-        return None
-    buf[start : cut + 1] = b"null"  # the text with null in the array's place
-    try:
-        return replace(parse_config(orjson.loads(buf)), measurement=stack)
-    except (orjson.JSONDecodeError, ConfigError):
-        return None
+    if len(stack):
+        buf.clear()  # its text was changed: the caller reads the stream again
+    return None
 
 
 def _read_config(source) -> ExperimentConfig:
@@ -342,7 +346,7 @@ def _read_config(source) -> ExperimentConfig:
     measurement a slab at a time and gives the same config. If it
     declines, the text it read and the rest of the stream are decoded
     whole; the stream is read again from its start only if a slab was
-    dropped. The cyclic garbage collector is paused while the text is
+    decoded. The cyclic garbage collector is paused while the text is
     decoded and read, and re-enabled on return only if it was enabled on
     entry.
     """
@@ -359,9 +363,8 @@ def _read_config(source) -> ExperimentConfig:
                 config = _slab_config(text, source)
                 if config is not None:
                     return config
-                if len(text) < source.tell():  # slabs were dropped from the buffer
+                if not text:  # the reader changed the text it held
                     source.seek(0)
-                    text.clear()
                 text += source.read()
         try:
             return parse_config(orjson.loads(text))
@@ -449,9 +452,7 @@ def cmd_qfi(args) -> int:
     print(f"||h||^2 = {_fmt(report.seminorm_sq)}")
     print(f"ratio   = {_fmt(report.ratio)}")
     print(f"N       = {_fmt(sldd.normalization)}")
-    print(
-        f"SLD eigenvalues = {_fmt(sldd.eigenvalue_plus)}, {_fmt(sldd.eigenvalue_minus)}"
-    )
+    print(f"SLD eigenvalues = {_fmt(sldd.eigenvalue_plus)}, {_fmt(sldd.eigenvalue_minus)}")
     return 0
 
 
@@ -480,9 +481,7 @@ def cmd_audit(args) -> int:
             raise ConfigError("--out is for sweep audits; a single audit prints its table")
         report = audit(family, config.lam, povm)
         _print_audit_table(report, args.bits)
-        if args.fail_on_violation and report.violated:
-            return 4
-        return 0
+        return 4 if args.fail_on_violation and report.violated else 0
 
     if args.out is None:
         raise ConfigError("sweep audits write CSV; pass --out PATH")

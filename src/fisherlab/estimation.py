@@ -169,7 +169,7 @@ def sample_outcomes(
 
 
 def _finite_interval(search_interval) -> tuple:
-    if not np.iterable(search_interval):
+    if isinstance(search_interval, (str, bytes, dict)) or not np.iterable(search_interval):
         raise TypeError(f"search interval must be a sequence, got {_shown(search_interval)}")
     ends = tuple(search_interval)
     if len(ends) != 2:

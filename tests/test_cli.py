@@ -446,6 +446,13 @@ EFFECTS = json.dumps(EXPLICIT_QUBIT["measurement"])
 FIRST, SECOND = (json.dumps(matrix) for matrix in EXPLICIT_QUBIT["measurement"])
 
 
+def _nested_text(fields: str) -> bytes:
+    """A qubit config whose first ``"measurement"`` array is a nested object's, dropped by a
+    later duplicate key; ``fields`` go before it."""
+    config = json.dumps(qubit_config())
+    return f'{config[:-1]}, {fields}"sweep": {{"measurement": {EFFECTS}}}, "sweep": null}}'.encode()
+
+
 @pytest.fixture
 def slab_reads(monkeypatch):
     """What each call of ``cli._slab_config`` returned: a config, or None to read the whole text."""
@@ -518,6 +525,9 @@ class TestSlabReader:
             (_explicit_text(EFFECTS, **{"lambda": "0.7"}), "error"),
             (_explicit_text(f"[{FIRST}, {SECOND} "), "error"),
             (_explicit_text(EFFECTS, measurement=None), "slabs"),
+            (_nested_text('"measurement": "sld", '), "whole"),
+            (_nested_text(""), "whole"),
+            (_explicit_text(EFFECTS, sim={**SIM, "interval": [0, 1]}), "whole"),
         ],
         ids=[
             "compact",
@@ -539,6 +549,9 @@ class TestSlabReader:
             "bad-field-after-slabs",
             "unclosed-array",
             "earlier-null-key",
+            "nested-key-after-root-spec",
+            "nested-key-without-root-measurement",
+            "brace-before-the-array",
         ],
     )
     def test_hand_cases_read_alike(self, monkeypatch, tmp_path, slab_reads, data, expected):
@@ -1629,9 +1642,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "interval",
         [[1.0, 0.0], [0.5, 0.5], [-1e308, 1e308], [0.0], [0.0, 1.0, 2.0], [0.0, 1.5]]
-        + [[0, "x"], [0, True], 5],
+        + [[0, "x"], [0, True], 5, "ab", {"lo": 0, "hi": 1}],
         ids=["reversed", "equal", "length-overflows", "one-end", "three-ends", "valid"]
-        + ["string-end", "bool-end", "not-a-list"],
+        + ["string-end", "bool-end", "not-a-list", "string", "object"],
     )
     def test_sim_interval_has_the_library_message(self, tmp_path, capsys, interval):
         rule = fisherlab.estimation._finite_interval

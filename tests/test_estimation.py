@@ -316,7 +316,7 @@ class TestSampleOutcomes:
         with pytest.raises(TypeError, match="true_lambda must be a real number"):
             crb_experiment(family, povm, flag, n=100, trials=2, seed=0)
 
-    @pytest.mark.parametrize("interval", [5, 1.5], ids=str)
+    @pytest.mark.parametrize("interval", [5, 1.5, "ab", b"ab", {"hi": 1, "lo": 0}], ids=str)
     def test_an_interval_that_is_not_a_sequence_is_named(self, interval):
         family, povm, _ = qubit_case(None)
         record = sample_outcomes(povm, family, TRUE_LAMBDA, 100, seed=0)
