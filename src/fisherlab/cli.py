@@ -104,29 +104,33 @@ class ExperimentConfig:
     sim: SimSpec | None
 
 
-def _numbers(value, depth: int, where: str, pair: bool = False) -> np.ndarray:
+def _numbers(value, depth: int, where: str, pair: bool = False, typed: bool = True) -> np.ndarray:
     """Config field ``where`` as an array of ``depth`` nested lists of numbers.
 
     With ``pair``, every innermost entry is an ``[re, im]`` pair and the
     array is complex. Entries must be plain ``int`` or ``float`` (JSON
     true/false, strings and null are not numbers) that fit a double and
-    are finite. A type and length pass per nesting level and one array
+    are finite. A type and length pass per nesting level and one
     conversion of the flattened entries read a well-formed field; a
     field that fails them is read entry by entry, which names its first
-    bad entry.
+    bad entry. With ``typed`` false, for a tree with no ``str`` or ``bool``,
+    the passes check lengths only: a leaf that is not a number fails
+    ``len``, ``np.fromiter`` (which, unlike ``np.array``, takes no list as
+    a number) or the finite check.
     """
     shape, flat, array = [], [value], None
-    for _ in range(depth + pair):
-        if set(map(type, flat)) != {list} or len(lengths := set(map(len, flat))) != 1:
-            flat = None
-            break
-        shape.append(lengths.pop())
-        flat = list(chain.from_iterable(flat))
-    if flat and set(map(type, flat)) <= {int, float} and (not pair or shape[-1] == 2):
-        try:
-            array = np.array(flat, dtype=float).reshape(shape)
-        except OverflowError:
-            pass
+    try:
+        for _ in range(depth + pair):
+            if (typed and set(map(type, flat)) != {list}) or len(sizes := set(map(len, flat))) != 1:
+                break
+            shape.append(sizes.pop())
+            flat = list(chain.from_iterable(flat))
+        else:
+            numeric = not typed or set(map(type, flat)) <= {int, float}
+            if flat and numeric and (not pair or shape[-1] == 2):
+                array = np.fromiter(flat, float, len(flat)).reshape(shape)
+    except (OverflowError, TypeError, ValueError):  # a number past a double, or not a number
+        pass
     if array is not None and np.isfinite(array).all():
         return array.view(complex)[..., 0] if pair else array
     if depth:
@@ -269,7 +273,9 @@ def _slab_config(buf: bytearray, stream) -> ExperimentConfig | None:
     then the value of the root's last ``measurement`` key, so the whole text
     gives the same config, bit for bit, with the array as its measurement.
     Otherwise it returns None, and ``buf`` holds every byte read so far, or
-    none once a slab was decoded.
+    none once a slab was decoded. A slab with no ``"``, ``t`` or ``f`` byte
+    holds no string, true, false or object key (no other JSON token has
+    them), so :func:`_numbers` reads it with ``typed`` false.
     """
 
     def more() -> bool:
@@ -300,9 +306,11 @@ def _slab_config(buf: bytearray, stream) -> ExperimentConfig | None:
         if cut < start + 4 or (comma is None and buf[cut] != ord("]")):
             break  # no "]]]]" at the end, or the slab has neither a comma nor "]" after it
         end, buf[start], buf[cut] = buf[cut], ord("["), ord("]")
+        typed = any(buf.find(byte, start, cut) >= 0 for byte in b'"tf')  # a string, true or false
         try:
             with memoryview(buf) as view:
-                part = _numbers(orjson.loads(view[start : cut + 1]), 3, "measurement", pair=True)
+                part = orjson.loads(view[start : cut + 1])  # its tree, freed once read
+            part = _numbers(part, 3, "measurement", pair=True, typed=typed)
         except (orjson.JSONDecodeError, ConfigError):
             buf[cut] = end  # the first slab's text is then as read
             break

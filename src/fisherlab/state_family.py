@@ -97,20 +97,25 @@ class StateAndDerivative:
         object.__setattr__(self, "tangent", once - np.vdot(state, once) * state)
 
 
-def _shown(value) -> str:
-    """Bounded ``repr(value)``: a NumPy float as its float, a huge rational by its digits."""
-    if isinstance(value, np.floating):
-        value = value.item()  # np.longdouble has no Python twin and stays as it is
-    rational = isinstance(value, numbers.Rational)
-    if not rational or max(abs(value.numerator), value.denominator) < 2**1024:
-        return reprlib.repr(value)  # a longer term's repr can pass the 4,300-digit limit
-    # A small rational with a huge denominator has no integer part to count.
-    size, part = max((int(abs(value)), "integer part"), (value.denominator, "denominator"))
-    k = round(math.log10(size))  # off by under 0.5, so the comparison makes the count exact
-    digits = k + (size >= 10**k)
-    if isinstance(value, int):
-        return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
-    return f"{'a negative' if value < 0 else 'a'} rational whose {part} has {digits} digits"
+class _Shown(reprlib.Repr):
+    """Bounded ``repr``: a NumPy float as its float, a huge rational by its digits, at any depth."""
+
+    def repr1(self, value, level):
+        if isinstance(value, np.floating):
+            value = value.item()  # np.longdouble has no Python twin and stays as it is
+        rational = isinstance(value, numbers.Rational)
+        if not rational or max(abs(value.numerator), value.denominator) < 2**1024:
+            return super().repr1(value, level)  # a longer term's repr can pass the digit limit
+        # A small rational with a huge denominator has no integer part to count.
+        size, part = max((int(abs(value)), "integer part"), (value.denominator, "denominator"))
+        k = round(math.log10(size))  # off by under 0.5, so the comparison makes the count exact
+        digits = k + (size >= 10**k)
+        if isinstance(value, int):
+            return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+        return f"{'a negative' if value < 0 else 'a'} rational whose {part} has {digits} digits"
+
+
+_shown = _Shown().repr  # bounded ``repr(value)``
 
 
 def _real(name: str, value) -> None:
@@ -133,7 +138,7 @@ def _grid(name: str, values) -> np.ndarray:
     try:
         grid = np.asarray(values)
     except ValueError:  # NumPy's message for a ragged nesting names neither the grid nor a value
-        raise ValueError(f"{name} must be 1-D, got {reprlib.repr(values)}") from None
+        raise ValueError(f"{name} must be 1-D, got {_shown(values)}") from None
     if grid.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {grid.shape}")
     numeric = isinstance(values, np.ndarray) and grid.dtype.kind in "fiu"

@@ -444,6 +444,7 @@ def _explicit_text(matrices: str, **fields) -> bytes:
 
 EFFECTS = json.dumps(EXPLICIT_QUBIT["measurement"])
 FIRST, SECOND = (json.dumps(matrix) for matrix in EXPLICIT_QUBIT["measurement"])
+QUOTED = json.dumps("1.0")
 
 
 def _nested_text(fields: str) -> bytes:
@@ -528,6 +529,12 @@ class TestSlabReader:
             (_nested_text('"measurement": "sld", '), "whole"),
             (_nested_text(""), "whole"),
             (_explicit_text(EFFECTS, sim={**SIM, "interval": [0, 1]}), "whole"),
+            (_explicit_text(f"[{FIRST}, {FIRST}, {SECOND.replace('1.0', 'false')}]"), "error"),
+            (_explicit_text(f"[{FIRST}, {FIRST}, {SECOND.replace('1.0', QUOTED)}]"), "error"),
+            (_explicit_text(f"[{FIRST}, {FIRST}, {SECOND.replace('1.0', 'null')}]"), "error"),
+            (_explicit_text(f"[{FIRST}, {FIRST}, {SECOND.replace('[1.0, 0.0]', '{}')}]"), "error"),
+            # Five blanks after each comma put every cut right after a matrix.
+            (_explicit_text(f"[{',     '.join(['[[[[1.0], [0.0]]]]'] * 4)}]"), "error"),
         ],
         ids=[
             "compact",
@@ -552,6 +559,11 @@ class TestSlabReader:
             "nested-key-after-root-spec",
             "nested-key-without-root-measurement",
             "brace-before-the-array",
+            "false-in-a-slab",
+            "number-string-in-a-slab",
+            "null-in-a-slab",
+            "object-in-a-slab",
+            "list-leaves-in-whole-slabs",
         ],
     )
     def test_hand_cases_read_alike(self, monkeypatch, tmp_path, slab_reads, data, expected):
@@ -576,6 +588,29 @@ class TestSlabReader:
         monkeypatch.setattr(fisherlab.cli, "_SLAB_BYTES", 40)
         config = parse_config_text(_explicit_text(f"[{FIRST}, {SECOND}], {key}: null"))
         assert config.measurement is None and slab_reads == [None]
+
+    def test_only_a_slab_holding_a_quote_t_or_f_takes_the_typed_pass(self, monkeypatch):
+        numbers, passes = fisherlab.cli._numbers, []
+
+        def spy(value, depth, where, pair=False, typed=True):
+            if where == "measurement":
+                passes.append((len(value), typed))
+            return numbers(value, depth, where, pair, typed)
+
+        monkeypatch.setattr(fisherlab.cli, "_numbers", spy)
+        text = random_basis_config_text(32, 2101)
+        parse_config_text(text.encode())
+        # Each 64 KiB slab holds two d = 32 matrices.
+        assert passes == [(2, False)] * 16
+        passes.clear()
+        at = 0
+        for _ in range(4):
+            at = text.index("]]], [[[", at) + len("]]], [[[")
+        with pytest.raises(ConfigError, match=r"'measurement\[4\]\[0\]\[0\]'"):
+            parse_config_text(f'{text[:at]}"0.5", {text[at:]}'.encode())
+        # The slab holding the string takes the typed pass, as does the whole text, read by
+        # orjson and then by json.
+        assert passes == [(2, False), (2, False), (2, True), (32, True), (32, True)]
 
     def test_a_bad_entry_is_named_by_its_whole_array_index(self, monkeypatch, tmp_path):
         data = _explicit_text(f"[{FIRST}, {FIRST}, {SECOND.replace('1.0', 'true')}]")
@@ -647,7 +682,7 @@ class TestSlabMemory:
     # The slab read holds the effect array, its buffer (a slab, the rest of the
     # matrix at its mark and a read ahead), one slab's tree (~3x its text), and the
     # text before the array; the realloc that grows the array counts once. Measured:
-    # ~7.5 slabs over the effects at d = 32, ~10.7 at d = 48 (where a matrix's
+    # ~7.0 slabs over the effects at d = 32, ~10.1 at d = 48 (where a matrix's
     # text is 1.6 slabs). Reading the whole text holds ~38 slabs over them at
     # d = 32; joining the slabs' arrays at the end, the effects twice.
     @pytest.mark.parametrize("dim", [32, 48])
@@ -948,6 +983,37 @@ def _read(reader, value, depth: int, pair: bool):
     return type(array), array.dtype, array.shape, array.tobytes()
 
 
+def _json_mutants(tree):
+    """``tree`` and trees a JSON text with no string, true or false can hold near it: the entry
+    at each position replaced by a few values, and every number one level too deep (which
+    writes each ``[re, im]`` pair as ``[[re], [im]]``)."""
+
+    def positions(node, path=()):
+        yield path, node
+        for i, entry in enumerate(node if isinstance(node, list) else ()):
+            yield from positions(entry, (*path, i))
+
+    def replaced(node, path, new):
+        if not path:
+            return new
+        return [
+            replaced(entry, path[1:], new) if i == path[0] else entry
+            for i, entry in enumerate(node)
+        ]
+
+    def deeper(node):
+        return [deeper(entry) for entry in node] if isinstance(node, list) else [node]
+
+    yield tree
+    yield deeper(tree)
+    for path, node in positions(tree):
+        news = [[node], [node, node], 0.5, None, {}, [], 2**53 + 1, 2**64 + 3, -(2**70), 10**400]
+        if isinstance(node, list) and node:
+            news += [[*node, node[-1]], node[:-1]]  # a ragged row, a three-entry pair
+        for new in news:
+            yield replaced(tree, path, new)
+
+
 class TestReaderOracle:
     """fisherlab.cli._numbers against the readers it replaced, kept above as oracles."""
 
@@ -992,6 +1058,28 @@ class TestReaderOracle:
             with pytest.raises(ConfigError) as raised:
                 reader(value, depth, "f", pair)
             assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "value, depth, pair",
+        [
+            (EXPLICIT_QUBIT["measurement"], 3, True),
+            (EXPLICIT_QUBIT["generator"], 2, True),
+            (EXPLICIT_QUBIT["input_state"], 1, True),
+            ([0.1, -0.0, 3, 1e-300], 1, False),
+            (0.7, 0, False),
+        ],
+        ids=["effects", "generator", "state", "grid", "number"],
+    )
+    def test_the_plain_pass_reads_as_the_typed_pass(self, value, depth, pair):
+        # A tree with no str or bool, as a slab with no '"', "t" or "f" decodes to.
+        def read(typed):
+            return lambda *args: fisherlab.cli._numbers(*args, typed=typed)
+
+        outcomes = []
+        for tree in _json_mutants(value):
+            outcomes.append(_read(read(True), tree, depth, pair))
+            assert _read(read(False), tree, depth, pair) == outcomes[-1], tree
+        assert {outcome[0] for outcome in outcomes} == {np.ndarray, ConfigError}
 
 
 class TestCmdQfi:
@@ -1473,6 +1561,27 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: ConfigError: ") and captured.out == ""
         assert len(captured.err) <= 200
+
+    # A JSON text cannot hold an integer past 4,300 digits, but a Python caller can.
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"lambda": [10**5000]}, "'lambda': expected a number, got [an integer of 5001 digits]"),
+            (
+                {"input_state": [[10**5000, 0.0], [0.0, 0.0]]},
+                "'input_state[0]': [an integer of 5001 digits, 0.0] overflows a double",
+            ),
+            (
+                {"measurement": "sld", "sim": {**SIM, "n": [10**5000]}},
+                "'sim.n': n must be an integer, got [an integer of 5001 digits]",
+            ),
+        ],
+        ids=["lambda", "pair", "sim-n"],
+    )
+    def test_a_huge_integer_in_a_list_is_named_by_its_digits(self, fields, message):
+        with pytest.raises(ConfigError) as caught:
+            parse_config(qubit_config(**fields))
+        assert str(caught.value) == f"field {message}"
 
     @pytest.mark.parametrize(
         "sim, field",

@@ -319,6 +319,20 @@ def test_source_lines_fit_100_columns():
     assert long == []
 
 
+def test_no_module_reads_the_environment():
+    # Settings come from arguments and configs; a variable read would be a hidden option.
+    environ, reads = {"os.environ", "os.environb", "os.getenv", "os.getenvb"}, []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [f"os.{alias.name}" for alias in node.names]
+            reads += [f"{path.name}:{node.lineno}: {name}" for name in names if name in environ]
+    assert reads == []
+
+
 def test_every_module_level_import_is_used_or_exported():
     unused = []
     for path in sorted(SRC.glob("*.py")):

@@ -24,7 +24,7 @@ from fisherlab import (
     sweep_q,
 )
 from fisherlab.errors import DimMismatchError, NonHermitianError
-from fisherlab.state_family import _grid, _real
+from fisherlab.state_family import _grid, _real, _shown
 from test_numerics import taylor_expm
 
 
@@ -340,6 +340,35 @@ class TestRationalPastTheDoubleRange:
         message = str(caught.value)
         assert message == f"{name} must be finite, got a rational whose integer part has 401 digits"
         assert len(message) < 200
+
+
+class TestHugeNumbersInContainers:
+    """A huge number inside a container is shown by its digits, as a bare one is.
+
+    ``reprlib`` renders each entry with ``repr``, which raises past Python's
+    4,300-digit limit.
+    """
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            ([10**5000], "[an integer of 5001 digits]"),
+            ((0.5, -(10**5000)), "(0.5, a negative integer of 5001 digits)"),
+            ({"n": [10**5000]}, "{'n': [an integer of 5001 digits]}"),
+            (
+                [Fraction(10**5000), np.float64(0.5)],
+                "[a rational whose integer part has 5001 digits, 0.5]",
+            ),
+        ],
+        ids=["list", "tuple", "nested-dict", "rational-and-numpy-float"],
+    )
+    def test_each_entry_is_bounded(self, value, shown):
+        assert _shown(value) == shown
+
+    def test_a_ragged_grid_names_its_huge_entry(self):
+        with pytest.raises(ValueError) as caught:
+            _grid("q_grid", [[1.0], 10**5000])
+        assert str(caught.value) == "q_grid must be 1-D, got [[1.0], an integer of 5001 digits]"
 
 
 class TestStateAndDerivative:
